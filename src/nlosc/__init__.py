@@ -61,4 +61,4 @@ from .classical import (
     spring_constant,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

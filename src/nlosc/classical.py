@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainExit, OutsideDomain, RadialCollapse, StiffnessFailure
 from .kernels import (
@@ -27,7 +26,7 @@ from .kernels import (
     rhs_classical_1d,
     rhs_classical_planar,
 )
-from .params import ModelParams
+from .params import ModelParams, mass_denominator
 
 _R_COLLAPSE = 1e-10
 
@@ -67,26 +66,20 @@ class Trajectory:
 
 def potential_1d(x: float, params: ModelParams) -> float:
     """V(x) = m*alpha**2*x**2 / (2*(lam*x**2 + 1))."""
-    w = params.lam * x * x + 1.0
-    if w <= 0:
-        raise OutsideDomain(f"lam*x**2 + 1 = {w} <= 0 at x = {x}")
+    w = mass_denominator(params.lam, x, "x")
     return 0.5 * params.m * params.alpha**2 * x * x / w
 
 
 def hamiltonian_1d(x: float, v: float, params: ModelParams) -> float:
     """Energy in canonical form H = (lam*x**2+1)*p**2/(2m) + V with p = M*v."""
-    w = params.lam * x * x + 1.0
-    if w <= 0:
-        raise OutsideDomain(f"lam*x**2 + 1 = {w} <= 0 at x = {x}")
+    w = mass_denominator(params.lam, x, "x")
     p = params.m / w * v
     return w * p * p / (2.0 * params.m) + potential_1d(x, params)
 
 
 def hamiltonian_1d_mass_form(x: float, v: float, params: ModelParams) -> float:
     """Same energy written as M*v**2/2 + V; agrees with hamiltonian_1d."""
-    w = params.lam * x * x + 1.0
-    if w <= 0:
-        raise OutsideDomain(f"lam*x**2 + 1 = {w} <= 0 at x = {x}")
+    w = mass_denominator(params.lam, x, "x")
     return 0.5 * params.m / w * v * v + potential_1d(x, params)
 
 
@@ -95,9 +88,7 @@ def hamiltonian_planar(state: ClassicalStatePlanar, params: ModelParams) -> floa
     r = state.r
     if r <= 0:
         raise OutsideDomain(f"radius must be positive, got {r}")
-    w = params.lam * r * r + 1.0
-    if w <= 0:
-        raise OutsideDomain(f"lam*r**2 + 1 = {w} <= 0 at r = {r}")
+    w = mass_denominator(params.lam, r)
     M = params.m / w
     v_sq = state.rdot**2 + (r * state.thetadot) ** 2
     return w * (M * M * v_sq) / (2.0 * params.m) + potential_1d(r, params)
@@ -105,9 +96,7 @@ def hamiltonian_planar(state: ClassicalStatePlanar, params: ModelParams) -> floa
 
 def spring_constant(x: float, A: float, omega: float, params: ModelParams) -> float:
     """Effective spring stiffness K = m*omega**2*(1 + lam*A**2)/(lam*x**2 + 1)."""
-    w = params.lam * x * x + 1.0
-    if w <= 0:
-        raise OutsideDomain(f"lam*x**2 + 1 = {w} <= 0 at x = {x}")
+    w = mass_denominator(params.lam, x, "x")
     return params.m * omega**2 * (1.0 + params.lam * A * A) / w
 
 
@@ -161,8 +150,7 @@ def integrate_1d(
     n_samples: int = 1000,
 ) -> Trajectory:
     """Integrate (lam*x**2+1)*xdd - lam*x*xd**2 + alpha**2*x = 0."""
-    if params.lam * x0 * x0 + 1.0 <= 0:
-        raise OutsideDomain(f"initial point x0 = {x0} outside the domain")
+    mass_denominator(params.lam, x0, "x0")
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     ts = np.linspace(0.0, t_end, n_samples)
@@ -191,8 +179,7 @@ def integrate_planar(
     """Integrate the planar radial equation with theta reconstructed from C."""
     if r0 <= 0:
         raise OutsideDomain(f"initial radius must be positive, got {r0}")
-    if params.lam * r0 * r0 + 1.0 <= 0:
-        raise OutsideDomain(f"initial point r0 = {r0} outside the domain")
+    mass_denominator(params.lam, r0, "r0")
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     ts = np.linspace(0.0, t_end, n_samples)
@@ -220,6 +207,20 @@ def integrate_planar(
     return Trajectory(t=ts, x=rs, v=rds, H=H, theta=thetas, thetadot=thetadots, angmom=rs * rs * thetadots)
 
 
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of f in [lo, hi] after 80 halvings, enough to reach double
+    precision; f must change sign on the bracket."""
+    f_lo = f(lo)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_lo * f_mid <= 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
 def measure_period(traj: Trajectory) -> float:
     """Mean spacing of upward zero crossings of x(t), located by cubic Hermite
     interpolation between samples (the velocity supplies the slopes)."""
@@ -240,14 +241,7 @@ def measure_period(traj: Trajectory) -> float:
             def poly(s):
                 return ((coeffs[3] * s + coeffs[2]) * s + coeffs[1]) * s + coeffs[0]
 
-            lo, hi = 0.0, 1.0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if poly(lo) * poly(mid) <= 0:
-                    hi = mid
-                else:
-                    lo = mid
-            crossings.append(t[i] + 0.5 * (lo + hi) * h)
+            crossings.append(t[i] + _bisect(poly, 0.0, 1.0) * h)
     if len(crossings) < 2:
         raise ValueError("need at least two upward zero crossings to measure a period")
     gaps = np.diff(crossings)
@@ -266,12 +260,17 @@ def circular_orbit_radius(C: float, params: ModelParams) -> float:
         return C * C / r**3 + (params.lam * C * C / r - params.alpha**2 * r) / w
 
     r_guess = math.sqrt(abs(C) / params.alpha)
+    if params.lam < 0:
+        # the root lies inside the ball lam*r**2 + 1 > 0; start there
+        r_guess = min(r_guess, 0.5 * math.sqrt(-1.0 / params.lam))
     lo, hi = r_guess, r_guess
     while rdd(lo) < 0 and lo > 1e-8:
         lo *= 0.5
     while rdd(hi) > 0:
         hi *= 2.0
-        if params.lam < 0 and hi * hi >= -1.0 / params.lam:
+        if params.lam * hi * hi + 1.0 <= 0:
             hi = 0.999999 * math.sqrt(-1.0 / params.lam)
             break
-    return float(brentq(rdd, lo, hi, xtol=1e-14, rtol=1e-15))
+    if rdd(lo) * rdd(hi) > 0:
+        raise ValueError(f"no sign change of the radial acceleration on [{lo}, {hi}]")
+    return _bisect(rdd, lo, hi)

@@ -93,11 +93,8 @@ def _cmd_states(args) -> Tuple[dict, List[dict]]:
     ys = np.linspace(grid[0], grid[1], grid[2])
     if abs(args.Lambda) <= radial.LAMBDA_SWITCH:
         # harmonic-oscillator branch for vanishing nonlinearity
-        from scipy.integrate import quad
-
         f = oracle.ho_wavefunction(args.n, args.L)
-        norm_sq, _ = quad(lambda y: f(y) ** 2 * y * y, 0.0, np.inf, limit=200)
-        c = 1.0 / math.sqrt(norm_sq)
+        c = 1.0 / math.sqrt(oracle.ho_norm_sq(args.n, args.L))
         rs = np.array([c * f(float(y)) for y in ys])
         ws = ys * ys
     else:

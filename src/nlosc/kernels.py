@@ -1,17 +1,13 @@
 """Hot numerical kernels: embedded Dormand-Prince RK45 and ODE right-hand sides.
 
-Everything in this module is numba ``@njit``-compiled when acceleration is on
-(see :mod:`nlosc._accel`); the identical source runs as plain Python/numpy
-otherwise.  Right-hand sides take ``(t, u, args)`` with ``u`` and ``args``
-float64 arrays so one driver serves every equation.
+Plain Python/numpy.  Right-hand sides take ``(t, u, args)`` with ``u`` and
+``args`` float64 arrays so one driver serves every equation.
 
 Driver status codes: 0 success, 1 non-finite state encountered (domain exit),
 2 step-size underflow.
 """
 
 import numpy as np
-
-from ._accel import maybe_njit
 
 # Dormand-Prince 5(4) tableau
 _C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
@@ -42,7 +38,6 @@ STATUS_UNDERFLOW = 2
 _H_MIN = 1e-14
 
 
-@maybe_njit(cache=True)
 def rhs_radial(t, u, args):
     """Radial eigenvalue equation as a first-order system in y.
 
@@ -59,7 +54,6 @@ def rhs_radial(t, u, args):
     return du
 
 
-@maybe_njit(cache=True)
 def rhs_classical_1d(t, u, args):
     """1D nonlinear oscillator; u = (x, v), args = (lam, alpha2)."""
     lam = args[0]
@@ -72,7 +66,6 @@ def rhs_classical_1d(t, u, args):
     return du
 
 
-@maybe_njit(cache=True)
 def rhs_classical_planar(t, u, args):
     """Planar radial motion; u = (r, rdot, theta), args = (lam, alpha2, C)."""
     lam = args[0]
@@ -88,7 +81,6 @@ def rhs_classical_planar(t, u, args):
     return du
 
 
-@maybe_njit(cache=True)
 def _step(rhs, t, u, h, args, k1):
     """Single Dormand-Prince step; returns (u_new, err_vec, k7)."""
     n = u.shape[0]
@@ -105,7 +97,6 @@ def _step(rhs, t, u, h, args, k1):
     return u_new, err, k7
 
 
-@maybe_njit(cache=True)
 def integrate_adaptive(rhs, t0, u0, t_eval, rtol, atol, args, max_steps):
     """Integrate u' = rhs(t, u, args) from t0, sampling at the points t_eval.
 

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import radial
 from .errors import BracketInvalid, OutsideDomain, StiffnessFailure
 from .kernels import STATUS_OK, STATUS_UNDERFLOW, integrate_adaptive, rhs_radial
 from .orthopoly import laguerre
+from .params import mass_denominator
 from .spectrum import energy_dimless
 
 _Y_START = 1e-4
@@ -47,9 +47,9 @@ def radial_residual(f: Callable[[float], Tuple[float, float, float]], y: float, 
 
     f(y) must return (R, R', R'').
     """
-    w = Lambda * y * y + 1.0
-    if y <= 0 or w <= 0:
+    if y <= 0:
         raise OutsideDomain(f"residual needs an interior point, got y = {y}")
+    w = mass_denominator(Lambda, y, "y")
     R, R1, R2 = f(y)
     coeff = 2.0 * e - L * (L + 1) * Lambda - 1.0 + (1.0 - y * y) / w - L * (L + 1) / (y * y)
     t1 = w * R2
@@ -209,6 +209,12 @@ def ho_wavefunction(n: int, L: int) -> Callable[[float], float]:
     return f
 
 
+def ho_norm_sq(n: int, L: int) -> float:
+    """Weighted norm int_0^inf ho_wavefunction(n, L)(y)**2 y**2 dy in closed
+    form: the Laguerre norm Gamma(n+L+3/2)/(2*n!)."""
+    return 0.5 * math.exp(math.lgamma(n + L + 1.5) - math.lgamma(n + 1.0))
+
+
 def ho_wavefunction_with_derivatives(n: int, L: int) -> Callable[[float], Tuple[float, float, float]]:
     """Analytic (R, R', R'') of the harmonic-oscillator radial function."""
     poly = laguerre(n, L + 0.5)
@@ -244,15 +250,14 @@ def limit_compare(n: int, L: int, Lambda_small: float, n_grid: int = 200) -> flo
     """Max relative deviation between the Lambda-state and the HO limit.
 
     Both functions are unit-normalized in their own weighted norms and
-    positive near y = 0; the HO normalization integral is done by adaptive
-    quadrature, independent of the closed-form moment route.
+    positive near y = 0; the HO side uses the closed Laguerre norm,
+    independent of the Beta-moment route.
     """
     if not 0 < abs(Lambda_small) <= 1e-2:
         raise ValueError(f"|Lambda_small| must be in (0, 1e-2], got {Lambda_small}")
     state = radial.normalize(radial.build_state(n, L, Lambda_small))
     f_ho = ho_wavefunction(n, L)
-    norm_sq, _ = quad(lambda y: f_ho(y) ** 2 * y * y, 0.0, np.inf, limit=200)
-    c_ho = 1.0 / math.sqrt(norm_sq)
+    c_ho = 1.0 / math.sqrt(ho_norm_sq(n, L))
     ys = np.linspace(0.05, 5.0, n_grid)
     r_lam = np.array([radial.eval_state(state, float(y)) for y in ys])
     r_ho = np.array([c_ho * f_ho(float(y)) for y in ys])

@@ -75,9 +75,17 @@ def domain(Lambda: float) -> Domain:
     return Domain(0.0, math.inf)
 
 
+def mass_denominator(lam: float, x: float, name: str = "r") -> float:
+    """w = lam*x**2 + 1, the denominator of M(x); OutsideDomain where w <= 0.
+
+    ``name`` labels the coordinate in the error message.
+    """
+    w = lam * x * x + 1.0
+    if w <= 0:
+        raise OutsideDomain(f"lam*{name}**2 + 1 = {w} <= 0 at {name} = {x}")
+    return w
+
+
 def mass_at(r: float, params: ModelParams) -> float:
     """Position-dependent mass M(r) = m / (lam*r**2 + 1)."""
-    w = params.lam * r * r + 1.0
-    if w <= 0:
-        raise OutsideDomain(f"lam*r**2 + 1 = {w} <= 0 at r = {r}")
-    return params.m / w
+    return params.m / mass_denominator(params.lam, r)

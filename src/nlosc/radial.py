@@ -33,8 +33,8 @@ from .errors import (
     QuadratureFailure,
     SeriesNotConverged,
 )
-from .orthopoly import PolyCoeffs, jacobi
-from .params import ModelParams, domain
+from .orthopoly import PolyCoeffs
+from .params import ModelParams, domain, mass_at, mass_denominator
 from .spectrum import QuantumNumbers, energy_dimless, is_admissible
 
 # below this |Lambda| the closed form is numerically meaningless; use the
@@ -48,17 +48,14 @@ _ENDPOINT_SLACK = 1e-12
 class RadialEigenstate:
     """Closed-form radial eigenfunction for admissible (n, L, Lambda).
 
-    ``poly`` is the Jacobi piece in the variable 1 + 2*Lambda*y**2.
-    ``series_poly`` is the identical polynomial re-expanded in s = y**2 via
-    the terminating hypergeometric series (the two agree term by term up to
-    roundoff); the series form keeps coefficients O(1) at small |Lambda| and
-    high n, so evaluation and quadrature run through it.
+    ``series_poly`` is the Jacobi piece P(1 + 2*Lambda*y**2) expanded in
+    s = y**2 via the terminating hypergeometric series; this form keeps
+    coefficients O(1) at small |Lambda| and high n.
     """
 
     qn: QuantumNumbers
     Lambda: float
     e: float
-    poly: PolyCoeffs
     series_poly: PolyCoeffs
     L_power: int
     prefactor_exponent: float  # -1/(2*Lambda), power of (Lambda*y**2 + 1)
@@ -75,30 +72,31 @@ def weight(y: float, Lambda: float) -> float:
     """Weight function mu = y**2 / sqrt(Lambda*y**2 + 1) on the open domain."""
     if y <= 0:
         raise OutsideDomain(f"weight needs y > 0, got {y}")
-    w = Lambda * y * y + 1.0
-    if w <= 0:
-        raise OutsideDomain(f"y = {y} at or beyond the finite endpoint for Lambda = {Lambda}")
-    return y * y / math.sqrt(w)
+    return y * y / math.sqrt(mass_denominator(Lambda, y, "y"))
 
 
-def _series_poly(n: int, L: int, Lambda: float) -> PolyCoeffs:
-    """Jacobi-normalized polynomial piece as a polynomial in s = y**2.
+def _series_coeffs(n: int, L: int, lam) -> list:
+    """Jacobi-normalized polynomial piece as coefficients in s = y**2.
 
-    C(n+L+1/2, n) * 2F1(-n, n+L+1-1/Lambda; L+3/2; -Lambda*s), expanded with
-    the Lambda factors absorbed into each coefficient so everything stays O(1).
+    C(n+L+1/2, n) * 2F1(-n, n+L+1-1/lam; L+3/2; -lam*s), expanded with the
+    lam factors absorbed into each coefficient so everything stays O(1).
+    Generic over the number type of ``lam``: float for evaluation, Fraction
+    for exact quadrature.
     """
-    kappa = 1.0
+    one = type(lam)(1)
+    half = one / 2
+    kappa = one
     for j in range(1, n + 1):  # C(n + L + 1/2, n)
-        kappa *= (L + 0.5 + j) / j
-    b2 = n + L + 1.0 - 1.0 / Lambda
-    c = L + 1.5
-    coeffs = np.empty(n + 1)
+        kappa *= (L + half + j) / j
+    b2 = n + L + one - one / lam
+    c = L + 3 * half
+    coeffs = []
     term = kappa
     for k in range(n + 1):
-        coeffs[k] = term
+        coeffs.append(term)
         if k < n:
-            term *= (-n + k) * (b2 + k) / ((c + k) * (k + 1.0)) * (-Lambda)
-    return PolyCoeffs(tuple(coeffs.tolist()), n, (L + 0.5, -1.0 / Lambda - 0.5))
+            term *= (-n + k) * (b2 + k) / ((c + k) * (k + one)) * (-lam)
+    return coeffs
 
 
 def build_state(n: int, L: int, Lambda: float) -> RadialEigenstate:
@@ -109,14 +107,12 @@ def build_state(n: int, L: int, Lambda: float) -> RadialEigenstate:
         )
     if not is_admissible(n, L, Lambda):
         raise NotAdmissible(f"(n={n}, L={L}) is not normalizable at Lambda = {Lambda}")
-    qn = QuantumNumbers(n=n, L=L)
-    poly = jacobi(n, L + 0.5, -1.0 / Lambda - 0.5)
+    series = PolyCoeffs(tuple(_series_coeffs(n, L, float(Lambda))), n, (L + 0.5, -1.0 / Lambda - 0.5))
     return RadialEigenstate(
-        qn=qn,
+        qn=QuantumNumbers(n=n, L=L),
         Lambda=Lambda,
         e=energy_dimless(n, L, Lambda),
-        poly=poly,
-        series_poly=_series_poly(n, L, Lambda),
+        series_poly=series,
         L_power=L,
         prefactor_exponent=-0.5 / Lambda,
     )
@@ -186,9 +182,9 @@ def second_solution(L: int, Lambda: float, e: float, y: float, k_max: int = 200,
     |Lambda|*y**2 < 1.
     """
     lam = Lambda
-    w = lam * y * y + 1.0
-    if y <= 0 or w <= 0:
+    if y <= 0:
         raise OutsideDomain(f"second solution needs an interior point, got y = {y}")
+    w = mass_denominator(lam, y, "y")
     alpha = 0.5 * L + 0.5 - 0.5 / lam
     beta_sq = (lam + 1.0 - 2.0 * e * lam + lam * lam * (L * L + L + 1.0)) / (4.0 * lam * lam)
     a0 = alpha - L - 0.5
@@ -211,22 +207,6 @@ def second_solution(L: int, Lambda: float, e: float, y: float, k_max: int = 200,
     return pref * total
 
 
-def _series_poly_exact(n: int, L: int, lam: Fraction) -> list:
-    """Exact-rational coefficients of the series polynomial (s = y**2 basis)."""
-    kappa = Fraction(1)
-    for j in range(1, n + 1):  # C(n + L + 1/2, n)
-        kappa *= (L + Fraction(1, 2) + j) / j
-    b2 = n + L + 1 - 1 / lam
-    c = L + Fraction(3, 2)
-    coeffs = []
-    term = kappa
-    for k in range(n + 1):
-        coeffs.append(term)
-        if k < n:
-            term *= Fraction(-n + k) * (b2 + k) / ((c + k) * (k + 1)) * (-lam)
-    return coeffs
-
-
 def _folded_t_poly_exact(state: RadialEigenstate) -> list:
     """Exact polynomial factor of the state in the substituted variable t = 1-x.
 
@@ -236,7 +216,7 @@ def _folded_t_poly_exact(state: RadialEigenstate) -> list:
     """
     lam = Fraction(state.Lambda)
     n = state.qn.n
-    h = _series_poly_exact(n, state.qn.L, lam)
+    h = _series_coeffs(n, state.qn.L, lam)
     if lam < 0:
         scale = 1 / (-2 * lam)
         return [h[k] * scale**k for k in range(n + 1)]
@@ -345,9 +325,7 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
 
 def effective_potential(r: float, params: ModelParams, L: int) -> float:
     """V_eff = V(r) + centrifugal term with the position-dependent mass."""
-    w = params.lam * r * r + 1.0
-    if w <= 0:
-        raise OutsideDomain(f"lam*r**2 + 1 = {w} <= 0 at r = {r}")
+    w = mass_denominator(params.lam, r)
     if r <= 0:
         raise OutsideDomain(f"effective potential needs r > 0, got {r}")
     m, alpha, hbar = params.m, params.alpha, params.hbar
@@ -356,8 +334,6 @@ def effective_potential(r: float, params: ModelParams, L: int) -> float:
 
 def effective_potential_mass_form(r: float, params: ModelParams, L: int) -> float:
     """Same potential written through M(r); equal to machine precision."""
-    from .params import mass_at
-
     if r <= 0:
         raise OutsideDomain(f"effective potential needs r > 0, got {r}")
     M = mass_at(r, params)

@@ -119,6 +119,15 @@ class TestIntegratePlanar:
         C = 0.7
         assert classical.circular_orbit_radius(C, p) == pytest.approx(math.sqrt(C / p.alpha), rel=1e-12)
 
+    @pytest.mark.parametrize("lam,C,alpha", [(-1.0, 2.0, 1.0), (-0.5, -3.0, 0.5), (0.7, 1.3, 2.0)])
+    def test_circular_orbit_closed_form(self, lam, C, alpha):
+        # alpha**2*r**4 = C**2*(1 + 2*lam*r**2); for lam < 0 these start
+        # sqrt(|C|/alpha) outside the domain lam*r**2 + 1 > 0
+        root = math.sqrt(lam * lam * C**4 + alpha**2 * C * C)
+        r_expect = math.sqrt(C * C / (root - lam * C * C))
+        rc = classical.circular_orbit_radius(C, make_model(1.0, alpha, lam))
+        assert rc == pytest.approx(r_expect, rel=1e-14)
+
 
 class TestHamiltonians:
     def test_zero_state(self, model):

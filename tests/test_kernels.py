@@ -1,21 +1,15 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from nlosc import kernels
-from nlosc._accel import maybe_njit
 
 
-@maybe_njit
 def _decay_rhs(t, u, args):
     return -args[0] * u
 
 
-@maybe_njit
 def _harmonic_rhs(t, u, args):
     du = np.empty(2)
     du[0] = u[1]
@@ -23,7 +17,6 @@ def _harmonic_rhs(t, u, args):
     return du
 
 
-@maybe_njit
 def _blowup_rhs(t, u, args):
     return u * u  # diverges at t = 1 from u(0) = 1
 
@@ -86,39 +79,3 @@ class TestRightHandSides:
         assert du[1] == pytest.approx(0.0, abs=1e-13)
         assert du[2] == pytest.approx(C / rc**2, rel=1e-14)
 
-
-_PARITY_SCRIPT = """
-import numpy as np
-from nlosc import classical, oracle
-from nlosc.params import make_model
-
-res = oracle.shoot_eigenvalue(-1.0, 0, 1)
-traj = classical.integrate_1d(0.5, 0.2, make_model(1.0, 2.0, 1.0), 8.0, n_samples=50)
-print(format(res.e_numeric, ".17g"))
-for x in traj.x[::10]:
-    print(format(x, ".17g"))
-"""
-
-
-class TestAccelerationParity:
-    def test_numba_and_fallback_agree(self):
-        outs = {}
-        for flag in ("0", "1"):
-            env = dict(os.environ, NLOSC_DISABLE_NUMBA=flag)
-            proc = subprocess.run(
-                [sys.executable, "-c", _PARITY_SCRIPT], capture_output=True, text=True, env=env
-            )
-            assert proc.returncode == 0, proc.stderr
-            outs[flag] = [float(line) for line in proc.stdout.split()]
-        a, b = np.array(outs["0"]), np.array(outs["1"])
-        assert np.max(np.abs(a - b)) < 1e-12
-
-    def test_env_flag_disables_numba(self):
-        env = dict(os.environ, NLOSC_DISABLE_NUMBA="1")
-        proc = subprocess.run(
-            [sys.executable, "-c", "from nlosc._accel import USE_NUMBA; print(USE_NUMBA)"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.stdout.strip() == "False"

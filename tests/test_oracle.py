@@ -65,6 +65,16 @@ class TestHarmonicBranch:
         for y in np.linspace(0.2, 4.0, 25):
             assert oracle.ho_residual(n, L, float(y)) < 1e-12
 
+    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("L", range(4))
+    def test_closed_form_norm(self, n, L):
+        # the integrand is even in y, so the trapezoid rule is spectrally accurate
+        f = oracle.ho_wavefunction(n, L)
+        ys = np.linspace(0.0, 15.0, 601)
+        g = np.array([f(float(y)) ** 2 * y * y for y in ys])
+        trap = (ys[1] - ys[0]) * (g.sum() - 0.5 * (g[0] + g[-1]))
+        assert oracle.ho_norm_sq(n, L) == pytest.approx(trap, rel=1e-12)
+
     def test_derivatives_consistent(self):
         f = oracle.ho_wavefunction(2, 1)
         fd = oracle.ho_wavefunction_with_derivatives(2, 1)

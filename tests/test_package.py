@@ -1,0 +1,21 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import nlosc
+
+
+def test_import_loads_no_scipy_or_numba():
+    code = "import sys, nlosc; print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numba'}))"
+    src = str(Path(nlosc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert nlosc.__version__ == re.search(r'^version = "([^"]+)"', text, re.M).group(1)

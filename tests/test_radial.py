@@ -30,13 +30,13 @@ class TestWeight:
 class TestBuildState:
     def test_ground_state_negative(self):
         st = radial.build_state(0, 0, -1.0)
-        assert st.poly.coeffs == (1.0,)
+        assert st.series_poly.coeffs == (1.0,)
         assert st.prefactor_exponent == pytest.approx(0.5, abs=0)
         assert st.e == 1.5
 
     def test_ground_state_positive_l2(self):
         st = radial.build_state(0, 2, 0.1)
-        assert st.poly.coeffs == (1.0,)
+        assert st.series_poly.coeffs == (1.0,)
         assert st.L_power == 2
         assert st.prefactor_exponent == pytest.approx(-5.0, rel=1e-15)
 
