@@ -19,13 +19,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import DomainExit, OutsideDomain, RadialCollapse, StiffnessFailure
-from .kernels import (
-    STATUS_NONFINITE,
-    STATUS_OK,
-    integrate_adaptive,
-    rhs_classical_1d,
-    rhs_classical_planar,
-)
+from .kernels import STATUS_NONFINITE, STATUS_OK, integrate_adaptive, rhs_classical_1d, rhs_classical_planar
 from .params import ModelParams, mass_denominator
 
 _R_COLLAPSE = 1e-10
@@ -154,10 +148,8 @@ def integrate_1d(
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     ts = np.linspace(0.0, t_end, n_samples)
-    args = np.array([params.lam, params.alpha**2])
-    out, status, _ = integrate_adaptive(
-        rhs_classical_1d, 0.0, np.array([x0, v0]), ts[1:], tol, tol, args, 10_000_000
-    )
+    rhs = rhs_classical_1d(params.lam, params.alpha**2)
+    out, status, _ = integrate_adaptive(rhs, 0.0, (x0, v0), ts[1:], tol, tol, 10_000_000)
     _check_status(status, "1D integration", params.lam)
     xs = np.concatenate(([x0], out[:, 0]))
     vs = np.concatenate(([v0], out[:, 1]))
@@ -183,10 +175,8 @@ def integrate_planar(
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     ts = np.linspace(0.0, t_end, n_samples)
-    args = np.array([params.lam, params.alpha**2, C])
-    out, status, _ = integrate_adaptive(
-        rhs_classical_planar, 0.0, np.array([r0, rdot0, 0.0]), ts[1:], tol, tol, args, 10_000_000
-    )
+    rhs = rhs_classical_planar(params.lam, params.alpha**2, C)
+    out, status, _ = integrate_adaptive(rhs, 0.0, (r0, rdot0, 0.0), ts[1:], tol, tol, 10_000_000)
     if status == STATUS_NONFINITE and C != 0.0:
         raise RadialCollapse("radius collapsed toward r = 0")
     _check_status(status, "planar integration", params.lam)

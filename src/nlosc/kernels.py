@@ -1,11 +1,13 @@
 """Hot numerical kernels: embedded Dormand-Prince RK45 and ODE right-hand sides.
 
-Plain Python/numpy.  Right-hand sides take ``(t, u, args)`` with ``u`` and
-``args`` float64 arrays so one driver serves every equation.
+Plain Python floats: a right-hand side is ``f(t, u)`` with ``u`` a sequence of
+floats and returns a tuple; the ``rhs_*`` factories bind an equation's parameters.
 
 Driver status codes: 0 success, 1 non-finite state encountered (domain exit),
 2 step-size underflow.
 """
+
+import math
 
 import numpy as np
 
@@ -15,13 +17,7 @@ _A21 = 1.0 / 5.0
 _A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
 _A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
 _A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-)
+_A61, _A62, _A63, _A64, _A65 = 9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0
 _B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
 # difference between 5th- and 4th-order weights (error estimator)
 _E1 = _B1 - 5179.0 / 57600.0
@@ -38,122 +34,112 @@ STATUS_UNDERFLOW = 2
 _H_MIN = 1e-14
 
 
-def rhs_radial(t, u, args):
-    """Radial eigenvalue equation as a first-order system in y.
+def rhs_radial(e, Lambda, L):
+    """Radial eigenvalue equation as a first-order system in y, u = (R, R')."""
+    lam, ell = float(Lambda), float(L)
+    ll = ell * (ell + 1.0)
+    c0 = 2.0 * float(e) - ll * lam - 1.0
 
-    u = (R, R'); args = (e, Lambda, L).
-    """
-    e = args[0]
-    lam = args[1]
-    ell = args[2]
-    w = lam * t * t + 1.0
-    coeff = 2.0 * e - ell * (ell + 1.0) * lam - 1.0 + (1.0 - t * t) / w - ell * (ell + 1.0) / (t * t)
-    du = np.empty(2)
-    du[0] = u[1]
-    du[1] = -((2.0 / t + 3.0 * lam * t) * u[1] + coeff * u[0]) / w
-    return du
+    def f(t, u):
+        R, R1 = u
+        w = lam * t * t + 1.0
+        coeff = c0 + (1.0 - t * t) / w - ll / (t * t)
+        return R1, -((2.0 / t + 3.0 * lam * t) * R1 + coeff * R) / w
 
-
-def rhs_classical_1d(t, u, args):
-    """1D nonlinear oscillator; u = (x, v), args = (lam, alpha2)."""
-    lam = args[0]
-    alpha2 = args[1]
-    x = u[0]
-    v = u[1]
-    du = np.empty(2)
-    du[0] = v
-    du[1] = (lam * x * v * v - alpha2 * x) / (lam * x * x + 1.0)
-    return du
+    return f
 
 
-def rhs_classical_planar(t, u, args):
-    """Planar radial motion; u = (r, rdot, theta), args = (lam, alpha2, C)."""
-    lam = args[0]
-    alpha2 = args[1]
-    c = args[2]
-    r = u[0]
-    rd = u[1]
-    w = lam * r * r + 1.0
-    du = np.empty(3)
-    du[0] = rd
-    du[1] = c * c / (r * r * r) + (lam * r * (rd * rd + c * c / (r * r)) - alpha2 * r) / w
-    du[2] = c / (r * r)
-    return du
+def rhs_classical_1d(lam, alpha2):
+    """1D nonlinear oscillator, u = (x, v)."""
+    lam, alpha2 = float(lam), float(alpha2)
+
+    def f(t, u):
+        x, v = u
+        return v, (lam * x * v * v - alpha2 * x) / (lam * x * x + 1.0)
+
+    return f
 
 
-def _step(rhs, t, u, h, args, k1):
-    """Single Dormand-Prince step; returns (u_new, err_vec, k7)."""
-    n = u.shape[0]
-    k2 = rhs(t + _C2 * h, u + h * (_A21 * k1), args)
-    k3 = rhs(t + _C3 * h, u + h * (_A31 * k1 + _A32 * k2), args)
-    k4 = rhs(t + _C4 * h, u + h * (_A41 * k1 + _A42 * k2 + _A43 * k3), args)
-    k5 = rhs(t + _C5 * h, u + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4), args)
-    k6 = rhs(t + h, u + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5), args)
-    u_new = u + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    k7 = rhs(t + h, u_new, args)
-    err = np.empty(n)
-    for i in range(n):
-        err[i] = h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i] + _E6 * k6[i] + _E7 * k7[i])
-    return u_new, err, k7
+def rhs_classical_planar(lam, alpha2, C):
+    """Planar radial motion, u = (r, rdot, theta) with angular momentum C."""
+    lam, alpha2, c = float(lam), float(alpha2), float(C)
+
+    def f(t, u):
+        r, rd, _ = u
+        w = lam * r * r + 1.0
+        return rd, c * c / (r * r * r) + (lam * r * (rd * rd + c * c / (r * r)) - alpha2 * r) / w, c / (r * r)
+
+    return f
 
 
-def integrate_adaptive(rhs, t0, u0, t_eval, rtol, atol, args, max_steps):
-    """Integrate u' = rhs(t, u, args) from t0, sampling at the points t_eval.
+def _step(f, t, u, h, k1):
+    """Dormand-Prince stages k2..k6; returns (u_new, (k1, k3, k4, k5, k6))."""
+    k2 = f(t + _C2 * h, [y + h * (_A21 * a) for y, a in zip(u, k1)])
+    k3 = f(t + _C3 * h, [y + h * (_A31 * a + _A32 * b) for y, a, b in zip(u, k1, k2)])
+    k4 = f(t + _C4 * h, [y + h * (_A41 * a + _A42 * b + _A43 * c) for y, a, b, c in zip(u, k1, k2, k3)])
+    k5 = f(t + _C5 * h, [y + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                         for y, a, b, c, d in zip(u, k1, k2, k3, k4)])
+    k6 = f(t + h, [y + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * g)
+                   for y, a, b, c, d, g in zip(u, k1, k2, k3, k4, k5)])
+    u_new = [y + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * g + _B6 * k)
+             for y, a, c, d, g, k in zip(u, k1, k3, k4, k5, k6)]
+    return u_new, (k1, k3, k4, k5, k6)
+
+
+def integrate_adaptive(f, t0, u0, t_eval, rtol, atol, max_steps):
+    """Integrate u' = f(t, u) from t0, sampling at the points t_eval.
 
     t_eval must be strictly increasing with t_eval[0] > t0 (or decreasing for
     backward integration; internally handled by the sign of the sweep).
     Returns (U, status, nsteps) with U[i] the state at t_eval[i].
+
+    Plain floats raise where float64 arrays give inf or NaN: a division by zero
+    at the start or in stages k2..k6 makes the state non-finite; one in the FSAL
+    stage k7, or an overflow in the error norm, rejects the step.
     """
-    n = u0.shape[0]
-    m = t_eval.shape[0]
-    out = np.empty((m, n))
-    direction = 1.0
-    if t_eval[m - 1] < t0:
-        direction = -1.0
-    t = t0
-    u = u0.copy()
-    k1 = rhs(t, u, args)
-    h_abs = min(1e-3, abs(t_eval[m - 1] - t0) / 100.0)
+    targets = [float(s) for s in t_eval]
+    u = [float(y) for y in u0]
+    out = np.empty((len(targets), len(u)))
+    t = float(t0)
+    direction = -1.0 if targets[-1] < t else 1.0
+    h_abs = min(1e-3, abs(targets[-1] - t) / 100.0)
     nsteps = 0
-    for i in range(m):
-        target = t_eval[i]
+    try:
+        k1 = f(t, u)
+    except ZeroDivisionError:
+        k1 = [math.nan] * len(u)
+    for i, target in enumerate(targets):
         while direction * (target - t) > 1e-15 * max(1.0, abs(t)):
-            if nsteps >= max_steps:
+            if nsteps >= max_steps or h_abs < _H_MIN:
                 return out, STATUS_UNDERFLOW, nsteps
-            if h_abs < _H_MIN:
-                return out, STATUS_UNDERFLOW, nsteps
-            h_try = direction * h_abs
-            clipped = False
-            if direction * (t + h_try - target) > 0.0:
-                h_try = target - t
-                clipped = True
-            u_new, err, k7 = _step(rhs, t, u, h_try, args, k1)
-            ok = True
-            for j in range(n):
-                if not np.isfinite(u_new[j]):
-                    ok = False
-            if not ok:
+            clipped = direction * (t + direction * h_abs - target) > 0.0
+            h_try = target - t if clipped else direction * h_abs
+            try:
+                u_new, ks = _step(f, t, u, h_try, k1)
+            except ZeroDivisionError:
                 return out, STATUS_NONFINITE, nsteps
-            # scaled RMS error norm
-            acc = 0.0
-            for j in range(n):
-                sc = atol + rtol * max(abs(u[j]), abs(u_new[j]))
-                acc += (err[j] / sc) ** 2
-            enorm = np.sqrt(acc / n)
+            if not all(map(math.isfinite, u_new)):
+                return out, STATUS_NONFINITE, nsteps
+            # scaled RMS error norm; ``** 2`` is libm pow, which differs from
+            # ``x * x`` in the last bit for about 0.1% of inputs
+            try:
+                k7 = f(t + h_try, u_new)
+                acc = 0.0
+                for y, y_new, a, c, d, g, k, q in zip(u, u_new, *ks, k7):
+                    err = h_try * (_E1 * a + _E3 * c + _E4 * d + _E5 * g + _E6 * k + _E7 * q)
+                    acc += (err / (atol + rtol * max(abs(y), abs(y_new)))) ** 2
+                enorm = math.sqrt(acc / len(u))
+            except (ZeroDivisionError, OverflowError):
+                enorm = math.inf
             nsteps += 1
             if enorm <= 1.0:
                 t = t + h_try
                 u = u_new
                 k1 = k7
-                if enorm == 0.0:
-                    fac = 5.0
-                else:
-                    fac = min(5.0, max(0.2, 0.9 * enorm ** -0.2))
-                if not clipped:
-                    h_abs = abs(h_try) * fac
                 # a clipped (output-aligned) step leaves the controller size alone
+                if not clipped:
+                    h_abs = abs(h_try) * (5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2)))
             else:
                 h_abs = abs(h_try) * max(0.2, 0.9 * enorm ** -0.2)
-        for j in range(n):
-            out[i, j] = u[j]
+        out[i] = u
     return out, STATUS_OK, nsteps

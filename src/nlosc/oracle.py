@@ -25,9 +25,10 @@ _Y_START = 1e-4
 # Fraction of y_end held back from the singular endpoint.  Much below 1e-7
 # the distance to the endpoint is no longer resolvable in double precision
 # (eps * y_end / delta approaches 1e-8) and the step controller stalls on
-# roundoff noise; at 1e-7 the eigenvalue bias from the truncated local
-# behavior is below 1e-7 for the Lambda range with a unique admissible
-# endpoint exponent (-2 < Lambda < 0).
+# roundoff noise.  At 1e-7 the eigenvalue bias from the truncated local
+# behavior is below 1e-7 only for -1 <= Lambda < 0 (at most 6.3e-8 measured
+# on -1 <= Lambda <= -0.3, n <= 3); below -1 it grows with |Lambda| and n,
+# to 2.7e-6 at Lambda = -1.5 and 2.1e-5 at -1.9 for n = 2.
 _ENDPOINT_MARGIN = 1e-7
 _Y_FAR = 50.0
 _BISECT_TOL = 1e-10
@@ -59,12 +60,12 @@ def radial_residual(f: Callable[[float], Tuple[float, float, float]], y: float, 
     return abs(t1 + t2 + t3) / scale
 
 
-def _series_start(e: float, Lambda: float, L: int, y0: float) -> np.ndarray:
+def _series_start(e: float, Lambda: float, L: int, y0: float) -> Tuple[float, float]:
     """Frobenius start R ~ y^L (1 + c1 y^2), rescaled by y0^-L (linear ODE)."""
     c1 = -(2.0 * e + Lambda * L) / (4.0 * L + 6.0)
     r = 1.0 + c1 * y0 * y0
     r1 = L / y0 * (1.0 + c1 * y0 * y0) + 2.0 * c1 * y0
-    return np.array([r, r1])
+    return r, r1
 
 
 def _terminal_y(Lambda: float) -> float:
@@ -79,9 +80,7 @@ def _shoot_profile(e: float, Lambda: float, L: int, rtol: float, n_samples: int 
     y_stop = _terminal_y(Lambda)
     y_eval = np.linspace(10.0 * _Y_START, y_stop, n_samples)
     u0 = _series_start(e, Lambda, L, _Y_START)
-    out, status, _ = integrate_adaptive(
-        rhs_radial, _Y_START, u0, y_eval, rtol, 1e-300, np.array([e, Lambda, float(L)]), 10_000_000
-    )
+    out, status, _ = integrate_adaptive(rhs_radial(e, Lambda, L), _Y_START, u0, y_eval, rtol, 1e-300, 10_000_000)
     if status == STATUS_UNDERFLOW:
         raise StiffnessFailure(f"step control underflow at e = {e}, Lambda = {Lambda}, L = {L}")
     if status != STATUS_OK:
@@ -121,7 +120,7 @@ def shoot_eigenvalue(
     e_bracket: Optional[Tuple[float, float]] = None,
     rtol: float = 1e-10,
 ) -> ShootingResult:
-    """k-th eigenvalue by bisection on the sign of R at the far boundary.
+    """k-th eigenvalue by bisection on the sign of the terminal Wronskian (:func:`_terminal_value`).
 
     The default bracket is seeded from the closed-form energy, +/- 40% of the
     gap to the neighboring levels; the integration and the root search are

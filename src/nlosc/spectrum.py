@@ -44,30 +44,21 @@ class StateCount:
 
 
 def energy_dimless(n: int, L: int, Lambda: float) -> float:
-    """Dimensionless bound-state energy e_n at angular momentum L."""
+    """Dimensionless bound-state energy e_n at angular momentum L, exact for a Fraction Lambda."""
     return (
-        -2.0 * Lambda * n * n
-        - 2.0 * L * Lambda * n
-        - 2.0 * Lambda * n
-        - L * Lambda / 2.0
-        + 2.0 * n
+        -2 * Lambda * n * n
+        - 2 * L * Lambda * n
+        - 2 * Lambda * n
+        - L * Lambda / 2
+        + 2 * n
         + L
-        + 1.5
+        + type(Lambda)(3) / 2
     )
 
 
 def energy_dimless_exact(n: int, L: int, Lambda) -> Fraction:
     """Exact rational e_n; Lambda is converted to Fraction verbatim."""
-    lam = Fraction(Lambda)
-    return (
-        -2 * lam * n * n
-        - 2 * L * lam * n
-        - 2 * lam * n
-        - Fraction(L) * lam / 2
-        + 2 * n
-        + L
-        + Fraction(3, 2)
-    )
+    return energy_dimless(n, L, Fraction(Lambda))
 
 
 def ho_energy(n: int, L: int) -> float:
