@@ -71,6 +71,8 @@ def _default_grid(Lambda: float) -> Tuple[float, float, int]:
 
 
 def _cmd_spectrum(args) -> Tuple[dict, List[dict]]:
+    if args.n_max < 0:
+        raise ValueError(f"--n-max must be >= 0 (the highest state index), got {args.n_max}")
     count = bound_state_count(args.Lambda, args.L)
     if not count.unbounded and count.count == 0:
         raise NotAdmissible(f"no bound states for Lambda = {args.Lambda}, L = {args.L}")

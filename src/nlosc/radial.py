@@ -10,9 +10,12 @@ Inner products are taken in L^2 with weight mu = y^2/sqrt(Lambda*y^2+1).  The
 change of variable x = 1-2*|Lambda|*y^2 (Lambda < 0) or
 y = sqrt((1-x)/(Lambda*(1+x))) (Lambda > 0) turns every integrand into a
 polynomial times the Jacobi weight (1-x)^a*(1+x)^b, so the integral reduces to
-a short sum of Beta-function moments, exact up to roundoff.  All constant
-prefactors are carried in log space to survive the huge exponents that appear
-at small |Lambda|.
+a short sum of Beta-function moments, exact up to roundoff.  The sums are
+exact integers: each state's polynomial is held as integers over one common
+denominator per state, the moment ratios as integers over one denominator per
+weight, and the rational total is rounded once by a single division.  All
+constant prefactors are carried in log space to survive the huge exponents
+that appear at small |Lambda|.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ from .spectrum import QuantumNumbers, energy_dimless, is_admissible
 LAMBDA_SWITCH = 1e-8
 
 _ENDPOINT_SLACK = 1e-12
+
+# error-estimate gate of inner_product, and of every entry of gram_matrix
+_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -207,8 +213,17 @@ def second_solution(L: int, Lambda: float, e: float, y: float, k_max: int = 200,
     return pref * total
 
 
-def _folded_t_poly_exact(state: RadialEigenstate) -> list:
-    """Exact polynomial factor of the state in the substituted variable t = 1-x.
+def _over_common_denominator(values: list) -> tuple:
+    """Fractions as (integer numerators, one positive common denominator)."""
+    den = 1
+    for v in values:  # pairwise: math.lcm(*many) raised peak RSS call after call
+        den = math.lcm(den, v.denominator)
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _folded_t_poly_exact(state: RadialEigenstate) -> tuple:
+    """Exact polynomial factor of the state in the substituted variable t = 1-x,
+    as (integer coefficients, common denominator).
 
     Lambda < 0 (x = 1 - 2|Lambda|y^2, s = t/(2|Lambda|)): rescaled powers.
     Lambda > 0 (s = t/(Lambda(2-t))): (Lambda(2-t))^n Q(s); the caller
@@ -219,24 +234,39 @@ def _folded_t_poly_exact(state: RadialEigenstate) -> list:
     h = _series_coeffs(n, state.qn.L, lam)
     if lam < 0:
         scale = 1 / (-2 * lam)
-        return [h[k] * scale**k for k in range(n + 1)]
-    total = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        # h[k] * lam^(n-k) * t^k * (2-t)^(n-k)
-        base = h[k] * lam ** (n - k)
+        return _over_common_denominator([h[k] * scale**k for k in range(n + 1)])
+    # h[k] * lam^(n-k) * t^k * (2-t)^(n-k)
+    base, den = _over_common_denominator([h[k] * lam ** (n - k) for k in range(n + 1)])
+    total = [0] * (n + 1)
+    for k, bk in enumerate(base):
         for i in range(n - k + 1):  # binomial expansion of (2-t)^(n-k)
-            total[k + i] += base * math.comb(n - k, i) * (-1) ** i * 2 ** (n - k - i)
-    return total
+            total[k + i] += bk * math.comb(n - k, i) * (-1) ** i * 2 ** (n - k - i)
+    return total, den
 
 
-def _beta_moment_value(q: list, a: Fraction, b: Fraction, log_k: float):
-    """exp(log_k) * int_{-1}^{1} (1-x)^a (1+x)^b q(1-x) dx, q in the t = 1-x basis.
+def _weight(Lambda: float, L: int, degree: int) -> tuple:
+    """(a, b, log_k): the Jacobi weight (1-x)^a (1+x)^b and the log of the
+    constant prefactor for a product of two states of total degree m + n."""
+    a_w = L + Fraction(1, 2)
+    lam_f = Fraction(Lambda)
+    if Lambda < 0:
+        # x = 1 - 2|Lambda|y^2
+        babs = -Lambda
+        b_w = 1 / (-lam_f) - Fraction(1, 2)
+        log_k = -math.log(4.0 * babs) - (L + 0.5) * math.log(2.0 * babs) - float(b_w) * math.log(2.0)
+    else:
+        # y = sqrt((1-x)/(Lambda(1+x))); the (1+x)^-n poles fold into the weight
+        b_w = 1 / lam_f - 2 - L - degree
+        log_k = -(L + 1.5 + degree) * math.log(Lambda) - (1.0 / Lambda + 0.5) * math.log(2.0)
+    return a_w, b_w, log_k
 
-    The sum over Beta-function moments is done in exact rational arithmetic
-    (successive moments differ by the rational ratio 2(a+j+1)/(a+b+j+2)), so
-    the massive cancellation between orthogonal states is exact; only the
-    single prefactor exp(log_k + log B(a+1, b+1) + (a+b+1) log 2) is floating
-    point.  Returns (value, error estimate).
+
+def _beta_moments(a: Fraction, b: Fraction, log_k: float, count: int) -> tuple:
+    """Moments M_0..M_{count-1} of (1-x)^a (1+x)^b against powers of t = 1-x.
+
+    Returns (log_m0, ratios, den) with log_m0 = log_k + log M_0 in floating
+    point and the exact M_j / M_0 = ratios[j] / den as integers over one
+    denominator (successive moments differ by the rational 2(a+j+1)/(a+b+j+2)).
     """
     log_m0 = (
         log_k
@@ -245,66 +275,98 @@ def _beta_moment_value(q: list, a: Fraction, b: Fraction, log_k: float):
         + math.lgamma(float(b) + 1.0)
         - math.lgamma(float(a + b) + 2.0)
     )
-    s = Fraction(0)
-    s_abs = Fraction(0)
-    ratio = Fraction(1)  # M_j / M_0
-    for j, qj in enumerate(q):
-        s += qj * ratio
-        s_abs += abs(qj) * ratio
-        ratio *= 2 * (a + j + 1) / (a + b + j + 2)
-    scale = math.exp(log_m0)
-    value = scale * float(s)
+    steps = [2 * (a + j + 1) / (a + b + j + 2) for j in range(count - 1)]
+    ratios = [1]
+    for r in steps:
+        ratios.append(ratios[-1] * r.numerator)
+    den = 1  # ratios[j] becomes num_0..num_(j-1) * den_j..den_(count-2)
+    for j in reversed(range(count - 1)):
+        den *= steps[j].denominator
+        ratios[j] *= den
+    return log_m0, ratios, den
+
+
+def _beta_moment_value(q: tuple, moments: tuple):
+    """exp(log_k) * int_{-1}^{1} (1-x)^a (1+x)^b q(1-x) dx, q in the t = 1-x basis.
+
+    ``q`` is (integer coefficients, denominator) and ``moments`` comes from
+    ``_beta_moments``.  The sum over Beta-function moments is one integer dot
+    product, so the massive cancellation between orthogonal states is exact
+    and the rational sum is rounded once; only the single prefactor
+    exp(log_k + log B(a+1, b+1) + (a+b+1) log 2) is floating point.  Returns
+    (value, error estimate).
+    """
+    coeffs, q_den = q
+    log_m0, ratios, r_den = moments
+    den = q_den * r_den
+    pos = neg = 0  # the sums of c*r over c > 0 and over c < 0
+    for c, r in zip(coeffs, ratios, strict=True):
+        if c > 0:
+            pos += c * r
+        else:
+            neg += c * r
+    value = math.exp(log_m0) * ((pos + neg) / den)
     # lgamma carries a few ulp on logs of size O(1/|Lambda|); fold that in
-    est = abs(value) * (1e-15 + 5e-16 * abs(log_m0)) + 1e-300 * float(s_abs)
+    est = abs(value) * (1e-15 + 5e-16 * abs(log_m0)) + 1e-300 * ((pos - neg) / den)
     return value, est
 
 
-def inner_product(state_a: RadialEigenstate, state_b: RadialEigenstate, tol: float = 1e-8) -> WeightedInnerProductResult:
-    """Weighted inner product (R_a, R_b) over the Lambda-dependent domain."""
-    if state_a.qn.L != state_b.qn.L or state_a.Lambda != state_b.Lambda:
-        raise ValueError("inner product requires states sharing (L, Lambda)")
-    lam = state_a.Lambda
-    L = state_a.qn.L
-    m, n = state_a.qn.n, state_b.qn.n
-    qa = _folded_t_poly_exact(state_a)
-    qb = _folded_t_poly_exact(state_b)
-    prod = [Fraction(0)] * (len(qa) + len(qb) - 1)
-    for i, ai in enumerate(qa):
-        for j, bj in enumerate(qb):
+def _raw_inner(qa: tuple, qb: tuple, moments: tuple):
+    """(value, error estimate) of the product of two folded polynomials
+    against ``moments``, before the states' norm constants."""
+    ca, da = qa
+    cb, db = qb
+    prod = [0] * (len(ca) + len(cb) - 1)
+    for i, ai in enumerate(ca):
+        for j, bj in enumerate(cb):
             prod[i + j] += ai * bj
-    a_w = L + Fraction(1, 2)
-    lam_f = Fraction(lam)
-    if lam < 0:
-        # x = 1 - 2|Lambda|y^2
-        babs = -lam
-        b_w = 1 / (-lam_f) - Fraction(1, 2)
-        log_k = -math.log(4.0 * babs) - (L + 0.5) * math.log(2.0 * babs) - float(b_w) * math.log(2.0)
-    else:
-        # y = sqrt((1-x)/(Lambda(1+x))); the (1+x)^-n poles fold into the weight
-        b_w = 1 / lam_f - 2 - L - m - n
-        log_k = -(L + 1.5 + m + n) * math.log(lam) - (1.0 / lam + 0.5) * math.log(2.0)
-    raw, raw_est = _beta_moment_value(prod, a_w, b_w, log_k)
-    scale = state_a.norm_const * state_b.norm_const
-    value = scale * raw
-    est = abs(scale) * raw_est
+    return _beta_moment_value((prod, da * db), moments)
+
+
+def _scaled(raw: tuple, scale: float, tol: float) -> WeightedInnerProductResult:
+    """Apply the product of norm constants and enforce the error gate."""
+    value = scale * raw[0]
+    est = abs(scale) * raw[1]
     if est > tol * max(1.0, abs(value)):
         raise QuadratureFailure(f"quadrature error estimate {est} exceeds tolerance {tol}")
     return WeightedInnerProductResult(value=value, est_abs_error=est)
 
 
+def _unit_norm_const(norm_const: float, sq: float) -> float:
+    """Norm constant that scales a state of squared norm ``sq`` to unit norm."""
+    if sq <= 0:
+        raise QuadratureFailure(f"nonpositive norm {sq}")
+    # Jacobi polynomials are positive at argument 1, so a positive norm
+    # constant fixes R(y)/y^L > 0 as y -> 0
+    return norm_const / math.sqrt(sq)
+
+
+def inner_product(state_a: RadialEigenstate, state_b: RadialEigenstate, tol: float = _TOL) -> WeightedInnerProductResult:
+    """Weighted inner product (R_a, R_b) over the Lambda-dependent domain."""
+    if state_a.qn.L != state_b.qn.L or state_a.Lambda != state_b.Lambda:
+        raise ValueError("inner product requires states sharing (L, Lambda)")
+    degree = state_a.qn.n + state_b.qn.n
+    moments = _beta_moments(*_weight(state_a.Lambda, state_a.qn.L, degree), degree + 1)
+    raw = _raw_inner(_folded_t_poly_exact(state_a), _folded_t_poly_exact(state_b), moments)
+    return _scaled(raw, state_a.norm_const * state_b.norm_const, tol)
+
+
 def normalize(state: RadialEigenstate) -> RadialEigenstate:
     """Return the state scaled to unit weighted norm, positive near y = 0."""
     sq = inner_product(state, state)
-    if sq.value <= 0:
-        raise QuadratureFailure(f"nonpositive norm {sq.value}")
-    # Jacobi polynomials are positive at argument 1, so a positive norm
-    # constant fixes R(y)/y^L > 0 as y -> 0
-    return replace(state, norm_const=state.norm_const / math.sqrt(sq.value))
+    return replace(state, norm_const=_unit_norm_const(state.norm_const, sq.value))
 
 
 def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
     """Matrix of normalized inner products for n = 0..n_max (truncated to the
-    admissible set when Lambda > 0)."""
+    admissible set when Lambda > 0).
+
+    Equal, bit for bit, to ``inner_product`` of ``normalize``d states: each
+    state is folded once, the moments are shared by every pair of equal total
+    degree, and each raw integral of the upper triangle is summed once.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0 (the highest state index), got {n_max}")
     if Lambda > 0:
         count = spectrum.bound_state_count(Lambda, L).count
         if count == 0:
@@ -312,14 +374,24 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
         n_top = min(n_max, count - 1)
     else:
         n_top = n_max
-    states = [normalize(build_state(n, L, Lambda)) for n in range(n_top + 1)]
-    size = len(states)
+    size = n_top + 1
+    folds, norms, diag, moments = [], [], [], {}
+
+    def raw(i, j):
+        if i + j not in moments:  # the weight depends on the total degree only
+            moments[i + j] = _beta_moments(*_weight(Lambda, L, i + j), i + j + 1)
+        return _raw_inner(folds[i], folds[j], moments[i + j])
+
+    for n in range(size):
+        folds.append(_folded_t_poly_exact(build_state(n, L, Lambda)))
+        diag.append(raw(n, n))
+        # what normalize() does to a fresh state, whose norm constant is 1
+        norms.append(_unit_norm_const(1.0, _scaled(diag[n], 1.0, _TOL).value))
     g = np.eye(size)
     for i in range(size):
-        for j in range(size):
-            if i <= j:
-                g[i, j] = inner_product(states[i], states[j]).value
-                g[j, i] = g[i, j]
+        for j in range(i, size):
+            r = diag[i] if i == j else raw(i, j)
+            g[i, j] = g[j, i] = _scaled(r, norms[i] * norms[j], _TOL).value
     return g
 
 

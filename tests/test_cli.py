@@ -81,6 +81,17 @@ class TestGramCommand:
             assert abs(cell["value"] - target) < 1e-8
 
 
+class TestNegativeNMax:
+    @pytest.mark.parametrize("command", ["spectrum", "gram"])
+    def test_exit_1_with_value_error(self, capture, command):
+        code, out, err = capture([command, "--lambda", "-1", "--L", "0", "--n-max", "-1"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ValueError: ")
+        assert "must be >= 0" in err
+        assert err.count("\n") == 1
+
+
 class TestOtherCommands:
     def test_shoot(self, capture):
         code, out, _ = capture(["shoot", "--lambda", "-0.5", "--L", "0", "--n", "0"])

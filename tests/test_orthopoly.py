@@ -12,7 +12,7 @@ from nlosc.orthopoly import (
     jacobi_rodrigues,
     laguerre,
 )
-from nlosc.radial import _beta_moment_value
+from nlosc.radial import _beta_moment_value, _beta_moments, _over_common_denominator
 
 
 class TestJacobi:
@@ -156,11 +156,11 @@ class TestJacobiOrthogonality:
         diag = []
         for n in range(6):
             q = self._to_t_basis(np.convolve(polys[n].coeffs, polys[n].coeffs))
-            val, _ = _beta_moment_value(q, Fraction(a), Fraction(b), 0.0)
+            val, _ = _beta_moment_value(_over_common_denominator(q), _beta_moments(Fraction(a), Fraction(b), 0.0, len(q)))
             diag.append(val)
             assert val > 0
         for m in range(6):
             for n in range(m + 1, 6):
                 q = self._to_t_basis(np.convolve(polys[m].coeffs, polys[n].coeffs))
-                val, _ = _beta_moment_value(q, Fraction(a), Fraction(b), 0.0)
+                val, _ = _beta_moment_value(_over_common_denominator(q), _beta_moments(Fraction(a), Fraction(b), 0.0, len(q)))
                 assert abs(val) <= 1e-8 * math.sqrt(diag[m] * diag[n])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlosc import radial
-from nlosc.errors import LambdaTooSmall, NotAdmissible, OutsideDomain
+from nlosc.errors import LambdaTooSmall, NotAdmissible, OutsideDomain, QuadratureFailure
 from nlosc.oracle import radial_residual
 from nlosc.orthopoly import hyp2f1_terminating
 from nlosc.params import make_model
@@ -208,6 +208,13 @@ class TestInnerProductAndNorm:
         assert res.value == pytest.approx(1.0, abs=1e-10)
         assert res.est_abs_error < 1e-10
 
+    def test_error_gate(self):
+        # a unit norm carries an estimate of order 1e-15
+        st = radial.normalize(radial.build_state(1, 0, -1.0))
+        assert radial.inner_product(st, st).est_abs_error > 1e-30
+        with pytest.raises(QuadratureFailure, match="exceeds tolerance"):
+            radial.inner_product(st, st, tol=1e-30)
+
     def test_mismatched_states_rejected(self):
         a = radial.build_state(0, 0, -1.0)
         b = radial.build_state(0, 1, -1.0)
@@ -233,6 +240,44 @@ class TestGramMatrix:
     def test_no_states_raises(self):
         with pytest.raises(NotAdmissible):
             radial.gram_matrix(0, 2.0, 3)
+
+    def test_negative_n_max_raises(self):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            radial.gram_matrix(0, -1.0, -1)
+
+    @pytest.mark.parametrize("Lambda", [-2.5, -0.7, 0.02, 0.1])
+    @pytest.mark.parametrize("L", range(4))
+    def test_bit_identical_to_pairwise_reference(self, Lambda, L):
+        # 0.1 truncates: 5 states at L = 0, 3 at L = 3
+        g = radial.gram_matrix(L, Lambda, 8)
+        states = [
+            radial.normalize(radial.build_state(n, L, Lambda))
+            for n in range(9)
+            if is_admissible(n, L, Lambda)
+        ]
+        ref = np.eye(len(states))
+        for i, a in enumerate(states):
+            for j in range(i, len(states)):
+                ref[i, j] = ref[j, i] = radial.inner_product(a, states[j]).value
+        assert g.shape == ref.shape
+        assert g.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("forced_from", [0, 4])
+    def test_error_gate_on_every_entry(self, monkeypatch, forced_from):
+        # the first 4 moment sums of a 4-state matrix are the diagonal norms;
+        # forcing from 4 on leaves them alone and reaches the off-diagonal gate
+        calls = []
+        exact = radial._beta_moment_value
+
+        def forced(q, moments):
+            value, est = exact(q, moments)
+            calls.append(value)
+            return value, (1.0 if len(calls) > forced_from else est)
+
+        monkeypatch.setattr(radial, "_beta_moment_value", forced)
+        with pytest.raises(QuadratureFailure, match="exceeds tolerance"):
+            radial.gram_matrix(0, -1.0, 3)
+        assert len(calls) == forced_from + 1
 
 
 class TestEffectivePotential:
