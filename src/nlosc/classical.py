@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainExit, OutsideDomain, RadialCollapse, StiffnessFailure
 from .kernels import STATUS_NONFINITE, STATUS_OK, integrate_adaptive, rhs_classical_1d, rhs_classical_planar
-from .params import ModelParams, mass_denominator
+from .params import ModelParams, domain, mass_denominator
 
 _R_COLLAPSE = 1e-10
 
@@ -58,14 +58,14 @@ class Trajectory:
     angmom: Optional[np.ndarray] = None
 
 
-def potential_1d(x: float, params: ModelParams) -> float:
-    """V(x) = m*alpha**2*x**2 / (2*(lam*x**2 + 1))."""
+def potential_1d(x, params: ModelParams):
+    """V(x) = m*alpha**2*x**2 / (2*(lam*x**2 + 1)), on floats or arrays."""
     w = mass_denominator(params.lam, x, "x")
     return 0.5 * params.m * params.alpha**2 * x * x / w
 
 
-def hamiltonian_1d(x: float, v: float, params: ModelParams) -> float:
-    """Energy in canonical form H = (lam*x**2+1)*p**2/(2m) + V with p = M*v."""
+def hamiltonian_1d(x, v, params: ModelParams):
+    """Canonical energy H = (lam*x**2+1)*p**2/(2m) + V with p = M*v, on floats or arrays."""
     w = mass_denominator(params.lam, x, "x")
     p = params.m / w * v
     return w * p * p / (2.0 * params.m) + potential_1d(x, params)
@@ -79,12 +79,18 @@ def hamiltonian_1d_mass_form(x: float, v: float, params: ModelParams) -> float:
 
 def hamiltonian_planar(state: ClassicalStatePlanar, params: ModelParams) -> float:
     """H = (lam*r**2+1)*|p|**2/(2m) + V(r) with p = M*(rdot, r*thetadot)."""
-    r = state.r
-    if r <= 0:
-        raise OutsideDomain(f"radius must be positive, got {r}")
+    if state.r <= 0:
+        raise OutsideDomain(f"radius must be positive, got {state.r}")
+    return _hamiltonian_planar(state.r, state.rdot, state.thetadot, params)
+
+
+def _hamiltonian_planar(r, rdot, thetadot, params: ModelParams):
+    """``hamiltonian_planar`` on floats or arrays, for r > 0.  float_power
+    squares by libm pow, as Python's ``**`` does; numpy's ``a**2`` multiplies,
+    which differs in the last bit for about 0.1% of inputs."""
     w = mass_denominator(params.lam, r)
     M = params.m / w
-    v_sq = state.rdot**2 + (r * state.thetadot) ** 2
+    v_sq = np.float_power(rdot, 2) + np.float_power(r * thetadot, 2)
     return w * (M * M * v_sq) / (2.0 * params.m) + potential_1d(r, params)
 
 
@@ -123,16 +129,35 @@ def constraint_amplitude(omega: float, params: ModelParams) -> float:
     return math.sqrt(a_sq)
 
 
-def _check_status(status: int, what: str, lam: float) -> None:
+def _solve(rhs, u0, params, t_end, tol, n_samples, what, name, C=None):
+    """Sampled RK45 solve of both integrators: (t, U) with U[0] = u0.
+
+    ``C`` is the planar angular momentum, None in 1D.  The first coordinate,
+    called ``name`` in messages, must stay inside lam*name**2 + 1 > 0.
+    """
+    if t_end <= 0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
+    ts = np.linspace(0.0, t_end, n_samples)
+    out, status, _ = integrate_adaptive(rhs, 0.0, u0, ts[1:], tol, tol, 10_000_000)
+    if status == STATUS_NONFINITE and C is not None and C != 0.0:
+        raise RadialCollapse("radius collapsed toward r = 0")
     if status == STATUS_NONFINITE:
         raise DomainExit(f"{what} left the configuration domain (non-finite state)")
     if status != STATUS_OK:
-        if lam < 0:
+        if params.lam < 0:
             # the coefficients are smooth everywhere except at the edge of
             # the lam < 0 domain, so a stalled step controller means the
             # trajectory ran into lam*x**2 + 1 -> 0
             raise DomainExit(f"{what} stalled at the domain boundary lam*x**2 + 1 -> 0")
         raise StiffnessFailure(f"{what} failed: step-size underflow")
+    U = np.vstack((u0, out))
+    if C is not None and np.any(U[:, 0] <= _R_COLLAPSE):
+        raise RadialCollapse(f"radius fell below {_R_COLLAPSE}")
+    try:
+        mass_denominator(params.lam, U[:, 0], name)
+    except OutsideDomain:
+        raise DomainExit(f"trajectory crossed lam*{name}**2 + 1 = 0") from None
+    return ts, U
 
 
 def integrate_1d(
@@ -145,18 +170,10 @@ def integrate_1d(
 ) -> Trajectory:
     """Integrate (lam*x**2+1)*xdd - lam*x*xd**2 + alpha**2*x = 0."""
     mass_denominator(params.lam, x0, "x0")
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    ts = np.linspace(0.0, t_end, n_samples)
     rhs = rhs_classical_1d(params.lam, params.alpha**2)
-    out, status, _ = integrate_adaptive(rhs, 0.0, (x0, v0), ts[1:], tol, tol, 10_000_000)
-    _check_status(status, "1D integration", params.lam)
-    xs = np.concatenate(([x0], out[:, 0]))
-    vs = np.concatenate(([v0], out[:, 1]))
-    if params.lam < 0 and np.any(params.lam * xs * xs + 1.0 <= 0):
-        raise DomainExit("trajectory crossed lam*x**2 + 1 = 0")
-    H = np.array([hamiltonian_1d(float(x), float(v), params) for x, v in zip(xs, vs)])
-    return Trajectory(t=ts, x=xs, v=vs, H=H)
+    ts, U = _solve(rhs, (x0, v0), params, t_end, tol, n_samples, "1D integration", "x")
+    xs, vs = U.T
+    return Trajectory(t=ts, x=xs, v=vs, H=hamiltonian_1d(xs, vs, params))
 
 
 def integrate_planar(
@@ -172,28 +189,11 @@ def integrate_planar(
     if r0 <= 0:
         raise OutsideDomain(f"initial radius must be positive, got {r0}")
     mass_denominator(params.lam, r0, "r0")
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    ts = np.linspace(0.0, t_end, n_samples)
     rhs = rhs_classical_planar(params.lam, params.alpha**2, C)
-    out, status, _ = integrate_adaptive(rhs, 0.0, (r0, rdot0, 0.0), ts[1:], tol, tol, 10_000_000)
-    if status == STATUS_NONFINITE and C != 0.0:
-        raise RadialCollapse("radius collapsed toward r = 0")
-    _check_status(status, "planar integration", params.lam)
-    rs = np.concatenate(([r0], out[:, 0]))
-    rds = np.concatenate(([rdot0], out[:, 1]))
-    thetas = np.concatenate(([0.0], out[:, 2]))
-    if np.any(rs <= _R_COLLAPSE):
-        raise RadialCollapse(f"radius fell below {_R_COLLAPSE}")
-    if params.lam < 0 and np.any(params.lam * rs * rs + 1.0 <= 0):
-        raise DomainExit("trajectory crossed lam*r**2 + 1 = 0")
+    ts, U = _solve(rhs, (r0, rdot0, 0.0), params, t_end, tol, n_samples, "planar integration", "r", C)
+    rs, rds, thetas = U.T
     thetadots = C / (rs * rs)
-    H = np.array(
-        [
-            hamiltonian_planar(ClassicalStatePlanar(float(t), float(r), float(rd), float(th), float(td)), params)
-            for t, r, rd, th, td in zip(ts, rs, rds, thetas, thetadots)
-        ]
-    )
+    H = _hamiltonian_planar(rs, rds, thetadots, params)
     return Trajectory(t=ts, x=rs, v=rds, H=H, theta=thetas, thetadot=thetadots, angmom=rs * rs * thetadots)
 
 
@@ -246,21 +246,19 @@ def circular_orbit_radius(C: float, params: ModelParams) -> float:
     # rdd from the radial equation at rdot = 0:
     # rdd = C**2/r**3 + (lam*r*C**2/r**2 - alpha**2*r)/(lam*r**2+1)
     def rdd(r: float) -> float:
-        w = params.lam * r * r + 1.0
+        w = mass_denominator(params.lam, r)
         return C * C / r**3 + (params.lam * C * C / r - params.alpha**2 * r) / w
 
-    r_guess = math.sqrt(abs(C) / params.alpha)
-    if params.lam < 0:
-        # the root lies inside the ball lam*r**2 + 1 > 0; start there
-        r_guess = min(r_guess, 0.5 * math.sqrt(-1.0 / params.lam))
-    lo, hi = r_guess, r_guess
+    # the root lies inside the ball lam*r**2 + 1 > 0 when lam < 0; start there
+    upper = domain(params.lam).upper
+    lo = hi = min(math.sqrt(abs(C) / params.alpha), 0.5 * upper)
     while rdd(lo) < 0 and lo > 1e-8:
         lo *= 0.5
-    while rdd(hi) > 0:
-        hi *= 2.0
-        if params.lam * hi * hi + 1.0 <= 0:
-            hi = 0.999999 * math.sqrt(-1.0 / params.lam)
-            break
+    try:
+        while rdd(hi) > 0:
+            hi *= 2.0
+    except OutsideDomain:
+        hi = 0.999999 * upper
     if rdd(lo) * rdd(hi) > 0:
         raise ValueError(f"no sign change of the radial acceleration on [{lo}, {hi}]")
     return _bisect(rdd, lo, hi)

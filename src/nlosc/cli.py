@@ -102,7 +102,7 @@ def _cmd_states(args) -> Tuple[dict, List[dict]]:
     else:
         state = radial.normalize(radial.build_state(args.n, args.L, args.Lambda))
         rs = radial.eval_state(state, ys)
-        ws = np.array([radial.weight(float(y), args.Lambda) for y in ys])
+        ws = radial.weight(ys, args.Lambda)
     rows = [{"y": float(y), "R": float(r), "weight": float(w)} for y, r, w in zip(ys, rs, ws)]
     params = {"Lambda": args.Lambda, "L": args.L, "n": args.n, "grid": list(grid)}
     return params, rows
@@ -179,9 +179,10 @@ def _cmd_classical(args) -> Tuple[dict, List[dict]]:
 
 def _cmd_veff(args) -> Tuple[dict, List[dict]]:
     params = make_model(args.m, args.alpha, args.Lambda, args.hbar)
-    grid = args.grid or _default_grid(params.lam * params.hbar / (params.m * params.alpha))
+    grid = args.grid or _default_grid(params.lam)
     rs = np.linspace(grid[0], grid[1], grid[2])
-    rows = [{"r": float(r), "V_eff": radial.effective_potential(float(r), params, args.L)} for r in rs]
+    vs = radial.effective_potential(rs, params, args.L)
+    rows = [{"r": float(r), "V_eff": float(v)} for r, v in zip(rs, vs)]
     meta = {"lambda": args.Lambda, "L": args.L, "m": args.m, "alpha": args.alpha, "grid": list(grid)}
     return meta, rows
 

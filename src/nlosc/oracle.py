@@ -18,8 +18,8 @@ from . import radial
 from .errors import BracketInvalid, OutsideDomain, StiffnessFailure
 from .kernels import STATUS_OK, STATUS_UNDERFLOW, integrate_adaptive, rhs_radial
 from .orthopoly import laguerre
-from .params import mass_denominator
-from .spectrum import energy_dimless
+from .params import domain, mass_denominator
+from .spectrum import QuantumNumbers, energy_dimless
 
 _Y_START = 1e-4
 # Fraction of y_end held back from the singular endpoint.  Much below 1e-7
@@ -70,13 +70,12 @@ def _series_start(e: float, Lambda: float, L: int, y0: float) -> Tuple[float, fl
 
 def _terminal_y(Lambda: float) -> float:
     if Lambda < 0:
-        y_end = math.sqrt(-1.0 / Lambda)
-        return y_end * (1.0 - _ENDPOINT_MARGIN)
+        return domain(Lambda).upper * (1.0 - _ENDPOINT_MARGIN)
     return _Y_FAR
 
 
 def _shoot_profile(e: float, Lambda: float, L: int, rtol: float, n_samples: int = 80):
-    """Integrate outward; returns (y grid, R values)."""
+    """Integrate outward; returns (R, R') at n_samples points up to _terminal_y."""
     y_stop = _terminal_y(Lambda)
     y_eval = np.linspace(10.0 * _Y_START, y_stop, n_samples)
     u0 = _series_start(e, Lambda, L, _Y_START)
@@ -85,7 +84,7 @@ def _shoot_profile(e: float, Lambda: float, L: int, rtol: float, n_samples: int 
         raise StiffnessFailure(f"step control underflow at e = {e}, Lambda = {Lambda}, L = {L}")
     if status != STATUS_OK:
         raise StiffnessFailure(f"integration failed (status {status}) at e = {e}")
-    return y_eval, out
+    return out
 
 
 def _terminal_value(e: float, Lambda: float, L: int, out: np.ndarray, y_stop: float) -> float:
@@ -102,7 +101,7 @@ def _terminal_value(e: float, Lambda: float, L: int, out: np.ndarray, y_stop: fl
     if Lambda < 0:
         # admissible behavior (y_end - y)^s with s = -1/(2*Lambda)
         s = -1.0 / (2.0 * Lambda)
-        delta = math.sqrt(-1.0 / Lambda) - y_stop
+        delta = domain(Lambda).upper - y_stop
         return -s * R - delta * R1
     # admissible tail y^s, s the negative root of s*(s+2) = K/Lambda
     K = 2.0 * e - L * (L + 1) * Lambda - 1.0 - 1.0 / Lambda
@@ -126,6 +125,7 @@ def shoot_eigenvalue(
     gap to the neighboring levels; the integration and the root search are
     independent of the closed form.
     """
+    QuantumNumbers(n=k, L=L)  # raises ValueError for negative k or L
     if e_bracket is None:
         e_k = energy_dimless(k, L, Lambda)
         gap_up = abs(energy_dimless(k + 1, L, Lambda) - e_k)
@@ -135,7 +135,7 @@ def shoot_eigenvalue(
     y_stop = _terminal_y(Lambda)
 
     def terminal(e: float) -> float:
-        _, out = _shoot_profile(e, Lambda, L, rtol)
+        out = _shoot_profile(e, Lambda, L, rtol)
         return _terminal_value(e, Lambda, L, out, y_stop)
 
     f_lo = terminal(lo)
@@ -161,7 +161,7 @@ def shoot_eigenvalue(
             else:
                 a, fa = mid, fm
         lo_val = 0.5 * (a + b)
-    ys, out = _shoot_profile(lo_val, Lambda, L, rtol)
+    out = _shoot_profile(lo_val, Lambda, L, rtol)
     prof = out[:, 0]
     mismatch = abs(_terminal_value(lo_val, Lambda, L, out, y_stop)) / max(np.max(np.abs(prof)), 1e-300)
     return ShootingResult(
@@ -182,7 +182,7 @@ def eigenfunction_nodes(Lambda: float, L: int, e: float, rtol: float = 1e-10, n_
     at most one near-zero sample at this sampling density).  For Lambda < 0 a
     fixed fraction short of the endpoint suffices.
     """
-    ys, out = _shoot_profile(e, Lambda, L, rtol, n_samples=n_samples)
+    out = _shoot_profile(e, Lambda, L, rtol, n_samples=n_samples)
     prof = out[:, 0]
     stop = int(0.94 * n_samples)
     if Lambda > 0:
@@ -234,17 +234,6 @@ def ho_wavefunction_with_derivatives(n: int, L: int) -> Callable[[float], Tuple[
     return f
 
 
-def ho_residual(n: int, L: int, y: float) -> float:
-    """Normalized residual of the Lambda = 0 radial equation at y."""
-    R, R1, R2 = ho_wavefunction_with_derivatives(n, L)(y)
-    e = 2.0 * n + L + 1.5
-    t1 = R2
-    t2 = 2.0 / y * R1
-    t3 = (2.0 * e - y * y - L * (L + 1) / (y * y)) * R
-    scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
-    return abs(t1 + t2 + t3) / scale
-
-
 def limit_compare(n: int, L: int, Lambda_small: float, n_grid: int = 200) -> float:
     """Max relative deviation between the Lambda-state and the HO limit.
 
@@ -258,6 +247,6 @@ def limit_compare(n: int, L: int, Lambda_small: float, n_grid: int = 200) -> flo
     f_ho = ho_wavefunction(n, L)
     c_ho = 1.0 / math.sqrt(ho_norm_sq(n, L))
     ys = np.linspace(0.05, 5.0, n_grid)
-    r_lam = np.array([radial.eval_state(state, float(y)) for y in ys])
+    r_lam = radial.eval_state(state, ys)
     r_ho = np.array([c_ho * f_ho(float(y)) for y in ys])
     return float(np.max(np.abs(r_lam - r_ho)) / np.max(np.abs(r_ho)))

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NonPositiveParameter, OutsideDomain
 
 
@@ -75,13 +77,18 @@ def domain(Lambda: float) -> Domain:
     return Domain(0.0, math.inf)
 
 
-def mass_denominator(lam: float, x: float, name: str = "r") -> float:
+def mass_denominator(lam: float, x, name: str = "r"):
     """w = lam*x**2 + 1, the denominator of M(x); OutsideDomain where w <= 0.
 
-    ``name`` labels the coordinate in the error message.
+    An array raises the scalar message of its first such point.  ``name``
+    labels the coordinate in the error message.
     """
     w = lam * x * x + 1.0
-    if w <= 0:
+    if isinstance(w, np.ndarray):
+        bad = np.flatnonzero(w <= 0)
+        if bad.size:
+            mass_denominator(lam, x.flat[bad[0]], name)  # raises, as a scalar
+    elif w <= 0:
         raise OutsideDomain(f"lam*{name}**2 + 1 = {w} <= 0 at {name} = {x}")
     return w
 

@@ -74,11 +74,13 @@ class WeightedInnerProductResult:
     est_abs_error: float
 
 
-def weight(y: float, Lambda: float) -> float:
-    """Weight function mu = y**2 / sqrt(Lambda*y**2 + 1) on the open domain."""
-    if y <= 0:
-        raise OutsideDomain(f"weight needs y > 0, got {y}")
-    return y * y / math.sqrt(mass_denominator(Lambda, y, "y"))
+def weight(y, Lambda: float):
+    """Weight mu = y**2 / sqrt(Lambda*y**2 + 1) on the open domain; y a float or an array."""
+    nonpos = np.flatnonzero(np.ravel(y) <= 0)
+    if nonpos.size:  # raise what a loop of scalar calls raises first
+        mass_denominator(Lambda, np.ravel(y)[: nonpos[0]], "y")
+        raise OutsideDomain(f"weight needs y > 0, got {np.ravel(y)[nonpos[0]]}")
+    return y * y / np.sqrt(mass_denominator(Lambda, y, "y"))
 
 
 def _series_coeffs(n: int, L: int, lam) -> list:
@@ -126,16 +128,15 @@ def build_state(n: int, L: int, Lambda: float) -> RadialEigenstate:
 
 def _check_inside(state: RadialEigenstate, y: float) -> float:
     """Clamp w = Lambda*y**2+1 at the finite endpoint, reject points beyond."""
-    lam = state.Lambda
     if y < 0:
         raise OutsideDomain(f"y must be nonnegative, got {y}")
-    w = lam * y * y + 1.0
-    if lam < 0 and w <= 0:
-        y_end = math.sqrt(-1.0 / lam)
+    try:
+        return mass_denominator(state.Lambda, y, "y")
+    except OutsideDomain:
+        y_end = domain(state.Lambda).upper
         if y > y_end * (1.0 + _ENDPOINT_SLACK):
-            raise OutsideDomain(f"y = {y} beyond endpoint {y_end}")
-        w = 0.0
-    return w
+            raise OutsideDomain(f"y = {y} beyond endpoint {y_end}") from None
+        return 0.0
 
 
 def eval_state(state: RadialEigenstate, y):
@@ -395,11 +396,13 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
     return g
 
 
-def effective_potential(r: float, params: ModelParams, L: int) -> float:
-    """V_eff = V(r) + centrifugal term with the position-dependent mass."""
+def effective_potential(r, params: ModelParams, L: int):
+    """V_eff = V(r) + centrifugal term with the position-dependent mass; r a float or an array."""
+    nonpos = np.flatnonzero(np.ravel(r) <= 0)
+    if nonpos.size:  # raise what a loop of scalar calls raises first
+        mass_denominator(params.lam, np.ravel(r)[: nonpos[0] + 1])
+        raise OutsideDomain(f"effective potential needs r > 0, got {np.ravel(r)[nonpos[0]]}")
     w = mass_denominator(params.lam, r)
-    if r <= 0:
-        raise OutsideDomain(f"effective potential needs r > 0, got {r}")
     m, alpha, hbar = params.m, params.alpha, params.hbar
     return 0.5 * m * alpha**2 * r * r / w + L * (L + 1) * hbar**2 * w / (2.0 * m * r * r)
 
@@ -414,7 +417,7 @@ def effective_potential_mass_form(r: float, params: ModelParams, L: int) -> floa
     return 0.5 * (alpha2 * M * r * r + cent / (M * r * r))
 
 
-def u_transform_residual(state: RadialEigenstate, params: ModelParams = None, y_samples: Sequence[float] = None) -> float:
+def u_transform_residual(state: RadialEigenstate, y_samples: Sequence[float] = None) -> float:
     """Max normalized residual of the u = y*R form of the radial equation.
 
     Dimensionless throughout: the shifted spectral parameter is e - Lambda/2.

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -128,6 +129,30 @@ class TestOtherCommands:
         lines = out.strip().split("\n")
         assert lines[0] == "r,V_eff"
         assert float(lines[1].split(",")[1]) == pytest.approx(2.25, rel=1e-14)
+
+
+class TestVeffDefaultGrid:
+    # the default grid is in r, so it must end just inside r = 1/sqrt(|lam|)
+    # whatever m, alpha and hbar are
+    @pytest.mark.parametrize("lam", ["-1", "-0.3"])
+    @pytest.mark.parametrize("m", ["2", "0.5"])
+    def test_ends_at_the_edge_of_the_ball(self, capture, lam, m):
+        code, out, err = capture(["veff", "--lambda", lam, "--L", "1", "--m", m])
+        assert code == 0, err
+        last_r = float(out.strip().split("\n")[-1].split(",")[0])
+        assert 0 < 1.0 / math.sqrt(-float(lam)) - last_r < 1e-8
+
+
+class TestShootQuantumNumbers:
+    @pytest.mark.parametrize("flag", ["--n", "--L"])
+    def test_negative_exit_1_with_value_error(self, capture, flag):
+        argv = ["shoot", "--lambda", "-0.5", "--L", "0", "--n", "0"]
+        argv[argv.index(flag) + 1] = "-1"
+        code, out, err = capture(argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ValueError: quantum numbers must be nonnegative")
+        assert err.count("\n") == 1
 
 
 class TestUsageErrors:

@@ -62,8 +62,9 @@ class TestHarmonicBranch:
 
     @pytest.mark.parametrize("n,L", [(0, 0), (1, 0), (2, 1), (3, 2)])
     def test_residual(self, n, L):
+        f = oracle.ho_wavefunction_with_derivatives(n, L)
         for y in np.linspace(0.2, 4.0, 25):
-            assert oracle.ho_residual(n, L, float(y)) < 1e-12
+            assert oracle.radial_residual(f, float(y), 2 * n + L + 1.5, 0.0, L) < 1e-12
 
     @pytest.mark.parametrize("n", range(5))
     @pytest.mark.parametrize("L", range(4))
