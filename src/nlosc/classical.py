@@ -137,6 +137,10 @@ def _solve(rhs, u0, params, t_end, tol, n_samples, what, name, C=None):
     """
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2 (the initial state and at least one more), got {n_samples}")
     ts = np.linspace(0.0, t_end, n_samples)
     out, status, _ = integrate_adaptive(rhs, 0.0, u0, ts[1:], tol, tol, 10_000_000)
     if status == STATUS_NONFINITE and C is not None and C != 0.0:

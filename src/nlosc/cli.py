@@ -97,8 +97,8 @@ def _cmd_states(args) -> Tuple[dict, List[dict]]:
         # harmonic-oscillator branch for vanishing nonlinearity
         f = oracle.ho_wavefunction(args.n, args.L)
         c = 1.0 / math.sqrt(oracle.ho_norm_sq(args.n, args.L))
-        rs = np.array([c * f(float(y)) for y in ys])
-        ws = ys * ys
+        rs = c * f(ys)
+        ws = radial.weight(ys, 0.0)
     else:
         state = radial.normalize(radial.build_state(args.n, args.L, args.Lambda))
         rs = radial.eval_state(state, ys)

@@ -17,7 +17,7 @@ import numpy as np
 from . import radial
 from .errors import BracketInvalid, OutsideDomain, StiffnessFailure
 from .kernels import STATUS_OK, STATUS_UNDERFLOW, integrate_adaptive, rhs_radial
-from .orthopoly import laguerre
+from .orthopoly import _libm, laguerre
 from .params import domain, mass_denominator
 from .spectrum import QuantumNumbers, energy_dimless
 
@@ -126,6 +126,8 @@ def shoot_eigenvalue(
     independent of the closed form.
     """
     QuantumNumbers(n=k, L=L)  # raises ValueError for negative k or L
+    if not (math.isfinite(rtol) and rtol > 0):
+        raise ValueError(f"rtol must be finite and positive, got {rtol}")
     if e_bracket is None:
         e_k = energy_dimless(k, L, Lambda)
         gap_up = abs(energy_dimless(k + 1, L, Lambda) - e_k)
@@ -198,12 +200,18 @@ def eigenfunction_nodes(Lambda: float, L: int, e: float, rtol: float = 1e-10, n_
     return int(np.sum(signs[1:] != signs[:-1]))
 
 
-def ho_wavefunction(n: int, L: int) -> Callable[[float], float]:
-    """Unnormalized harmonic-oscillator radial function y^L exp(-y^2/2) L_n^(L+1/2)(y^2)."""
+def ho_wavefunction(n: int, L: int) -> Callable:
+    """Unnormalized harmonic-oscillator radial function y^L exp(-y^2/2) L_n^(L+1/2)(y^2).
+
+    The returned function takes a float (giving a float) or an array of any
+    shape; float_power and libm exp keep an array bit-identical to floats.
+    """
     poly = laguerre(n, L + 0.5)
 
-    def f(y: float) -> float:
-        return y**L * math.exp(-0.5 * y * y) * poly(y * y)
+    def f(y):
+        y = np.asarray(y, dtype=float)
+        r = np.float_power(y, L) * _libm(math.exp, -0.5 * y * y) * poly(y * y)
+        return float(r) if r.ndim == 0 else r
 
     return f
 
@@ -214,22 +222,26 @@ def ho_norm_sq(n: int, L: int) -> float:
     return 0.5 * math.exp(math.lgamma(n + L + 1.5) - math.lgamma(n + 1.0))
 
 
-def ho_wavefunction_with_derivatives(n: int, L: int) -> Callable[[float], Tuple[float, float, float]]:
-    """Analytic (R, R', R'') of the harmonic-oscillator radial function."""
+def ho_wavefunction_with_derivatives(n: int, L: int) -> Callable:
+    """Analytic (R, R', R'') of the harmonic-oscillator radial function, on a
+    float (giving floats) or an array, as :func:`ho_wavefunction`."""
     poly = laguerre(n, L + 0.5)
     dpoly = poly.derivative()
     d2poly = dpoly.derivative()
 
-    def f(y: float) -> Tuple[float, float, float]:
+    def f(y):
+        y = np.asarray(y, dtype=float)
         s = y * y
+        if np.any(s == 0.0):  # L / y and -L / (y*y), as on floats
+            raise ZeroDivisionError("float division by zero")
         Q, dQ, d2Q = poly(s), dpoly(s), d2poly(s)
-        A = y**L * math.exp(-0.5 * s)
+        A = np.float_power(y, L) * _libm(math.exp, -0.5 * s)
         la = L / y - y
-        dla = -L / (y * y) - 1.0
+        dla = -L / s - 1.0
         R = A * Q
         R1 = A * (la * Q + 2.0 * y * dQ)
         R2 = A * ((la * la + dla) * Q + 4.0 * y * la * dQ + 4.0 * s * d2Q + 2.0 * dQ)
-        return R, R1, R2
+        return (float(R), float(R1), float(R2)) if y.ndim == 0 else (R, R1, R2)
 
     return f
 
@@ -248,5 +260,5 @@ def limit_compare(n: int, L: int, Lambda_small: float, n_grid: int = 200) -> flo
     c_ho = 1.0 / math.sqrt(ho_norm_sq(n, L))
     ys = np.linspace(0.05, 5.0, n_grid)
     r_lam = radial.eval_state(state, ys)
-    r_ho = np.array([c_ho * f_ho(float(y)) for y in ys])
+    r_ho = c_ho * f_ho(ys)
     return float(np.max(np.abs(r_lam - r_ho)) / np.max(np.abs(r_ho)))

@@ -36,7 +36,7 @@ from .errors import (
     QuadratureFailure,
     SeriesNotConverged,
 )
-from .orthopoly import PolyCoeffs
+from .orthopoly import PolyCoeffs, _libm
 from .params import ModelParams, domain, mass_at, mass_denominator
 from .spectrum import QuantumNumbers, energy_dimless, is_admissible
 
@@ -126,60 +126,78 @@ def build_state(n: int, L: int, Lambda: float) -> RadialEigenstate:
     )
 
 
-def _check_inside(state: RadialEigenstate, y: float) -> float:
-    """Clamp w = Lambda*y**2+1 at the finite endpoint, reject points beyond."""
-    if y < 0:
-        raise OutsideDomain(f"y must be nonnegative, got {y}")
-    try:
-        return mass_denominator(state.Lambda, y, "y")
-    except OutsideDomain:
-        y_end = domain(state.Lambda).upper
-        if y > y_end * (1.0 + _ENDPOINT_SLACK):
-            raise OutsideDomain(f"y = {y} beyond endpoint {y_end}") from None
-        return 0.0
+def _check_inside(state: RadialEigenstate, y: np.ndarray) -> np.ndarray:
+    """w = Lambda*y**2 + 1 on a 1-D float array, clamped to 0 at the finite
+    endpoint.  Raises what a loop of scalar checks raises first: y < 0, or y
+    beyond the endpoint by more than _ENDPOINT_SLACK."""
+    w = state.Lambda * y * y + 1.0
+    y_end = domain(state.Lambda).upper
+    bad = np.flatnonzero((y < 0) | ((w <= 0) & (y > y_end * (1.0 + _ENDPOINT_SLACK))))
+    if bad.size:
+        y_bad = float(y[bad[0]])
+        if y_bad < 0:
+            raise OutsideDomain(f"y must be nonnegative, got {y_bad}")
+        raise OutsideDomain(f"y = {y_bad} beyond endpoint {y_end}")
+    return np.where(w <= 0, 0.0, w)  # <= keeps NaN, as the scalar branches do
+
+
+def _prefactor(state: RadialEigenstate, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """y**L * w**(-1/(2*Lambda)) at interior points, by libm exp and log."""
+    return _libm(math.exp, state.L_power * _libm(math.log, y) + state.prefactor_exponent * _libm(math.log, w))
 
 
 def eval_state(state: RadialEigenstate, y):
-    """Evaluate R(y); scalars or 1-D arrays, endpoints included."""
-    if np.ndim(y) > 0:
-        return np.array([eval_state(state, float(yi)) for yi in np.asarray(y, dtype=float)])
-    y = float(y)
-    w = _check_inside(state, y)
-    L = state.L_power
-    p = state.prefactor_exponent
-    if y == 0.0:
-        return state.norm_const * state.series_poly(0.0) if L == 0 else 0.0
-    if w == 0.0:
-        return 0.0  # positive power of a zero base (Lambda < 0 endpoint)
-    pref = math.exp(L * math.log(y) + p * math.log(w))
-    return state.norm_const * pref * state.series_poly(y * y)
+    """Evaluate R(y), endpoints included; y a float or an array of any shape.
+
+    A float gives a float.  An array gives, byte for byte, what a loop of float
+    calls gives, and raises what that loop raises first.
+    """
+    ys = np.asarray(y, dtype=float)
+    flat = ys.ravel()
+    w = _check_inside(state, flat)
+    Q = state.series_poly(flat * flat)
+    # != rather than >: NaN flows through the interior arithmetic
+    inner = (flat != 0.0) & (w != 0.0)
+    # 0 at the Lambda < 0 endpoint (a positive power of a zero base) and at y = 0 for L > 0
+    r = np.zeros_like(flat)
+    r[inner] = state.norm_const * _prefactor(state, flat[inner], w[inner]) * Q[inner]
+    if state.L_power == 0:
+        origin = flat == 0.0
+        r[origin] = state.norm_const * Q[origin]
+    return float(r[0]) if ys.ndim == 0 else r.reshape(ys.shape)
 
 
-def eval_state_with_derivatives(state: RadialEigenstate, y: float):
-    """(R, R', R'') at an interior point, by analytic differentiation."""
-    y = float(y)
-    if y <= 0:
-        raise OutsideDomain(f"derivatives need an interior point, got y = {y}")
-    w = _check_inside(state, y)
-    if w <= 0:
-        raise OutsideDomain(f"derivatives need an interior point, got the endpoint y = {y}")
+def eval_state_with_derivatives(state: RadialEigenstate, y):
+    """(R, R', R'') at interior points, by analytic differentiation; y a float
+    (giving a tuple of floats) or an array of any shape, as in :func:`eval_state`."""
+    ys = np.asarray(y, dtype=float)
+    flat = ys.ravel()
     lam = state.Lambda
+    s = flat * flat
+    w = lam * flat * flat + 1.0
+    bad = np.flatnonzero((flat <= 0) | (w <= 0) | (s == 0))
+    if bad.size:  # raise what a loop of scalar calls raises first
+        y_bad = float(flat[bad[0]])
+        if y_bad <= 0:
+            raise OutsideDomain(f"derivatives need an interior point, got y = {y_bad}")
+        if w[bad[0]] <= 0:
+            _check_inside(state, flat[bad[0] : bad[0] + 1])  # raises beyond the endpoint
+            raise OutsideDomain(f"derivatives need an interior point, got the endpoint y = {y_bad}")
+        raise ZeroDivisionError("float division by zero")  # -L / (y*y) once y*y underflows
     L = state.L_power
     p = state.prefactor_exponent
-    s = y * y
-    Q = state.series_poly(s)
     dq = state.series_poly.derivative()
-    dQ = dq(s)
-    d2Q = dq.derivative()(s)
-    sp = 2.0 * y  # ds/dy
-    A = math.exp(L * math.log(y) + p * math.log(w))
-    la = L / y + 2.0 * lam * p * y / w  # A'/A
-    dla = -L / (y * y) + 2.0 * lam * p * (1.0 - lam * y * y) / (w * w)
+    Q, dQ, d2Q = state.series_poly(s), dq(s), dq.derivative()(s)
+    sp = 2.0 * flat  # ds/dy
+    A = _prefactor(state, flat, w)
+    la = L / flat + 2.0 * lam * p * flat / w  # A'/A
+    dla = -L / s + 2.0 * lam * p * (1.0 - lam * flat * flat) / (w * w)
     R = A * Q
     R1 = A * (la * Q + dQ * sp)
     R2 = A * ((la * la + dla) * Q + 2.0 * la * dQ * sp + d2Q * sp * sp + dQ * 2.0)
     c = state.norm_const
-    return c * R, c * R1, c * R2
+    out = (c * R, c * R1, c * R2)
+    return tuple(float(v[0]) for v in out) if ys.ndim == 0 else tuple(v.reshape(ys.shape) for v in out)
 
 
 def second_solution(L: int, Lambda: float, e: float, y: float, k_max: int = 200, tol: float = 1e-10) -> float:
@@ -429,16 +447,15 @@ def u_transform_residual(state: RadialEigenstate, y_samples: Sequence[float] = N
         hi = min(upper * 0.999, 6.0) if math.isfinite(upper) else 6.0
         y_samples = np.linspace(0.05, hi, 60)
     e_shift = 2.0 * state.e - lam
-    worst = 0.0
-    for y in y_samples:
-        R, R1, R2 = eval_state_with_derivatives(state, float(y))
-        u = y * R
-        u1 = R + y * R1
-        u2 = 2.0 * R1 + y * R2
-        w = lam * y * y + 1.0
-        t1 = w * u2
-        t2 = lam * y * u1
-        t3 = (e_shift - (lam + 1.0) * y * y / w - L * (L + 1) * w / (y * y)) * u
-        scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
-        worst = max(worst, abs(t1 + t2 + t3) / scale)
-    return worst
+    y = np.asarray(y_samples, dtype=float)
+    R, R1, R2 = eval_state_with_derivatives(state, y)
+    u = y * R
+    u1 = R + y * R1
+    u2 = 2.0 * R1 + y * R2
+    w = mass_denominator(lam, y, "y")
+    t1 = w * u2
+    t2 = lam * y * u1
+    t3 = (e_shift - (lam + 1.0) * y * y / w - L * (L + 1) * w / (y * y)) * u
+    scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), np.maximum(np.abs(t3), 1e-300))
+    # fmax skips the NaN of a non-finite point, as max() over floats does
+    return float(np.fmax.reduce(np.abs(t1 + t2 + t3) / scale, initial=0.0))

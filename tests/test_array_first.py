@@ -5,10 +5,12 @@ scalar calls returns, and raise what that loop raises first.  The scalar
 error messages are pinned verbatim.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from nlosc import classical, radial
+from nlosc import classical, oracle, radial
 from nlosc.classical import ClassicalStatePlanar
 from nlosc.errors import DomainExit, OutsideDomain, RadialCollapse, StiffnessFailure
 from nlosc.kernels import STATUS_NONFINITE, STATUS_OK, STATUS_UNDERFLOW
@@ -203,3 +205,152 @@ class TestSolveHelper:
         # with C = 0 the radius passes through 0 like the 1D coordinate
         with pytest.raises(RadialCollapse, match="radius fell below 1e-10"):
             classical.integrate_planar(0.5, -2.0, 0.0, make_model(1.0, 1.0, 1.0), 5.0)
+
+
+# the parent's float formulas, kept as the references for the array paths
+def _reference_R(state, y):
+    w = 0.0 if state.Lambda * y * y + 1.0 <= 0 else state.Lambda * y * y + 1.0
+    if y == 0.0:
+        return state.norm_const * state.series_poly(0.0) if state.L_power == 0 else 0.0
+    if w == 0.0:
+        return 0.0
+    pref = math.exp(state.L_power * math.log(y) + state.prefactor_exponent * math.log(w))
+    return state.norm_const * pref * state.series_poly(y * y)
+
+
+def _reference_derivatives(state, y):
+    lam, L, p = state.Lambda, state.L_power, state.prefactor_exponent
+    w = lam * y * y + 1.0
+    s = y * y
+    dq = state.series_poly.derivative()
+    Q, dQ, d2Q = state.series_poly(s), dq(s), dq.derivative()(s)
+    sp = 2.0 * y
+    A = math.exp(L * math.log(y) + p * math.log(w))
+    la = L / y + 2.0 * lam * p * y / w
+    dla = -L / (y * y) + 2.0 * lam * p * (1.0 - lam * y * y) / (w * w)
+    R = A * Q
+    R1 = A * (la * Q + dQ * sp)
+    R2 = A * ((la * la + dla) * Q + 2.0 * la * dQ * sp + d2Q * sp * sp + dQ * 2.0)
+    c = state.norm_const
+    return c * R, c * R1, c * R2
+
+
+def _reference_u_residual(state, y_samples):
+    lam, L = state.Lambda, state.qn.L
+    e_shift = 2.0 * state.e - lam
+    worst = 0.0
+    for y in y_samples:
+        R, R1, R2 = radial.eval_state_with_derivatives(state, float(y))
+        u = y * R
+        u1 = R + y * R1
+        u2 = 2.0 * R1 + y * R2
+        w = lam * y * y + 1.0
+        t1 = w * u2
+        t2 = lam * y * u1
+        t3 = (e_shift - (lam + 1.0) * y * y / w - L * (L + 1) * w / (y * y)) * u
+        scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
+        worst = max(worst, abs(t1 + t2 + t3) / scale)
+    return worst
+
+
+EIGEN_CASES = [(lam, L) for lam in (-0.7, 0.1) for L in (0, 2)]
+
+
+def _state(lam, L):
+    return radial.normalize(radial.build_state(2, L, lam))
+
+
+def _interior(lam, seed):
+    """Seeded interior points plus the last float below a lam < 0 endpoint and NaN."""
+    y = np.concatenate([_grid(lam, seed), [1e-150, np.nan]])
+    return np.append(y, domain(lam).upper) if lam < 0 else y
+
+
+def _with_ends(lam, seed):
+    """Interior points plus y = 0 and, for lam < 0, a point inside _ENDPOINT_SLACK past the endpoint."""
+    y = np.insert(_interior(lam, seed), 3, 0.0)
+    return np.append(y, domain(lam).upper * (1.0 + 0.5 * radial._ENDPOINT_SLACK)) if lam < 0 else y
+
+
+@pytest.mark.parametrize("lam,L", EIGEN_CASES)
+class TestEigenfunctionArrays:
+    def test_eval_state(self, lam, L):
+        st, y = _state(lam, L), _with_ends(lam, 11)
+        got = radial.eval_state(st, y)
+        assert got.tobytes() == _loop(lambda yi: radial.eval_state(st, yi), y).tobytes()
+        assert got.tobytes() == _loop(lambda yi: _reference_R(st, yi), y).tobytes()
+        assert np.count_nonzero(np.isnan(got)) == 1  # NaN flows through, as on floats
+        assert got[3] == (0.0 if L else st.norm_const * st.series_poly(0.0))  # y = 0
+        assert lam > 0 or got[-1] == 0.0  # inside the slack past the lam < 0 endpoint
+        assert radial.eval_state(st, y[:256].reshape(16, 16)).tobytes() == got[:256].tobytes()
+
+    def test_float_in_float_out(self, lam, L):
+        st = _state(lam, L)
+        assert type(radial.eval_state(st, 0.3)) is float
+        assert [type(v) for v in radial.eval_state_with_derivatives(st, 0.3)] == [float] * 3
+
+    def test_eval_state_with_derivatives(self, lam, L):
+        st, y = _state(lam, L), _interior(lam, 12)
+        got = radial.eval_state_with_derivatives(st, y)
+        for k in range(3):
+            assert got[k].tobytes() == _loop(lambda yi: radial.eval_state_with_derivatives(st, yi)[k], y).tobytes()
+            assert got[k].tobytes() == _loop(lambda yi: _reference_derivatives(st, yi)[k], y).tobytes()
+
+    def test_u_transform_residual(self, lam, L):
+        st, y = _state(lam, L), _interior(lam, 13)
+        assert radial.u_transform_residual(st, y) == _reference_u_residual(st, y)
+        default = np.linspace(0.05, min(0.999 * domain(lam).upper, 6.0), 60)
+        assert radial.u_transform_residual(st) == _reference_u_residual(st, default)
+
+
+class TestEigenfunctionErrors:
+    # lam = -1: endpoint 1.0, so 1.0 is the endpoint and 2.0 lies beyond it
+    STATE = radial.build_state(1, 1, -1.0)
+
+    @pytest.mark.parametrize(
+        "y",
+        [[0.3, 2.0, -1.0], [0.3, -1.0, 2.0], [0.3, 1.0, 2.0, 0.0], [np.nan, 0.2, -0.5], [2.0, 0.5]],
+    )
+    def test_eval_state(self, y):
+        f = lambda yi: radial.eval_state(self.STATE, yi)  # noqa: E731
+        assert _first_error(f, np.array(y)) == _first_error_of_loop(f, y)
+
+    @pytest.mark.parametrize(
+        "y",
+        [[0.3, 1.0, 2.0], [0.3, 2.0, 1.0], [0.3, 0.0, 1.0], [0.3, 1.0 + 1e-13, -1.0], [0.5, -1.0, 2.0]],
+    )
+    def test_eval_state_with_derivatives(self, y):
+        f = lambda yi: radial.eval_state_with_derivatives(self.STATE, yi)  # noqa: E731
+        assert _first_error(f, np.array(y)) == _first_error_of_loop(f, y)
+        assert _first_error(radial.u_transform_residual, self.STATE, y) == _first_error_of_loop(f, y)
+
+    def test_underflowing_square(self):
+        # -L/(y*y) divides by zero on floats; the array raises the same, in order
+        with pytest.raises(ZeroDivisionError):
+            radial.eval_state_with_derivatives(self.STATE, 1e-170)
+        with pytest.raises(ZeroDivisionError):
+            radial.eval_state_with_derivatives(self.STATE, np.array([0.3, 1e-170, 2.0]))
+        f = lambda yi: radial.eval_state_with_derivatives(self.STATE, yi)  # noqa: E731
+        y = [0.3, 2.0, 1e-170]
+        assert _first_error(f, np.array(y)) == _first_error_of_loop(f, y)
+
+
+@pytest.mark.parametrize("L", range(7))
+class TestHarmonicArrays:
+    def test_wavefunction(self, L):
+        # float_power is libm pow, as Python's ** on floats
+        f = oracle.ho_wavefunction(2, L)
+        y = np.concatenate([_grid(1.0, 20 + L, signed=True), [0.0, np.nan]])
+        poly = oracle.laguerre(2, L + 0.5)
+        ref = _loop(lambda yi: yi**L * math.exp(-0.5 * yi * yi) * poly(yi * yi), y)
+        assert f(y).tobytes() == ref.tobytes() == _loop(f, y).tobytes()
+        assert type(f(0.5)) is float
+
+    def test_wavefunction_with_derivatives(self, L):
+        f = oracle.ho_wavefunction_with_derivatives(2, L)
+        y = _grid(1.0, 30 + L)
+        got = f(y)
+        for k in range(3):
+            assert got[k].tobytes() == _loop(lambda yi: f(yi)[k], y).tobytes()
+        with pytest.raises(ZeroDivisionError):  # L / y at y = 0, as on floats
+            f(np.array([0.5, 0.0]))

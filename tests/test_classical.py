@@ -68,6 +68,23 @@ class TestIntegrate1D:
         with pytest.raises(OutsideDomain):
             classical.integrate_1d(1.5, 0.0, p, 1.0)
 
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_too_few_samples(self, model, n_samples):
+        # both integrators share the sample grid; it needs the initial state and one more
+        with pytest.raises(ValueError, match=r"^n_samples must be >= 2"):
+            classical.integrate_1d(0.5, 0.0, model, 1.0, n_samples=n_samples)
+        with pytest.raises(ValueError, match=r"^n_samples must be >= 2"):
+            classical.integrate_planar(0.5, 0.0, 0.3, model, 1.0, n_samples=n_samples)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # tol = 0 stalled the step control into a false DomainExit, tol = -1 ran unchecked
+        p = make_model(1.0, 1.0, -0.5)
+        with pytest.raises(ValueError, match=r"^tol must be finite and positive, got"):
+            classical.integrate_1d(0.5, 0.0, p, 10.0, tol=tol)
+        with pytest.raises(ValueError, match=r"^tol must be finite and positive, got"):
+            classical.integrate_planar(0.5, 0.0, 0.3, p, 10.0, tol=tol)
+
     @pytest.mark.parametrize("lam", [-0.5, 0.5, 1.0, 2.0])
     def test_random_constraint_pairs(self, lam):
         rng = np.random.default_rng(int(10 * abs(lam)) + 3)

@@ -69,6 +69,23 @@ class TestStatesCommand:
         assert out.startswith("y,R,weight")
 
 
+    @pytest.mark.parametrize("lam", ["0", "-0.5"])
+    def test_grid_outside_the_domain_exit_1(self, capture, lam):
+        # the harmonic branch (|lam| <= 1e-8) keeps the same domain y > 0 as the closed form
+        code, out, err = capture(["states", "--lambda", lam, "--n", "1", "--grid=-1:1:3"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: OutsideDomain: ")
+        assert err.count("\n") == 1
+
+    def test_ho_branch_weight_is_y_squared(self, capture):
+        code, out, _ = capture(["states", "--lambda", "1e-9", "--L", "1", "--n", "2", "--grid", "0.1:4:7"])
+        assert code == 0
+        for line in out.strip().split("\n")[1:]:
+            y, _, weight = map(float, line.split(","))
+            assert weight == y * y
+
+
 class TestGramCommand:
     def test_truncation_and_json_shape(self, capture):
         code, out, _ = capture(["gram", "--lambda", "0.1", "--L", "0", "--n-max", "10", "--format", "json"])
@@ -129,6 +146,32 @@ class TestOtherCommands:
         lines = out.strip().split("\n")
         assert lines[0] == "r,V_eff"
         assert float(lines[1].split(",")[1]) == pytest.approx(2.25, rel=1e-14)
+
+
+class TestClassicalArguments:
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--samples", "0", "n_samples must be >= 2"),
+            ("--samples", "1", "n_samples must be >= 2"),
+            ("--tol", "0", "tol must be finite and positive, got 0.0"),
+            ("--tol", "-1", "tol must be finite and positive, got -1.0"),
+            ("--tol", "nan", "tol must be finite and positive, got nan"),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["1d", "planar"])
+    def test_exit_1_with_value_error(self, capture, mode, flag, value, message):
+        argv = ["classical", "--mode", mode, "--lambda", "-0.5", "--x0", "0.5", "--r0", "0.5", flag, value]
+        code, out, err = capture(argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: ValueError: {message}")
+        assert err.count("\n") == 1
+
+    def test_shoot_tol_exit_1(self, capture):
+        code, out, err = capture(["shoot", "--lambda", "-0.5", "--n", "1", "--tol", "0"])
+        assert code == 1
+        assert err == "error: ValueError: rtol must be finite and positive, got 0.0\n"
 
 
 class TestVeffDefaultGrid:

@@ -27,6 +27,12 @@ class TestShooting:
             oracle.shoot_eigenvalue(-1.0, 0, 0, e_bracket=(3.0, 5.0))
 
 
+    @pytest.mark.parametrize("rtol", [0.0, -1e-10, math.nan, math.inf])
+    def test_rtol_must_be_finite_and_positive(self, rtol):
+        with pytest.raises(ValueError, match=r"^rtol must be finite and positive, got"):
+            oracle.shoot_eigenvalue(-0.5, 0, 1, rtol=rtol)
+
+
 class TestNodeCounting:
     @pytest.mark.parametrize("Lambda", [-1.0, 0.1])
     @pytest.mark.parametrize("L", [0, 2])
