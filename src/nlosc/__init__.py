@@ -4,8 +4,9 @@ whose mass depends on position as M(r) = m/(lam*r**2 + 1).
 The radial Schrodinger problem has closed-form eigenfunctions (a power of y
 times a power of Lambda*y**2+1 times a Jacobi polynomial) and a quadratic
 spectrum; for Lambda > 0 only finitely many states are normalizable, for
-Lambda < 0 the domain itself is a finite ball.  An independent shooting
-oracle and the harmonic-oscillator limit verify both.
+Lambda < 0 the domain itself is a finite ball.  An independent Galerkin
+eigen-solve of the radial equation and the harmonic-oscillator limit verify
+both.
 """
 
 from .errors import (
@@ -13,6 +14,7 @@ from .errors import (
     DomainExit,
     InvalidDegree,
     LambdaTooSmall,
+    MeshNotConverged,
     NloscError,
     NonFiniteValue,
     NonPositiveParameter,
@@ -21,7 +23,6 @@ from .errors import (
     PoleInDenominator,
     QuadratureFailure,
     RadialCollapse,
-    SeriesNotConverged,
     StiffnessFailure,
 )
 from .params import DimensionlessModel, Domain, ModelParams, dimensionless, domain, make_model, mass_at

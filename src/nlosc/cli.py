@@ -210,9 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("spectrum", help="closed-form energies and admissibility"), need_nmax=True)
     common(sub.add_parser("states", help="normalized radial eigenfunction samples"), need_n=True, grid=True)
     common(sub.add_parser("gram", help="matrix of normalized inner products"), need_nmax=True)
-    p_shoot = sub.add_parser("shoot", help="shooting-method eigenvalue vs closed form")
+    p_shoot = sub.add_parser("shoot", help="independent numerical eigenvalue vs closed form")
     common(p_shoot, need_n=True)
-    p_shoot.add_argument("--tol", type=float, default=1e-10, help="integrator relative tolerance")
+    p_shoot.add_argument(
+        "--tol", type=float, default=1e-10, help="largest relative change of the eigenvalue when the mesh is doubled"
+    )
     common(sub.add_parser("limit", help="deviation from the harmonic-oscillator limit"), need_n=True)
 
     p_cl = sub.add_parser("classical", help="integrate the classical equations of motion")
@@ -251,9 +253,32 @@ _DISPATCH = {
 }
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _glue_negative_values(argv: Sequence[str]) -> List[str]:
+    """Join a negative number to the long option before it: ``--lambda -1e-3``
+    becomes ``--lambda=-1e-3``.  argparse takes ``-1e-3`` (or ``-inf``) after a
+    space for an option, because it recognizes only the ``-1`` and ``-0.5``
+    forms as negative numbers."""
+    out: List[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and len(prev) > 2 and "=" not in prev and tok.startswith("-") and _is_float(tok):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         params, rows = _DISPATCH[args.command](args)
         text = serialize(args.command, params, rows, args.format)

@@ -29,16 +29,16 @@ class LambdaTooSmall(NloscError):
     """|Lambda| is below the switch threshold; use the harmonic branch."""
 
 
-class SeriesNotConverged(NloscError):
-    """Truncated series tail estimate exceeds tolerance."""
-
-
 class QuadratureFailure(NloscError):
     """Quadrature error estimate exceeds the requested tolerance."""
 
 
 class BracketInvalid(NloscError):
-    """The shooting bracket does not straddle a sign change."""
+    """The eigenvalue bracket does not hold the requested level."""
+
+
+class MeshNotConverged(NloscError):
+    """An eigenvalue changed beyond the tolerance when the mesh was refined."""
 
 
 class StiffnessFailure(NloscError):

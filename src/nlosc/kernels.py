@@ -1,4 +1,4 @@
-"""Hot numerical kernels: embedded Dormand-Prince RK45 and ODE right-hand sides.
+"""Embedded Dormand-Prince RK45 and the right-hand sides of the classical dynamics.
 
 Plain Python floats: a right-hand side is ``f(t, u)`` with ``u`` a sequence of
 floats and returns a tuple; the ``rhs_*`` factories bind an equation's parameters.
@@ -32,21 +32,6 @@ STATUS_NONFINITE = 1
 STATUS_UNDERFLOW = 2
 
 _H_MIN = 1e-14
-
-
-def rhs_radial(e, Lambda, L):
-    """Radial eigenvalue equation as a first-order system in y, u = (R, R')."""
-    lam, ell = float(Lambda), float(L)
-    ll = ell * (ell + 1.0)
-    c0 = 2.0 * float(e) - ll * lam - 1.0
-
-    def f(t, u):
-        R, R1 = u
-        w = lam * t * t + 1.0
-        coeff = c0 + (1.0 - t * t) / w - ll / (t * t)
-        return R1, -((2.0 / t + 3.0 * lam * t) * R1 + coeff * R) / w
-
-    return f
 
 
 def rhs_classical_1d(lam, alpha2):

@@ -1,9 +1,38 @@
 """Independent numerical verification of the closed-form solutions.
 
-Nothing here reuses the analytic eigenfunction machinery except as the object
-under test: eigenvalues are recomputed by outward RK45 integration plus
-bisection on the far boundary condition, and the harmonic-oscillator branch
-gives the |Lambda| -> 0 reference.
+Eigenvalues come from one Galerkin eigen-solve of the radial equation,
+
+    w R'' + (2/y + 3 Lambda y) R' + [2e - V(y)] R = 0,    w = 1 + Lambda y**2,
+    V(y) = L(L+1) Lambda + 1 - (1 - y**2)/w + L(L+1)/y**2,
+
+written from these coefficients alone; the closed-form eigenfunctions, the
+Jacobi polynomials of :mod:`nlosc.orthopoly` and the closed-form energies are
+never called.  The solution is R = phi g with the prefactor
+phi = y**L w**gamma, and g is expanded in the polynomials orthonormal in the
+Sturm-Liouville weight nu = r phi**2 |dy/dx| (r = y**2/sqrt(w)) of the
+variable x = 1 - 2u:
+
+- Lambda < 0: u = |Lambda| y**2 on the ball, gamma = 1/(2|Lambda|);
+- Lambda > 0: u = Lambda y**2/w on the half-line, gamma = -(beta + L/2), where
+  R ~ y**(-2 beta) is the decaying tail at the energy e.
+
+Both make nu a Jacobi weight (1-x)**(L+1/2) (1+x)**b, with b = 1/|Lambda| - 1/2
+or b = 2 beta - 2.  The N-point Gauss rule of that weight (nodes by Golub-Welsch)
+assembles S_ij = int nu kappa p_i' p_j' + int nu q p_i p_j, with
+kappa = w (dx/dy)**2 and q = (H phi)/phi, H the radial operator, both taken by
+the chain rule at the nodes; the eigenvalues of S are 2e.
+
+Boundary condition.  At y = 0 the prefactor keeps the regular branch y**L.  At
+the Lambda < 0 endpoint the local exponents in the distance to the edge are
+1/(2|Lambda|) and 1/2 - 1/(2|Lambda|); a polynomial g takes the first.  For
+Lambda < -2/3 both branches are square-integrable (the endpoint is limit
+circle), so this is a real choice of boundary condition, the one the closed
+form makes; at Lambda = -2 the exponents coincide and a polynomial g also
+drops the logarithmic branch.  For Lambda > 0 the tail exponent depends on e,
+so the k-th level is the root of E_k(beta(e)) - e below the continuum
+threshold e*, found by a bracketed secant.
+
+The harmonic-oscillator branch gives the |Lambda| -> 0 reference.
 """
 
 from __future__ import annotations
@@ -15,28 +44,35 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import radial
-from .errors import BracketInvalid, OutsideDomain, StiffnessFailure
-from .kernels import STATUS_OK, STATUS_UNDERFLOW, integrate_adaptive, rhs_radial
+from .errors import BracketInvalid, LambdaTooSmall, MeshNotConverged, NotAdmissible, OutsideDomain
 from .orthopoly import _libm, laguerre
-from .params import domain, mass_denominator
-from .spectrum import QuantumNumbers, energy_dimless
+from .params import mass_denominator
+from .spectrum import QuantumNumbers
 
-_Y_START = 1e-4
-# Fraction of y_end held back from the singular endpoint.  Much below 1e-7
-# the distance to the endpoint is no longer resolvable in double precision
-# (eps * y_end / delta approaches 1e-8) and the step controller stalls on
-# roundoff noise.  At 1e-7 the eigenvalue bias from the truncated local
-# behavior is below 1e-7 only for -1 <= Lambda < 0 (at most 6.3e-8 measured
-# on -1 <= Lambda <= -0.3, n <= 3); below -1 it grows with |Lambda| and n,
-# to 2.7e-6 at Lambda = -1.5 and 2.1e-5 at -1.9 for n = 2.
-_ENDPOINT_MARGIN = 1e-7
-_Y_FAR = 50.0
-_BISECT_TOL = 1e-10
-_MAX_BISECT = 200
+# The mesh has max(_N_MIN, k + _N_PAD) nodes and is checked against twice that.
+_N_MIN = 16
+_N_PAD = 8
+# Closest approach of the tail exponent beta to the normalizability limit 1/2
+# (Lambda > 0), where the Jacobi weight (1+x)**(2 beta - 2) stops being
+# integrable.  The walk of :func:`_bound_level` stops here, so a state with
+# beta_k - 1/2 below twice this (within 8e-12*Lambda of the continuum
+# threshold) may be reported as not found.
+_TAIL_MARGIN = 1e-6
+# the secant stops when a step moves e by less than this, relative to max(1, |e|)
+_SECANT_RTOL = 1e-13
+_MAX_SECANT = 60
 
 
 @dataclass(frozen=True)
 class ShootingResult:
+    """The oracle's k-th eigenvalue and what it cost.
+
+    ``iterations`` counts the eigen-solves; ``bracket`` is the explicit
+    ``e_bracket`` or an interval that isolates ``e_numeric`` (the final secant
+    bracket for Lambda > 0, the midpoints to the neighboring levels for
+    Lambda < 0); ``terminal_mismatch`` is |e(2N) - e(N)| / max(1, |e|).
+    """
+
     e_numeric: float
     iterations: int
     bracket: Tuple[float, float]
@@ -60,56 +96,155 @@ def radial_residual(f: Callable[[float], Tuple[float, float, float]], y: float, 
     return abs(t1 + t2 + t3) / scale
 
 
-def _series_start(e: float, Lambda: float, L: int, y0: float) -> Tuple[float, float]:
-    """Frobenius start R ~ y^L (1 + c1 y^2), rescaled by y0^-L (linear ODE)."""
-    c1 = -(2.0 * e + Lambda * L) / (4.0 * L + 6.0)
-    r = 1.0 + c1 * y0 * y0
-    r1 = L / y0 * (1.0 + c1 * y0 * y0) + 2.0 * c1 * y0
-    return r, r1
+def _mesh(N: int, a: float, b: float):
+    """N-point Gauss rule of the weight (1-x)**a (1+x)**b on (-1, 1).
 
-
-def _terminal_y(Lambda: float) -> float:
-    if Lambda < 0:
-        return domain(Lambda).upper * (1.0 - _ENDPOINT_MARGIN)
-    return _Y_FAR
-
-
-def _shoot_profile(e: float, Lambda: float, L: int, rtol: float, n_samples: int = 80):
-    """Integrate outward; returns (R, R') at n_samples points up to _terminal_y."""
-    y_stop = _terminal_y(Lambda)
-    y_eval = np.linspace(10.0 * _Y_START, y_stop, n_samples)
-    u0 = _series_start(e, Lambda, L, _Y_START)
-    out, status, _ = integrate_adaptive(rhs_radial(e, Lambda, L), _Y_START, u0, y_eval, rtol, 1e-300, 10_000_000)
-    if status == STATUS_UNDERFLOW:
-        raise StiffnessFailure(f"step control underflow at e = {e}, Lambda = {Lambda}, L = {L}")
-    if status != STATUS_OK:
-        raise StiffnessFailure(f"integration failed (status {status}) at e = {e}")
-    return out
-
-
-def _terminal_value(e: float, Lambda: float, L: int, out: np.ndarray, y_stop: float) -> float:
-    """Amplitude of the inadmissible local solution at the terminal point.
-
-    Matching plain R = 0 at y_stop biases the eigenvalue: near the singular
-    endpoint (Lambda < 0) the inadmissible solution stays finite while the
-    admissible one vanishes, and on the half-line (Lambda > 0) the admissible
-    tail decays only as a power.  The Wronskian of the numeric solution with
-    the admissible local behavior vanishes exactly when no inadmissible
-    component is present.
+    Returns the ascending nodes x and the N x N arrays P[i, j] = p_i(x_j)
+    sqrt(w_j) and D[i, j] = p_i'(x_j) sqrt(w_j), with p_i the orthonormal
+    polynomials and w_j the Gauss weights.  The nodes are the eigenvalues of
+    the Jacobi matrix (Golub & Welsch).  P and D come from the three-term
+    recurrence and its derivative run at the nodes, and each column is scaled
+    by sqrt(w_j) = 1/sqrt(sum_i p_i(x_j)**2) (the Christoffel numbers).  The
+    eigenvectors of the Jacobi matrix would give P too, but only to absolute
+    accuracy: where the weight is tiny (large b) the derivative recurrence
+    amplifies that error by orders of magnitude per degree.
     """
-    R, R1 = out[-1, 0], out[-1, 1]
+    n = np.arange(1.0, N)
+    s = 2.0 * n + a + b
+    diag = np.empty(N)
+    diag[0] = (b - a) / (a + b + 2.0)
+    diag[1:] = (b * b - a * a) / (s * (s + 2.0))
+    off = np.sqrt(4.0 * n * (n + a) * (n + b) * (n + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    P = np.zeros((N, N))
+    D = np.zeros((N, N))
+    P[0] = 1.0
+    for i in range(N - 1):  # b_{i+1} p_{i+1} = (x - a_i) p_i - b_i p_{i-1}, and its derivative
+        P[i + 1] = (x - diag[i]) * P[i]
+        D[i + 1] = P[i] + (x - diag[i]) * D[i]
+        if i:
+            P[i + 1] -= off[i - 1] * P[i - 1]
+            D[i + 1] -= off[i - 1] * D[i - 1]
+        P[i + 1] /= off[i]
+        D[i + 1] /= off[i]
+        big = np.abs(P[i + 1]) > 1e100  # far from the weight's bulk p_i grows fast
+        if big.any():
+            P[: i + 2, big] *= 1e-100
+            D[: i + 2, big] *= 1e-100
+    scale = 1.0 / np.sqrt((P * P).sum(axis=0))
+    return x, P * scale, D * scale
+
+
+def _galerkin(Lambda: float, L: int, N: int, beta: float = 0.0):
+    """(S, P): the Galerkin matrix of the radial operator, whose eigenvalues
+    are 2e, and the node values P of the basis (see :func:`_mesh`).
+
+    ``beta`` is the tail exponent for Lambda > 0 and unused for Lambda < 0.
+    """
     if Lambda < 0:
-        # admissible behavior (y_end - y)^s with s = -1/(2*Lambda)
-        s = -1.0 / (2.0 * Lambda)
-        delta = domain(Lambda).upper - y_stop
-        return -s * R - delta * R1
-    # admissible tail y^s, s the negative root of s*(s+2) = K/Lambda
-    K = 2.0 * e - L * (L + 1) * Lambda - 1.0 - 1.0 / Lambda
-    disc = 1.0 - K / Lambda
-    if disc <= 0:
-        return R
-    s = -1.0 - math.sqrt(disc)
-    return s * R - y_stop * R1
+        gamma, b = -0.5 / Lambda, -1.0 / Lambda - 0.5
+    else:
+        gamma, b = -(beta + 0.5 * L), 2.0 * beta - 2.0
+    x, P, D = _mesh(N, L + 0.5, b)
+    u, v = 0.5 * (1.0 - x), 0.5 * (1.0 + x)  # u and 1 - u
+    if Lambda < 0:
+        y2, w = u / -Lambda, v
+    else:
+        y2, w = u / (Lambda * v), 1.0 / v
+    y = np.sqrt(y2)
+    dudy = 2.0 * Lambda * y / (w * w) if Lambda > 0 else -2.0 * Lambda * y
+    ll = L * (L + 1.0)
+    ell = L / y + 2.0 * gamma * Lambda * y / w  # phi'/phi
+    dell = -L / y2 + 2.0 * gamma * Lambda * (1.0 - Lambda * y2) / (w * w)  # (phi'/phi)'
+    potential = ll * Lambda + 1.0 - (1.0 - y2) / w + ll / y2
+    q = -w * (dell + ell * ell) - (2.0 / y + 3.0 * Lambda * y) * ell + potential
+    kappa = w * (2.0 * dudy) ** 2  # w (dx/dy)**2
+    return (D * kappa) @ D.T + (P * q) @ P.T, P
+
+
+def _levels(Lambda: float, L: int, N: int, beta: float = 0.0) -> np.ndarray:
+    """Ascending Galerkin eigenvalues e of the N-node mesh."""
+    return 0.5 * np.linalg.eigvalsh(_galerkin(Lambda, L, N, beta)[0])
+
+
+def _threshold(Lambda: float, L: int) -> float:
+    """Continuum threshold e* for Lambda > 0, where the tail exponent reaches 1/2."""
+    return 0.5 * (1.0 + 1.0 / Lambda + Lambda + L * (L + 1) * Lambda)
+
+
+def _tail_exponent(e: float, Lambda: float, L: int) -> float:
+    """beta with R ~ y**(-2 beta) at large y: the decaying root of the indicial
+    equation s(s + 2) = -K/Lambda, K = 2e - L(L+1)Lambda - 1 - 1/Lambda, written
+    with 1 - K/Lambda = 2(e* - e)/Lambda."""
+    return 0.5 * (1.0 + math.sqrt(max(0.0, 2.0 * (_threshold(Lambda, L) - e) / Lambda)))
+
+
+def _bound_level(Lambda: float, L: int, k: int, N: int):
+    """k-th level for Lambda > 0: the root of f(e) = E_k(beta(e)) - e on
+    [0, e*), E_k the k-th Galerkin level with tail exponent beta.  Returns
+    (e, solves, bracket).
+
+    f > 0 at e = 0, and f > 0 wherever beta(e) > beta_k, because a Galerkin
+    level is never below the true one.  Just above e_k, f < 0; near e* the
+    k-th Galerkin level of a high state can sit at the threshold itself, so
+    the sign of f there says nothing.  The bracket is therefore found by
+    walking up from e = 0, halving t = beta - 1/2 each step, until f < 0; a
+    walk that reaches t = _TAIL_MARGIN finds no level.  The root is then
+    polished by the Illinois variant of the secant method, which keeps the
+    sign change.
+    """
+    solves = 0
+
+    def f(e, beta):
+        nonlocal solves
+        solves += 1
+        return _levels(Lambda, L, N, beta)[k] - e
+
+    e_star = _threshold(Lambda, L)
+    t = _tail_exponent(0.0, Lambda, L) - 0.5
+    a, fa = 0.0, f(0.0, 0.5 + t)
+    if fa <= 0:
+        raise MeshNotConverged(f"level k = {k} at Lambda = {Lambda}, L = {L} is not above e = 0 on {N} nodes")
+    while True:
+        t *= 0.5
+        if t < _TAIL_MARGIN:
+            raise NotAdmissible(
+                f"no bound state k = {k} at Lambda = {Lambda}, L = {L}: the level stays above e "
+                f"up to the continuum threshold e* = {e_star!r}"
+            )
+        b = e_star - 2.0 * Lambda * t * t
+        fb = f(b, 0.5 + t)
+        if fb < 0:
+            break
+        a, fa = b, fb
+    c = math.inf
+    for _ in range(_MAX_SECANT):
+        c_old, c = c, (a * fb - b * fa) / (fb - fa)
+        fc = f(c, _tail_exponent(c, Lambda, L))
+        if fc * fb < 0:
+            a, fa = b, fb
+        else:
+            fa *= 0.5
+        b, fb = c, fc
+        if fc == 0.0 or abs(c - c_old) <= _SECANT_RTOL * max(1.0, abs(c)):
+            return float(c), solves, (float(min(a, b)), float(max(a, b)))
+    raise MeshNotConverged(f"secant on E_k(beta(e)) - e did not settle in {_MAX_SECANT} steps at Lambda = {Lambda}")
+
+
+def _level(Lambda: float, L: int, k: int, N: int):
+    """(e, solves, bracket) of the k-th level on the N-node mesh."""
+    if Lambda > 0:
+        return _bound_level(Lambda, L, k, N)
+    e = _levels(Lambda, L, N)
+    lo = 0.5 * (e[k - 1] + e[k]) if k else 1.5 * e[0] - 0.5 * e[1]
+    return float(e[k]), 1, (float(lo), float(0.5 * (e[k] + e[k + 1])))
+
+
+def _check_lambda(Lambda: float) -> None:
+    if not math.isfinite(Lambda):
+        raise ValueError(f"Lambda must be finite, got {Lambda}")
+    if Lambda == 0:
+        raise LambdaTooSmall("Lambda = 0 is the harmonic oscillator, e = 2n + L + 3/2 (spectrum.ho_energy)")
 
 
 def shoot_eigenvalue(
@@ -119,84 +254,64 @@ def shoot_eigenvalue(
     e_bracket: Optional[Tuple[float, float]] = None,
     rtol: float = 1e-10,
 ) -> ShootingResult:
-    """k-th eigenvalue by bisection on the sign of the terminal Wronskian (:func:`_terminal_value`).
+    """k-th eigenvalue of the radial equation from the Galerkin eigen-solve.
 
-    The default bracket is seeded from the closed-form energy, +/- 40% of the
-    gap to the neighboring levels; the integration and the root search are
-    independent of the closed form.
+    The level is solved on N = max(16, k + 8) nodes and again on 2N; ``rtol``
+    bounds |e(2N) - e(N)| / max(1, |e|), and a larger change raises
+    :class:`MeshNotConverged`.  An explicit ``e_bracket`` that does not hold
+    the level raises :class:`BracketInvalid`; for Lambda > 0, a k with no bound
+    state raises :class:`NotAdmissible`.
     """
     QuantumNumbers(n=k, L=L)  # raises ValueError for negative k or L
     if not (math.isfinite(rtol) and rtol > 0):
         raise ValueError(f"rtol must be finite and positive, got {rtol}")
-    if e_bracket is None:
-        e_k = energy_dimless(k, L, Lambda)
-        gap_up = abs(energy_dimless(k + 1, L, Lambda) - e_k)
-        gap_dn = abs(e_k - energy_dimless(k - 1, L, Lambda)) if k > 0 else gap_up
-        e_bracket = (e_k - 0.4 * min(gap_dn, gap_up), e_k + 0.4 * min(gap_dn, gap_up))
-    lo, hi = float(e_bracket[0]), float(e_bracket[1])
-    y_stop = _terminal_y(Lambda)
-
-    def terminal(e: float) -> float:
-        out = _shoot_profile(e, Lambda, L, rtol)
-        return _terminal_value(e, Lambda, L, out, y_stop)
-
-    f_lo = terminal(lo)
-    f_hi = terminal(hi)
-    if f_lo == 0.0:
-        lo_val, iterations = lo, 0
-    elif f_hi == 0.0:
-        lo_val, iterations = hi, 0
-    elif f_lo * f_hi > 0:
-        raise BracketInvalid(f"no sign change of the terminal value on [{lo}, {hi}]")
-    else:
-        iterations = 0
-        a, b, fa = lo, hi, f_lo
-        while b - a > _BISECT_TOL and iterations < _MAX_BISECT:
-            mid = 0.5 * (a + b)
-            fm = terminal(mid)
-            iterations += 1
-            if fm == 0.0:
-                a = b = mid
-                break
-            if fa * fm < 0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        lo_val = 0.5 * (a + b)
-    out = _shoot_profile(lo_val, Lambda, L, rtol)
-    prof = out[:, 0]
-    mismatch = abs(_terminal_value(lo_val, Lambda, L, out, y_stop)) / max(np.max(np.abs(prof)), 1e-300)
+    _check_lambda(Lambda)
+    N = max(_N_MIN, k + _N_PAD)
+    e_coarse, solves_coarse, _ = _level(Lambda, L, k, N)
+    e, solves, bracket = _level(Lambda, L, k, 2 * N)
+    mismatch = abs(e - e_coarse) / max(1.0, abs(e))
+    if not mismatch <= rtol:
+        raise MeshNotConverged(
+            f"level k = {k} at Lambda = {Lambda}, L = {L} moved by {mismatch:.3g} (relative) "
+            f"from {N} to {2 * N} nodes, above rtol = {rtol}"
+        )
+    if e_bracket is not None:
+        bracket = (float(e_bracket[0]), float(e_bracket[1]))
+        if not bracket[0] <= e <= bracket[1]:
+            raise BracketInvalid(f"level k = {k}, e = {e!r}, is not in the bracket [{bracket[0]}, {bracket[1]}]")
     return ShootingResult(
-        e_numeric=lo_val,
-        iterations=iterations,
-        bracket=(lo, hi),
+        e_numeric=e,
+        iterations=solves_coarse + solves,
+        bracket=bracket,
         terminal_mismatch=mismatch,
     )
 
 
-def eigenfunction_nodes(Lambda: float, L: int, e: float, rtol: float = 1e-10, n_samples: int = 400) -> int:
-    """Count interior sign changes of the outward-integrated solution.
+def eigenfunction_nodes(Lambda: float, L: int, e: float) -> int:
+    """Interior nodes of the computed eigenfunction whose level is nearest e.
 
-    For Lambda > 0 the admissible tail decays as a power of y while the
-    inadmissible contaminant grows as one, so the far profile is eventually
-    garbage; the count stops where the profile has genuinely decayed (two
-    consecutive samples below 1e-4 of the running max -- a node region leaves
-    at most one near-zero sample at this sampling density).  For Lambda < 0 a
-    fixed fraction short of the endpoint suffices.
+    R = phi g with phi > 0 inside the domain, so the nodes are the sign
+    changes of g.  At the Gauss nodes g sqrt(w_j) is the eigenvector times P;
+    the mesh has at least 8 nodes more than the level's index, and values
+    below 1e-10 of the largest (the far tails) carry no sign.
     """
-    out = _shoot_profile(e, Lambda, L, rtol, n_samples=n_samples)
-    prof = out[:, 0]
-    stop = int(0.94 * n_samples)
+    _check_lambda(Lambda)
+    beta = 0.0
     if Lambda > 0:
-        mag = np.abs(prof)
-        i_max = int(np.argmax(mag))
-        small = mag < 1e-4 * mag[i_max]
-        for i in range(i_max + 1, n_samples - 1):
-            if small[i] and small[i + 1]:
-                stop = i
-                break
-    body = prof[:stop]
-    signs = np.sign(body[np.abs(body) > 1e-12 * np.max(np.abs(body))])
+        e_star = _threshold(Lambda, L)
+        if not e < e_star:
+            raise NotAdmissible(f"e = {e} is not below the continuum threshold e* = {e_star!r}")
+        beta = _tail_exponent(e, Lambda, L)
+    N = _N_MIN
+    while True:
+        S, P = _galerkin(Lambda, L, N, beta)
+        levels, vectors = np.linalg.eigh(S)
+        j = int(np.argmin(np.abs(0.5 * levels - e)))
+        if j + _N_PAD <= N:
+            break
+        N *= 2
+    g = vectors[:, j] @ P
+    signs = np.sign(g[np.abs(g) > 1e-10 * np.max(np.abs(g))])
     return int(np.sum(signs[1:] != signs[:-1]))
 
 

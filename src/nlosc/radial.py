@@ -32,9 +32,7 @@ from .errors import (
     LambdaTooSmall,
     NotAdmissible,
     OutsideDomain,
-    PoleInDenominator,
     QuadratureFailure,
-    SeriesNotConverged,
 )
 from .orthopoly import PolyCoeffs, _libm
 from .params import ModelParams, domain, mass_at, mass_denominator
@@ -198,38 +196,6 @@ def eval_state_with_derivatives(state: RadialEigenstate, y):
     c = state.norm_const
     out = (c * R, c * R1, c * R2)
     return tuple(float(v[0]) for v in out) if ys.ndim == 0 else tuple(v.reshape(ys.shape) for v in out)
-
-
-def second_solution(L: int, Lambda: float, e: float, y: float, k_max: int = 200, tol: float = 1e-10) -> float:
-    """Linearly independent (singular) second solution, by truncated series.
-
-    Diagnostic only; the series need not terminate and converges only for
-    |Lambda|*y**2 < 1.
-    """
-    lam = Lambda
-    if y <= 0:
-        raise OutsideDomain(f"second solution needs an interior point, got y = {y}")
-    w = mass_denominator(lam, y, "y")
-    alpha = 0.5 * L + 0.5 - 0.5 / lam
-    beta_sq = (lam + 1.0 - 2.0 * e * lam + lam * lam * (L * L + L + 1.0)) / (4.0 * lam * lam)
-    a0 = alpha - L - 0.5
-    c = 0.5 - L
-    z = -lam * y * y
-    total = 1.0
-    term = 1.0
-    converged = False
-    for k in range(k_max):
-        if c + k == 0.0:
-            raise PoleInDenominator(f"(c)_k vanishes at k = {k + 1} for c = {c}")
-        term *= ((a0 + k) ** 2 - beta_sq) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if abs(term) < tol * max(1.0, abs(total)):
-            converged = True
-            break
-    if not converged:
-        raise SeriesNotConverged(f"tail estimate {abs(term)} above {tol} after {k_max} terms")
-    pref = math.exp(-(L + 1.0) * math.log(y) + (0.5 / lam) * math.log(w))
-    return pref * total
 
 
 def _over_common_denominator(values: list) -> tuple:

@@ -36,7 +36,7 @@ def _first_states(Lambda, L, cap):
 
 
 def test_criterion_1_shooting_agreement(report):
-    # Independent shooting eigenvalues match the closed-form energies to
+    # Independent oracle eigenvalues match the closed-form energies to
     # better than 1e-6 across the (Lambda, L, n) grid.
     failures = []
     for Lambda in (-1.0, -0.5, 0.1):
@@ -47,7 +47,7 @@ def test_criterion_1_shooting_agreement(report):
                 err = abs(res.e_numeric - e_closed)
                 if not err < 1e-6:
                     failures.append((Lambda, L, n, err))
-    report("shooting eigenvalues agree with closed form (abs err < 1e-6)", failures)
+    report("oracle eigenvalues agree with closed form (abs err < 1e-6)", failures)
 
 
 def test_criterion_2_ode_residual(report):

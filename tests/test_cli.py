@@ -174,6 +174,49 @@ class TestClassicalArguments:
         assert err == "error: ValueError: rtol must be finite and positive, got 0.0\n"
 
 
+class TestNegativeExponentValues:
+    # argparse reads "-1e-3" after a space as an option unless the CLI joins it
+    # to the option before it; the "=" form must give the same bytes
+    @pytest.mark.parametrize(
+        "spaced,joined",
+        [
+            ("limit --lambda -1e-3 --n 0", "limit --lambda=-1e-3 --n 0"),
+            ("states --lambda -1e-3 --L 1 --n 1 --grid 0.5:1:3", "states --lambda=-1e-3 --L 1 --n 1 --grid 0.5:1:3"),
+            ("shoot --lambda -5e-1 --n 1 --tol 1e-8", "shoot --lambda=-5e-1 --n 1 --tol 1e-8"),
+            (
+                "classical --lambda -1e-1 --x0 -5e-1 --t-end 1 --samples 3",
+                "classical --lambda=-1e-1 --x0=-5e-1 --t-end 1 --samples 3",
+            ),
+        ],
+        ids=["limit", "states", "shoot", "classical"],
+    )
+    def test_space_form_matches_equals_form(self, capture, spaced, joined):
+        code, out, err = capture(spaced.split())
+        assert code == 0, err
+        assert capture(joined.split()) == (0, out, "")
+
+    def test_shoot_negative_tol_reaches_the_check(self, capture):
+        code, out, err = capture(["shoot", "--lambda", "-0.5", "--n", "1", "--tol", "-1e-10"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: ValueError: rtol must be finite and positive, got -1e-10\n"
+
+    def test_value_that_is_not_a_number_stays_an_option(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["limit", "--lambda", "--n", "0"])
+        assert exc.value.code == 2
+
+
+class TestShootHelp:
+    def test_help_names_the_eigen_solve_not_an_integrator(self, capsys):
+        for argv in (["--help"], ["shoot", "--help"]):
+            with pytest.raises(SystemExit):
+                run(argv)
+            text = capsys.readouterr().out.lower()
+            assert "shoot" in text
+            assert "integrator" not in text and "shooting" not in text
+
+
 class TestVeffDefaultGrid:
     # the default grid is in r, so it must end just inside r = 1/sqrt(|lam|)
     # whatever m, alpha and hbar are

@@ -85,17 +85,6 @@ class TestIntegrateAdaptive:
 
 
 class TestRightHandSides:
-    def test_radial_matches_equation(self):
-        e, lam, L = 2.5, -0.5, 1.0
-        y = 0.7
-        u = (0.4, -0.2)
-        du = kernels.rhs_radial(e, lam, L)(y, u)
-        w = lam * y * y + 1.0
-        coeff = 2 * e - L * (L + 1) * lam - 1 + (1 - y * y) / w - L * (L + 1) / (y * y)
-        expect = -((2 / y + 3 * lam * y) * u[1] + coeff * u[0]) / w
-        assert du[0] == u[1]
-        assert du[1] == pytest.approx(expect, rel=1e-14)
-
     def test_classical_1d_equilibrium(self):
         du = kernels.rhs_classical_1d(1.0, 4.0)(0.0, (0.0, 0.0))
         assert du[0] == 0.0 and du[1] == 0.0

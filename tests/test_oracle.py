@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from nlosc import oracle, radial
-from nlosc.errors import BracketInvalid
-from nlosc.spectrum import energy_dimless
+from nlosc import oracle, orthopoly, radial, spectrum
+from nlosc.errors import BracketInvalid, LambdaTooSmall, MeshNotConverged, NotAdmissible
+from nlosc.spectrum import bound_state_count, energy_dimless
+
+EIGENVALUE_GATE = 1e-6
 
 
 class TestShooting:
@@ -26,11 +30,124 @@ class TestShooting:
         with pytest.raises(BracketInvalid):
             oracle.shoot_eigenvalue(-1.0, 0, 0, e_bracket=(3.0, 5.0))
 
+    @pytest.mark.parametrize("Lambda", [-1.0, 0.1])
+    def test_default_bracket_isolates_the_level(self, Lambda):
+        res = oracle.shoot_eigenvalue(Lambda, 0, 1)
+        lo, hi = res.bracket
+        assert lo <= res.e_numeric <= hi
+        assert lo > energy_dimless(0, 0, Lambda) and hi < energy_dimless(2, 0, Lambda)
 
     @pytest.mark.parametrize("rtol", [0.0, -1e-10, math.nan, math.inf])
     def test_rtol_must_be_finite_and_positive(self, rtol):
         with pytest.raises(ValueError, match=r"^rtol must be finite and positive, got"):
             oracle.shoot_eigenvalue(-0.5, 0, 1, rtol=rtol)
+
+    def test_lambda_zero_is_the_harmonic_branch(self):
+        with pytest.raises(LambdaTooSmall):
+            oracle.shoot_eigenvalue(0.0, 0, 1)
+
+    def test_unresolved_mesh_raises(self):
+        # at |Lambda| = 1e-7 the states squeeze into 1 - x ~ 1e-7 and the
+        # 16- and 32-node levels disagree: a typed error, not a number
+        with pytest.raises(MeshNotConverged):
+            oracle.shoot_eigenvalue(-1e-7, 0, 3)
+
+    def test_iterations_count_the_eigen_solves(self, monkeypatch):
+        # Lambda < 0: one solve on N nodes and one on 2N
+        assert oracle.shoot_eigenvalue(-0.5, 1, 1).iterations == 2
+        calls = []
+        levels = oracle._levels
+
+        def counting(*args):
+            calls.append(args)
+            return levels(*args)
+
+        monkeypatch.setattr(oracle, "_levels", counting)
+        res = oracle.shoot_eigenvalue(0.1, 0, 2)
+        assert res.iterations == len(calls) > 4
+
+
+class TestKnownDefectRegressions:
+    # where the former RK45 shooting oracle missed the 1e-6 gate or raised:
+    # endpoint bias for Lambda < -1 (2.7e-6 at -1.5, 3.8e-4 at -3), the log
+    # case Lambda = -2, the collapsed top-state bracket (0.1, 0, 4) and the
+    # tail cutoff bias (6.4e-4 at (0.05, 0, 8))
+    @pytest.mark.parametrize("Lambda,L,k", [(-1.5, 0, 2), (-3.0, 0, 2), (-2.0, 0, 2), (0.1, 0, 4), (0.05, 0, 8)])
+    def test_within_1e_9(self, Lambda, L, k):
+        res = oracle.shoot_eigenvalue(Lambda, L, k)
+        assert abs(res.e_numeric - energy_dimless(k, L, Lambda)) <= 1e-9
+
+
+class TestBoundStatesAtPositiveLambda:
+    # (1/128, 0): top n = 63, where a secant bracketed by e* stopped at e*;
+    # (1/3 - 3.3e-5, 0): the top state sits 1.5e-8 below e*
+    @pytest.mark.parametrize(
+        "Lambda,L", [(0.05, 0), (0.1, 0), (0.1, 2), (0.2, 1), (0.4, 1), (0.013, 3), (1 / 128, 0), (0.3333, 0)]
+    )
+    def test_top_state_solves_and_the_next_raises(self, Lambda, L):
+        count = bound_state_count(Lambda, L).count
+        res = oracle.shoot_eigenvalue(Lambda, L, count - 1)
+        assert abs(res.e_numeric - energy_dimless(count - 1, L, Lambda)) < EIGENVALUE_GATE
+        with pytest.raises(NotAdmissible, match="continuum threshold"):
+            oracle.shoot_eigenvalue(Lambda, L, count)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the eigen-solve must not call the closed form")
+
+
+def test_independent_of_the_closed_form(monkeypatch):
+    monkeypatch.setattr(spectrum, "energy_dimless", _raise)
+    monkeypatch.setattr(radial, "build_state", _raise)
+    monkeypatch.setattr(orthopoly, "jacobi", _raise)
+    for Lambda, L, k, e in [(-1.5, 0, 2, 23.5), (-0.5, 1, 1, 7.75), (0.1, 0, 4, 5.5), (0.1, 2, 1, 4.6)]:
+        assert abs(oracle.shoot_eigenvalue(Lambda, L, k).e_numeric - e) < 1e-9
+        assert oracle.eigenfunction_nodes(Lambda, L, e) == k
+
+
+# A top state with index n needs a mesh of 2(n + 8) nodes.  Near Lambda = 1e-3
+# the top n is about 500, and one level costs seconds, so the property test
+# draws the top state only where it has at most this index (Lambda above about
+# 0.012 for L = 0); smaller Lambda still draws n <= 8.
+TOP_N_CAP = 40
+
+
+@st.composite
+def _levels(draw):
+    """(Lambda, L, n): Lambda in [-3, -1e-3] or [1e-3, 0.5], L <= 3, and n <= 8
+    or the top admissible n (see TOP_N_CAP); n is None where Lambda > 0
+    leaves no bound state."""
+    Lambda = draw(st.one_of(st.floats(-3.0, -1e-3), st.floats(1e-3, 0.5)))
+    L = draw(st.integers(0, 3))
+    count = bound_state_count(Lambda, L).count
+    if count == 0:
+        return Lambda, L, None
+    top = 8 if count is None else count - 1
+    choices = st.integers(0, min(8, top))
+    if top <= TOP_N_CAP:
+        choices = st.one_of(choices, st.just(top))
+    return Lambda, L, draw(choices)
+
+
+class TestPropertyAgainstClosedForm:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_levels())
+    def test_every_admissible_level(self, case):
+        Lambda, L, n = case
+        if n is None:
+            with pytest.raises(NotAdmissible):
+                oracle.shoot_eigenvalue(Lambda, L, 0)
+            return
+        try:
+            res = oracle.shoot_eigenvalue(Lambda, L, n)
+        except NotAdmissible:
+            # only a state whose tail exponent is within reach of 1/2
+            assert Lambda > 0 and (1.0 - Lambda * (2 * n + 1 + L)) / (2.0 * Lambda) < 2 * oracle._TAIL_MARGIN
+            return
+        err = abs(res.e_numeric - energy_dimless(n, L, Lambda))
+        assert err < EIGENVALUE_GATE
+        # the diagnostic bounds the true error, both relative to max(1, |e|)
+        assert err / max(1.0, abs(res.e_numeric)) <= max(res.terminal_mismatch, 1e-10)
 
 
 class TestNodeCounting:
@@ -40,6 +157,14 @@ class TestNodeCounting:
     def test_kth_state_has_k_nodes(self, Lambda, L, k):
         e = energy_dimless(k, L, Lambda)
         assert oracle.eigenfunction_nodes(Lambda, L, e) == k
+
+    @pytest.mark.parametrize("Lambda,L,k", [(-3.0, 1, 12), (-1e-3, 0, 9), (0.02, 1, 20), (0.05, 3, 7)])
+    def test_high_states(self, Lambda, L, k):
+        assert oracle.eigenfunction_nodes(Lambda, L, energy_dimless(k, L, Lambda)) == k
+
+    def test_above_the_continuum_threshold_raises(self):
+        with pytest.raises(NotAdmissible):
+            oracle.eigenfunction_nodes(0.1, 0, 5.6)
 
 
 class TestRadialResidual:

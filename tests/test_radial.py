@@ -8,7 +8,7 @@ from nlosc.errors import LambdaTooSmall, NotAdmissible, OutsideDomain, Quadratur
 from nlosc.oracle import radial_residual
 from nlosc.orthopoly import hyp2f1_terminating
 from nlosc.params import make_model
-from nlosc.spectrum import bound_state_count, energy_dimless, is_admissible
+from nlosc.spectrum import bound_state_count, is_admissible
 
 
 class TestWeight:
@@ -148,30 +148,6 @@ class TestBoundaryBehavior:
             slope = math.log(abs(r100 / r50)) / math.log(2.0)
             assert slope == pytest.approx(exponent, abs=0.1)
             assert abs(r100) < abs(r50)
-
-
-class TestSecondSolution:
-    def test_singular_witness_l0(self):
-        Lambda, L = -1.0, 0
-        e = energy_dimless(0, L, Lambda)
-        vals = [y ** (L + 1) * radial.second_solution(L, Lambda, e, y) for y in (1e-3, 1e-4)]
-        assert vals[1] != 0.0
-        assert vals[0] == pytest.approx(vals[1], rel=1e-3)
-
-    def test_leading_power_l2(self):
-        Lambda, L = -0.5, 2
-        e = energy_dimless(0, L, Lambda)
-        g3 = radial.second_solution(L, Lambda, e, 1e-3)
-        g4 = radial.second_solution(L, Lambda, e, 2e-3)
-        assert g3 / g4 == pytest.approx(2.0**3, rel=1e-2)
-
-    def test_independent_of_first_solution(self):
-        Lambda, L = -1.0, 0
-        st = radial.build_state(1, L, Lambda)
-        ratios = [
-            radial.second_solution(L, Lambda, st.e, y) / radial.eval_state(st, y) for y in (0.3, 0.6)
-        ]
-        assert abs(ratios[0] - ratios[1]) > 1e-3 * max(abs(ratios[0]), abs(ratios[1]))
 
 
 class TestInnerProductAndNorm:
