@@ -1,9 +1,16 @@
 """Deterministic command-line front end.
 
 Every capability of the library is reachable from one of the subcommands
-{spectrum, states, gram, shoot, limit, classical, veff}.  Output is CSV (17
-significant digits) or JSON on stdout or --out; exit codes: 0 success, 1
-computation error (one-line message on stderr), 2 usage error.
+{spectrum, states, gram, shoot, limit, classical, veff}.  Each subcommand
+returns its parameters and its table as named columns: an ordered dict of
+equal-length, non-empty lists of Python bools, ints or floats, one type per
+column.
+:func:`serialize` is the one place that checks finiteness and formats
+numbers, as CSV (17 significant digits) or JSON, on stdout or --out.
+
+Exit codes: 0 success, 1 computation error, 2 usage error.  A computation
+error prints exactly one line on stderr, ``error: <type>: <message>``; numpy
+floating-point warnings are kept off stderr while a command runs.
 """
 
 from __future__ import annotations
@@ -12,43 +19,39 @@ import argparse
 import json
 import math
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import classical, oracle, radial, spectrum
+from . import classical, oracle, radial
 from .errors import NloscError, NonFiniteValue, NotAdmissible
 from .params import domain, make_model
 from .spectrum import bound_state_count, energy_dimless, is_admissible
 
-
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+Columns = Dict[str, list]
 
 
-def _check_finite(rows: List[dict]) -> None:
+def _cells(column: list) -> list:
+    """The CSV text of one column: true/false, integers, or 17 significant digits."""
+    if isinstance(column[0], bool):
+        return ["true" if v else "false" for v in column]
+    if isinstance(column[0], int):
+        return list(map(str, column))
+    return ["%.17g" % v for v in column]
+
+
+def serialize(command: str, params: dict, columns: Columns, fmt: str) -> str:
+    """Render named columns as CSV (header + one line per row) or a JSON document."""
+    keys = list(columns)
+    rows = list(zip(*columns.values()))
     for row in rows:
-        for key, val in row.items():
-            if isinstance(val, (float, np.floating)) and not math.isfinite(val):
+        for key, val in zip(keys, row):
+            if isinstance(val, float) and not math.isfinite(val):
                 raise NonFiniteValue(f"non-finite value in column '{key}'")
-
-
-def serialize(command: str, params: dict, rows: List[dict], fmt: str) -> str:
-    """Render rows as CSV (header + data) or a JSON document."""
-    _check_finite(rows)
     if fmt == "csv":
-        if not rows:
-            return ""
-        header = ",".join(rows[0].keys())
-        lines = [header]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row.values()))
-        return "\n".join(lines) + "\n"
-    doc = {"command": command, "params": params, "data": rows}
+        lines = map(",".join, zip(*map(_cells, columns.values())))
+        return "\n".join([",".join(keys), *lines]) + "\n"
+    doc = {"command": command, "params": params, "data": [dict(zip(keys, row)) for row in rows]}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -70,27 +73,24 @@ def _default_grid(Lambda: float) -> Tuple[float, float, int]:
     return 0.01, 10.0, 200
 
 
-def _cmd_spectrum(args) -> Tuple[dict, List[dict]]:
+def _cmd_spectrum(args) -> Tuple[dict, Columns]:
     if args.n_max < 0:
         raise ValueError(f"--n-max must be >= 0 (the highest state index), got {args.n_max}")
     count = bound_state_count(args.Lambda, args.L)
     if not count.unbounded and count.count == 0:
         raise NotAdmissible(f"no bound states for Lambda = {args.Lambda}, L = {args.L}")
-    rows = []
-    for n in range(args.n_max + 1):
-        rows.append(
-            {
-                "n": n,
-                "L": args.L,
-                "Lambda": args.Lambda,
-                "e": energy_dimless(n, args.L, args.Lambda),
-                "admissible": is_admissible(n, args.L, args.Lambda),
-            }
-        )
-    return {"Lambda": args.Lambda, "L": args.L, "n_max": args.n_max}, rows
+    ns = list(range(args.n_max + 1))
+    columns = {
+        "n": ns,
+        "L": [args.L] * len(ns),
+        "Lambda": [args.Lambda] * len(ns),
+        "e": [energy_dimless(n, args.L, args.Lambda) for n in ns],
+        "admissible": [is_admissible(n, args.L, args.Lambda) for n in ns],
+    }
+    return {"Lambda": args.Lambda, "L": args.L, "n_max": args.n_max}, columns
 
 
-def _cmd_states(args) -> Tuple[dict, List[dict]]:
+def _cmd_states(args) -> Tuple[dict, Columns]:
     grid = args.grid or _default_grid(args.Lambda)
     ys = np.linspace(grid[0], grid[1], grid[2])
     if abs(args.Lambda) <= radial.LAMBDA_SWITCH:
@@ -103,69 +103,48 @@ def _cmd_states(args) -> Tuple[dict, List[dict]]:
         state = radial.normalize(radial.build_state(args.n, args.L, args.Lambda))
         rs = radial.eval_state(state, ys)
         ws = radial.weight(ys, args.Lambda)
-    rows = [{"y": float(y), "R": float(r), "weight": float(w)} for y, r, w in zip(ys, rs, ws)]
     params = {"Lambda": args.Lambda, "L": args.L, "n": args.n, "grid": list(grid)}
-    return params, rows
+    return params, {"y": ys.tolist(), "R": rs.tolist(), "weight": ws.tolist()}
 
 
-def _cmd_gram(args) -> Tuple[dict, List[dict]]:
+def _cmd_gram(args) -> Tuple[dict, Columns]:
     g = radial.gram_matrix(args.L, args.Lambda, args.n_max)
-    rows = []
-    for i in range(g.shape[0]):
-        for j in range(g.shape[1]):
-            rows.append({"i": i, "j": j, "value": float(g[i, j])})
+    i, j = np.indices(g.shape)
     params = {"Lambda": args.Lambda, "L": args.L, "n_max": args.n_max, "size": int(g.shape[0])}
-    return params, rows
+    return params, {"i": i.ravel().tolist(), "j": j.ravel().tolist(), "value": g.ravel().tolist()}
 
 
-def _cmd_shoot(args) -> Tuple[dict, List[dict]]:
+def _cmd_shoot(args) -> Tuple[dict, Columns]:
     res = oracle.shoot_eigenvalue(args.Lambda, args.L, args.n, rtol=args.tol)
     e_closed = energy_dimless(args.n, args.L, args.Lambda)
-    rows = [
-        {
-            "n": args.n,
-            "L": args.L,
-            "Lambda": args.Lambda,
-            "e_closed": e_closed,
-            "e_shoot": res.e_numeric,
-            "abs_diff": abs(res.e_numeric - e_closed),
-            "iterations": res.iterations,
-            "terminal_mismatch": res.terminal_mismatch,
-        }
-    ]
-    return {"Lambda": args.Lambda, "L": args.L, "n": args.n, "tol": args.tol}, rows
+    columns = {
+        "n": [args.n],
+        "L": [args.L],
+        "Lambda": [args.Lambda],
+        "e_closed": [e_closed],
+        "e_shoot": [res.e_numeric],
+        "abs_diff": [abs(res.e_numeric - e_closed)],
+        "iterations": [res.iterations],
+        "terminal_mismatch": [res.terminal_mismatch],
+    }
+    return {"Lambda": args.Lambda, "L": args.L, "n": args.n, "tol": args.tol}, columns
 
 
-def _cmd_limit(args) -> Tuple[dict, List[dict]]:
+def _cmd_limit(args) -> Tuple[dict, Columns]:
     dev = oracle.limit_compare(args.n, args.L, args.Lambda)
-    rows = [{"n": args.n, "L": args.L, "Lambda": args.Lambda, "deviation": dev}]
-    return {"Lambda": args.Lambda, "L": args.L, "n": args.n}, rows
+    columns = {"n": [args.n], "L": [args.L], "Lambda": [args.Lambda], "deviation": [dev]}
+    return {"Lambda": args.Lambda, "L": args.L, "n": args.n}, columns
 
 
-def _cmd_classical(args) -> Tuple[dict, List[dict]]:
+def _cmd_classical(args) -> Tuple[dict, Columns]:
     params = make_model(args.m, args.alpha, args.Lambda, args.hbar)
     if args.mode == "1d":
         traj = classical.integrate_1d(args.x0, args.v0, params, args.t_end, args.tol, args.samples)
-        rows = [
-            {"t": float(t), "x": float(x), "v": float(v), "H": float(h)}
-            for t, x, v, h in zip(traj.t, traj.x, traj.v, traj.H)
-        ]
+        arrays = {"t": traj.t, "x": traj.x, "v": traj.v, "H": traj.H}
     else:
         traj = classical.integrate_planar(args.r0, args.rdot0, args.C, params, args.t_end, args.tol, args.samples)
-        rows = [
-            {
-                "t": float(t),
-                "r": float(r),
-                "rdot": float(rd),
-                "theta": float(th),
-                "thetadot": float(td),
-                "H": float(h),
-                "angmom": float(am),
-            }
-            for t, r, rd, th, td, h, am in zip(
-                traj.t, traj.x, traj.v, traj.theta, traj.thetadot, traj.H, traj.angmom
-            )
-        ]
+        arrays = {"t": traj.t, "r": traj.x, "rdot": traj.v, "theta": traj.theta, "thetadot": traj.thetadot,
+                  "H": traj.H, "angmom": traj.angmom}
     meta = {
         "mode": args.mode,
         "lambda": args.Lambda,
@@ -174,17 +153,16 @@ def _cmd_classical(args) -> Tuple[dict, List[dict]]:
         "t_end": args.t_end,
         "tol": args.tol,
     }
-    return meta, rows
+    return meta, {key: a.tolist() for key, a in arrays.items()}
 
 
-def _cmd_veff(args) -> Tuple[dict, List[dict]]:
+def _cmd_veff(args) -> Tuple[dict, Columns]:
     params = make_model(args.m, args.alpha, args.Lambda, args.hbar)
     grid = args.grid or _default_grid(params.lam)
     rs = np.linspace(grid[0], grid[1], grid[2])
     vs = radial.effective_potential(rs, params, args.L)
-    rows = [{"r": float(r), "V_eff": float(v)} for r, v in zip(rs, vs)]
     meta = {"lambda": args.Lambda, "L": args.L, "m": args.m, "alpha": args.alpha, "grid": list(grid)}
-    return meta, rows
+    return meta, {"r": rs.tolist(), "V_eff": vs.tolist()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,34 +173,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_n=False, need_nmax=False, grid=False):
+    def command(name, help_text, L=True, n=False, n_max=False, grid=False, model=False):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--lambda", dest="Lambda", type=float, required=True, help="nonlinearity parameter")
-        p.add_argument("--L", type=int, default=0, help="angular momentum quantum number")
-        if need_n:
+        if L:
+            p.add_argument("--L", type=int, default=0, help="angular momentum quantum number")
+        if n:
             p.add_argument("--n", type=int, required=True, help="state index")
-        if need_nmax:
+        if n_max:
             p.add_argument("--n-max", dest="n_max", type=int, required=True, help="highest state index")
         if grid:
             p.add_argument("--grid", type=_parse_grid, default=None, help="sampling grid min:max:points")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
+        if model:
+            for flag in ("--m", "--alpha", "--hbar"):
+                p.add_argument(flag, type=float, default=1.0)
+        return p
 
-    common(sub.add_parser("spectrum", help="closed-form energies and admissibility"), need_nmax=True)
-    common(sub.add_parser("states", help="normalized radial eigenfunction samples"), need_n=True, grid=True)
-    common(sub.add_parser("gram", help="matrix of normalized inner products"), need_nmax=True)
-    p_shoot = sub.add_parser("shoot", help="independent numerical eigenvalue vs closed form")
-    common(p_shoot, need_n=True)
-    p_shoot.add_argument(
+    command("spectrum", "closed-form energies and admissibility", n_max=True)
+    command("states", "normalized radial eigenfunction samples", n=True, grid=True)
+    command("gram", "matrix of normalized inner products", n_max=True)
+    command("shoot", "independent numerical eigenvalue vs closed form", n=True).add_argument(
         "--tol", type=float, default=1e-10, help="largest relative change of the eigenvalue when the mesh is doubled"
     )
-    common(sub.add_parser("limit", help="deviation from the harmonic-oscillator limit"), need_n=True)
+    command("limit", "deviation from the harmonic-oscillator limit", n=True)
 
-    p_cl = sub.add_parser("classical", help="integrate the classical equations of motion")
+    p_cl = command("classical", "integrate the classical equations of motion", L=False, model=True)
     p_cl.add_argument("--mode", choices=("1d", "planar"), default="1d")
-    p_cl.add_argument("--lambda", dest="Lambda", type=float, required=True, help="nonlinearity parameter")
-    p_cl.add_argument("--m", type=float, default=1.0)
-    p_cl.add_argument("--alpha", type=float, default=1.0)
-    p_cl.add_argument("--hbar", type=float, default=1.0)
     p_cl.add_argument("--x0", type=float, default=1.0)
     p_cl.add_argument("--v0", type=float, default=0.0)
     p_cl.add_argument("--r0", type=float, default=1.0)
@@ -231,14 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument("--t-end", dest="t_end", type=float, default=10.0)
     p_cl.add_argument("--tol", type=float, default=1e-10)
     p_cl.add_argument("--samples", type=int, default=200)
-    p_cl.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_cl.add_argument("--out", default=None)
 
-    p_v = sub.add_parser("veff", help="effective radial potential samples")
-    common(p_v, grid=True)
-    p_v.add_argument("--m", type=float, default=1.0)
-    p_v.add_argument("--alpha", type=float, default=1.0)
-    p_v.add_argument("--hbar", type=float, default=1.0)
+    command("veff", "effective radial potential samples", grid=True, model=True)
     return parser
 
 
@@ -280,8 +252,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        params, rows = _DISPATCH[args.command](args)
-        text = serialize(args.command, params, rows, args.format)
+        if not math.isfinite(args.Lambda):
+            raise ValueError(f"Lambda must be finite, got {args.Lambda}")
+        with np.errstate(all="ignore"):
+            params, columns = _DISPATCH[args.command](args)
+            text = serialize(args.command, params, columns, args.format)
     except NloscError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -47,7 +47,7 @@ from . import radial
 from .errors import BracketInvalid, LambdaTooSmall, MeshNotConverged, NotAdmissible, OutsideDomain
 from .orthopoly import _libm, laguerre
 from .params import mass_denominator
-from .spectrum import QuantumNumbers
+from .spectrum import QuantumNumbers, check_angular_momentum
 
 # The mesh has max(_N_MIN, k + _N_PAD) nodes and is checked against twice that.
 _N_MIN = 16
@@ -321,6 +321,7 @@ def ho_wavefunction(n: int, L: int) -> Callable:
     The returned function takes a float (giving a float) or an array of any
     shape; float_power and libm exp keep an array bit-identical to floats.
     """
+    check_angular_momentum(L)
     poly = laguerre(n, L + 0.5)
 
     def f(y):

@@ -59,7 +59,7 @@ def _jacobi_explicit(n: int, a: float, b: float) -> np.ndarray:
             c1 *= (a + s + j) / j
         c2 = 1.0
         for j in range(1, s + 1):  # C(n+b, s)
-            c2 *= (b + s - j + 1) / j
+            c2 *= (b + n - s + j) / j
         term = np.array([c1 * c2])
         for _ in range(s):
             term = npoly.polymul(term, half_minus)

@@ -382,10 +382,15 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
 
 def effective_potential(r, params: ModelParams, L: int):
     """V_eff = V(r) + centrifugal term with the position-dependent mass; r a float or an array."""
-    nonpos = np.flatnonzero(np.ravel(r) <= 0)
-    if nonpos.size:  # raise what a loop of scalar calls raises first
-        mass_denominator(params.lam, np.ravel(r)[: nonpos[0] + 1])
-        raise OutsideDomain(f"effective potential needs r > 0, got {np.ravel(r)[nonpos[0]]}")
+    spectrum.check_angular_momentum(L)
+    flat = np.ravel(r)
+    bad = np.flatnonzero((flat <= 0) | (flat * flat == 0))
+    if bad.size:  # raise what a loop of scalar calls raises first
+        r_bad = flat[bad[0]]
+        mass_denominator(params.lam, flat[: bad[0] + 1])
+        if r_bad <= 0:
+            raise OutsideDomain(f"effective potential needs r > 0, got {r_bad}")
+        raise OutsideDomain(f"effective potential needs r*r > 0, got r = {r_bad}")
     w = mass_denominator(params.lam, r)
     m, alpha, hbar = params.m, params.alpha, params.hbar
     return 0.5 * m * alpha**2 * r * r / w + L * (L + 1) * hbar**2 * w / (2.0 * m * r * r)

@@ -32,6 +32,12 @@ class QuantumNumbers:
             raise ValueError(f"quantum numbers must be nonnegative, got {self}")
 
 
+def check_angular_momentum(L: int) -> None:
+    """Raise the ValueError of :class:`QuantumNumbers` for a negative L."""
+    if L < 0:
+        raise ValueError(f"quantum numbers must be nonnegative, got L = {L}")
+
+
 @dataclass(frozen=True)
 class StateCount:
     """Number of bound states; ``count is None`` marks the unbounded case."""
@@ -79,6 +85,7 @@ def is_admissible(n: int, L: int, Lambda: float) -> bool:
 
 def bound_state_count(Lambda: float, L: int) -> StateCount:
     """Count admissible n >= 0, or the unbounded marker for Lambda <= 0."""
+    check_angular_momentum(L)
     if Lambda <= 0:
         return StateCount(None)
     bound = ((1.0 - BOUNDARY_TOL) / Lambda - 1.0 - L) / 2.0

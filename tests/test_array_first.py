@@ -111,11 +111,17 @@ class TestArrayErrorsMatchScalarLoop:
     # grids that cross the lam < 0 edge, or start at r <= 0, or both
     GRIDS = [np.linspace(0.5, 2.0, 5), np.linspace(-0.5, 2.0, 5), np.linspace(-2.0, 2.0, 5), np.linspace(0.0, 0.5, 5)]
 
-    @pytest.mark.parametrize("r", GRIDS)
+    # the last grid has r*r underflow to 0 at r = 1e-200, ahead of the points outside the domain
+    @pytest.mark.parametrize("r", GRIDS + [np.array([0.5, 1e-200, 2.0, -0.5])])
     def test_effective_potential(self, r):
         p = make_model(1.0, 1.0, -1.0)
         f = lambda ri: radial.effective_potential(ri, p, 1)  # noqa: E731
         assert _first_error(f, r) == _first_error_of_loop(f, r)
+
+    def test_effective_potential_underflow_at_L_0(self):
+        r = np.array([0.5, 1e-200, 2.0])
+        f = lambda ri: radial.effective_potential(ri, P_POS, 0)  # noqa: E731
+        assert _first_error(f, r) == _first_error_of_loop(f, r) == "effective potential needs r*r > 0, got r = 1e-200"
 
     @pytest.mark.parametrize("y", GRIDS + [np.array([0.5, 2.0, 0.0])])
     def test_weight(self, y):
@@ -146,6 +152,7 @@ class TestScalarMessages:
             (lambda: radial.effective_potential(-0.5, P_NEG, 0), "effective potential needs r > 0, got -0.5"),
             (lambda: radial.effective_potential(-2.0, P_NEG, 0), "lam*r**2 + 1 = -3.0 <= 0 at r = -2.0"),
             (lambda: radial.effective_potential(0, P_POS, 0), "effective potential needs r > 0, got 0"),
+            (lambda: radial.effective_potential(1e-200, P_POS, 1), "effective potential needs r*r > 0, got r = 1e-200"),
             (lambda: classical.hamiltonian_1d(1.5, 0.0, P_NEG), "lam*x**2 + 1 = -1.25 <= 0 at x = 1.5"),
             (lambda: classical.hamiltonian_planar(_at_rest(-1.0), P_POS), "radius must be positive, got -1.0"),
             (lambda: classical.hamiltonian_planar(_at_rest(1.5), P_NEG), "lam*r**2 + 1 = -1.25 <= 0 at r = 1.5"),

@@ -1,9 +1,11 @@
 import json
 import math
+import warnings
 
 import pytest
 
-from nlosc.cli import run
+from nlosc.cli import run, serialize
+from nlosc.errors import NonFiniteValue
 
 
 @pytest.fixture
@@ -275,3 +277,99 @@ class TestDeterminismAndOutput:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("n,L,Lambda,e,admissible")
+
+
+# one command per subcommand, each cheap
+EVERY_SUBCOMMAND = [
+    ["spectrum", "--lambda", "0.1", "--L", "1", "--n-max", "5"],
+    ["states", "--lambda", "-0.5", "--L", "1", "--n", "2", "--grid", "0.1:1.4:6"],
+    ["gram", "--lambda", "-1", "--L", "0", "--n-max", "2"],
+    ["shoot", "--lambda", "-0.5", "--L", "1", "--n", "1"],
+    ["limit", "--lambda", "-1e-3", "--L", "1", "--n", "2"],
+    ["classical", "--mode", "planar", "--lambda", "0.5", "--t-end", "1", "--samples", "4"],
+    ["veff", "--lambda", "0.5", "--L", "2", "--grid", "0.5:2:4"],
+]
+
+
+class TestSerializer:
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=[a[0] for a in EVERY_SUBCOMMAND])
+    def test_json_data_carries_the_csv_table(self, capture, argv):
+        code, text, _ = capture(argv)
+        code_json, doc, _ = capture(argv + ["--format", "json"])
+        assert code == code_json == 0
+        data = json.loads(doc)["data"]
+        header, *lines = text.splitlines()
+        assert len(data) == len(lines) > 0
+        for row, line in zip(data, lines):
+            assert list(row) == header.split(",")
+            # 17 significant digits read back to the same float
+            assert [json.loads(cell) for cell in line.split(",")] == list(row.values())
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=[a[0] for a in EVERY_SUBCOMMAND])
+    def test_out_writes_the_stdout_bytes(self, capture, tmp_path, argv, fmt):
+        code, text, _ = capture(argv + ["--format", fmt])
+        assert code == 0
+        target = tmp_path / "table.txt"
+        assert capture(argv + ["--format", fmt, "--out", str(target)]) == (0, "", "")
+        assert target.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the centrifugal term overflows for every point
+            ["veff", "--lambda", "1e300", "--m", "1e-10", "--L", "3", "--grid", "1:2:3"],
+            ["veff", "--lambda", "1e300", "--m", "1e-10", "--L", "3", "--grid", "1:2:3", "--format", "json"],
+        ],
+    )
+    def test_non_finite_value_is_one_line_naming_the_column(self, capture, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            code, out, err = capture(argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: NonFiniteValue: non-finite value in column 'V_eff'\n"
+
+    def test_first_non_finite_cell_in_row_order_names_the_column(self):
+        columns = {"a": [1, 2], "b": [1.0, math.inf], "c": [math.nan, 0.5]}
+        with pytest.raises(NonFiniteValue, match="^non-finite value in column 'c'$"):
+            serialize("x", {}, columns, "csv")
+
+    def test_cells_by_column_type(self):
+        columns = {"n": [0, 12], "x": [0.1, -0.0], "ok": [True, False]}
+        assert serialize("x", {}, columns, "csv") == "n,x,ok\n0,0.10000000000000001,true\n12,-0,false\n"
+
+
+class TestOneLineErrors:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=[a[0] for a in EVERY_SUBCOMMAND])
+    def test_non_finite_lambda(self, capture, argv, value):
+        argv = list(argv)
+        argv[argv.index("--lambda") + 1] = value
+        assert capture(argv) == (1, "", f"error: ValueError: Lambda must be finite, got {value}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--lambda", "1", "--L", "-1", "--n-max", "3"],
+            ["spectrum", "--lambda", "-1", "--L", "-1", "--n-max", "3"],
+            ["veff", "--lambda", "1", "--L", "-2", "--grid", "1:2:3"],
+            ["states", "--lambda", "1e-9", "--L", "-1", "--n", "0", "--grid", "0.5:1:3"],
+            ["states", "--lambda", "-0.5", "--L", "-1", "--n", "0", "--grid", "0.5:1:3"],
+        ],
+        ids=["spectrum+", "spectrum-", "veff", "states-harmonic", "states"],
+    )
+    def test_negative_L(self, capture, argv):
+        code, out, err = capture(argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ValueError: quantum numbers must be nonnegative")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("L", ["0", "1"])
+    def test_r_squared_underflow(self, capture, L):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = capture(["veff", "--lambda", "1", "--L", L, "--grid", "1e-200:1:3"])
+        assert (code, out) == (1, "")
+        assert err == "error: OutsideDomain: effective potential needs r*r > 0, got r = 1e-200\n"

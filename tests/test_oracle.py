@@ -191,6 +191,10 @@ class TestHarmonicBranch:
         f = oracle.ho_wavefunction(0, 0)
         assert f(0.5) == pytest.approx(math.exp(-0.125), rel=1e-14)
 
+    def test_rejects_negative_L(self):
+        with pytest.raises(ValueError, match="^quantum numbers must be nonnegative, got L = -1$"):
+            oracle.ho_wavefunction(0, -1)
+
     @pytest.mark.parametrize("n,L", [(0, 0), (1, 0), (2, 1), (3, 2)])
     def test_residual(self, n, L):
         f = oracle.ho_wavefunction_with_derivatives(n, L)

@@ -58,10 +58,17 @@ class TestRodriguesOracle:
         assert np.max(np.abs(c1 - c2)) <= 1e-12 * scale
 
     def test_half_integer_negative_b(self):
-        # the recurrence can degenerate for b a negative half-integer shifted
-        # by a; the explicit-sum fallback must still match Rodrigues
+        # a + b = 1.5: the recurrence never degenerates here
         c1 = np.array(jacobi(3, 2.0, -0.5).coeffs)
         c2 = np.array(jacobi_rodrigues(3, 2.0, -0.5).coeffs)
+        assert np.max(np.abs(c1 - c2)) <= 1e-12 * np.max(np.abs(c1))
+
+    @pytest.mark.parametrize("n,a,b", [(3, 1.0, -3.0), (4, 0.5, -2.5), (5, 0.0, -2.0), (4, 2.0, -4.0), (6, 1.5, -5.5)])
+    def test_explicit_sum_fallback(self, n, a, b):
+        # a + b a negative integer <= -2 zeroes a recurrence denominator, so
+        # jacobi falls back to the explicit binomial sum
+        c1 = np.array(jacobi(n, a, b).coeffs)
+        c2 = np.array(jacobi_rodrigues(n, a, b).coeffs)
         assert np.max(np.abs(c1 - c2)) <= 1e-12 * np.max(np.abs(c1))
 
 

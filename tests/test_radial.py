@@ -299,6 +299,11 @@ class TestEffectivePotential:
         with pytest.raises(OutsideDomain):
             radial.effective_potential(2.0, p, 0)
 
+    def test_rejects_negative_L(self):
+        # L = -1 and L = 0 share L*(L+1) = 0, so the formula alone would not notice
+        with pytest.raises(ValueError, match="^quantum numbers must be nonnegative, got L = -1$"):
+            radial.effective_potential(np.array([0.5, 1.0]), make_model(1.0, 1.0, 1.0), -1)
+
 
 class TestUTransform:
     @pytest.mark.parametrize("n,L,Lambda", [(0, 0, -1.0), (2, 0, -0.5), (1, 2, -1.0), (3, 1, 0.05)])

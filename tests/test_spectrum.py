@@ -77,6 +77,11 @@ class TestQuantumNumbers:
         with pytest.raises(ValueError):
             QuantumNumbers(0, -2)
 
+    @pytest.mark.parametrize("Lambda", [-0.5, 0.1])
+    def test_bound_state_count_rejects_negative_L(self, Lambda):
+        with pytest.raises(ValueError, match="^quantum numbers must be nonnegative, got L = -1$"):
+            bound_state_count(Lambda, -1)
+
 
 class TestEnergyDimensional:
     def test_zero_shift(self):
