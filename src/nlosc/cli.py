@@ -263,6 +263,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: ValueError: {exc}", file=sys.stderr)
         return 1
+    except OverflowError as exc:  # an integer argument too large for a float
+        print(f"error: OverflowError: {exc}", file=sys.stderr)
+        return 1
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

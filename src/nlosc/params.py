@@ -54,11 +54,12 @@ class Domain:
 
 def make_model(m: float, alpha: float, lam: float, hbar: float = 1.0) -> ModelParams:
     """Validate constants and cache the redefined coupling g."""
-    if m <= 0:
+    # "not > 0" rather than "<= 0", so that NaN is rejected too
+    if not m > 0:
         raise NonPositiveParameter(f"mass parameter must be positive, got {m}")
-    if alpha <= 0:
+    if not alpha > 0:
         raise NonPositiveParameter(f"alpha must be positive, got {alpha}")
-    if hbar <= 0:
+    if not hbar > 0:
         raise NonPositiveParameter(f"hbar must be positive, got {hbar}")
     g = m * alpha**2 + hbar * alpha * lam
     return ModelParams(m=float(m), alpha=float(alpha), lam=float(lam), hbar=float(hbar), coupling_g=g)

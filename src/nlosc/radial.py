@@ -13,9 +13,11 @@ polynomial times the Jacobi weight (1-x)^a*(1+x)^b, so the integral reduces to
 a short sum of Beta-function moments, exact up to roundoff.  The sums are
 exact integers: each state's polynomial is held as integers over one common
 denominator per state, the moment ratios as integers over one denominator per
-weight, and the rational total is rounded once by a single division.  All
-constant prefactors are carried in log space to survive the huge exponents
-that appear at small |Lambda|.
+weight, and the rational total is rounded once by a single division.  Both
+come from integer recurrences (Lambda = P/Q exactly, every term ratio an
+integer numerator and denominator) with one gcd reduction at the end, so no
+per-coefficient Fraction is formed.  All constant prefactors are carried in
+log space to survive the huge exponents that appear at small |Lambda|.
 """
 
 from __future__ import annotations
@@ -81,27 +83,23 @@ def weight(y, Lambda: float):
     return y * y / np.sqrt(mass_denominator(Lambda, y, "y"))
 
 
-def _series_coeffs(n: int, L: int, lam) -> list:
-    """Jacobi-normalized polynomial piece as coefficients in s = y**2.
+def _series_coeffs(n: int, L: int, lam: float) -> list:
+    """Jacobi-normalized polynomial piece as float coefficients in s = y**2.
 
     C(n+L+1/2, n) * 2F1(-n, n+L+1-1/lam; L+3/2; -lam*s), expanded with the
     lam factors absorbed into each coefficient so everything stays O(1).
-    Generic over the number type of ``lam``: float for evaluation, Fraction
-    for exact quadrature.
     """
-    one = type(lam)(1)
-    half = one / 2
-    kappa = one
+    kappa = 1.0
     for j in range(1, n + 1):  # C(n + L + 1/2, n)
-        kappa *= (L + half + j) / j
-    b2 = n + L + one - one / lam
-    c = L + 3 * half
+        kappa *= (L + 0.5 + j) / j
+    b2 = n + L + 1.0 - 1.0 / lam
+    c = L + 1.5
     coeffs = []
     term = kappa
     for k in range(n + 1):
         coeffs.append(term)
         if k < n:
-            term *= (-n + k) * (b2 + k) / ((c + k) * (k + one)) * (-lam)
+            term *= (-n + k) * (b2 + k) / ((c + k) * (k + 1.0)) * (-lam)
     return coeffs
 
 
@@ -198,12 +196,25 @@ def eval_state_with_derivatives(state: RadialEigenstate, y):
     return tuple(float(v[0]) for v in out) if ys.ndim == 0 else tuple(v.reshape(ys.shape) for v in out)
 
 
-def _over_common_denominator(values: list) -> tuple:
-    """Fractions as (integer numerators, one positive common denominator)."""
-    den = 1
-    for v in values:  # pairwise: math.lcm(*many) raised peak RSS call after call
-        den = math.lcm(den, v.denominator)
-    return [v.numerator * (den // v.denominator) for v in values], den
+def _running_products(num0: int, den0: int, steps: list) -> tuple:
+    """c_0 = num0/den0 and c_(k+1) = c_k * p_k/q_k for (p_k, q_k) in ``steps``,
+    all integers, as (integer numerators, one positive common denominator) in
+    lowest terms.  No rational is formed along the way: the numerator of c_k
+    is num0 * p_0..p_(k-1) * q_k..q_last, and one gcd reduces the lot."""
+    coeffs = [num0]
+    for p, _ in steps:
+        coeffs.append(coeffs[-1] * p)
+    suffix = 1
+    for k in reversed(range(len(steps))):
+        suffix *= steps[k][1]
+        coeffs[k] *= suffix
+    den = den0 * suffix
+    g = den
+    for c in coeffs:  # pairwise: math.gcd(*many) raised peak RSS call after call
+        g = math.gcd(g, c)
+    if den < 0:
+        g = -g  # a negative denominator would turn an exact 0 into -0.0
+    return [c // g for c in coeffs], den // g
 
 
 def _folded_t_poly_exact(state: RadialEigenstate) -> tuple:
@@ -213,15 +224,22 @@ def _folded_t_poly_exact(state: RadialEigenstate) -> tuple:
     Lambda < 0 (x = 1 - 2|Lambda|y^2, s = t/(2|Lambda|)): rescaled powers.
     Lambda > 0 (s = t/(Lambda(2-t))): (Lambda(2-t))^n Q(s); the caller
     compensates with Lambda^-n and n extra powers of (1+x) in the weight.
+
+    With lam = P/Q exactly, the series term ratio of ``_series_coeffs`` is
+    -2(k-n)((n+L+1+k)P - Q) / ((2L+3+2k)(k+1)Q); the rescaling folds one more
+    factor into it, -Q/(2P) per power for Lambda < 0 and Q/P for Lambda > 0.
     """
-    lam = Fraction(state.Lambda)
-    n = state.qn.n
-    h = _series_coeffs(n, state.qn.L, lam)
-    if lam < 0:
-        scale = 1 / (-2 * lam)
-        return _over_common_denominator([h[k] * scale**k for k in range(n + 1)])
+    n, L = state.qn.n, state.qn.L
+    P, Q = state.Lambda.as_integer_ratio()
+    # C(n+L+1/2, n) = (2L+3)(2L+5)..(2L+1+2n) / (2^n n!), the first term
+    num0, den0 = math.prod(range(2 * L + 3, 2 * L + 2 + 2 * n, 2)), 2**n * math.factorial(n)
+    # the term ratio times the rescaling, with Q cancelled
+    factor = 1 if P < 0 else -2
+    steps = [(factor * (k - n) * ((n + L + 1 + k) * P - Q), (2 * L + 3 + 2 * k) * (k + 1) * P) for k in range(n)]
+    if P < 0:
+        return _running_products(num0, den0, steps)
     # h[k] * lam^(n-k) * t^k * (2-t)^(n-k)
-    base, den = _over_common_denominator([h[k] * lam ** (n - k) for k in range(n + 1)])
+    base, den = _running_products(num0 * P**n, den0 * Q**n, steps)
     total = [0] * (n + 1)
     for k, bk in enumerate(base):
         for i in range(n - k + 1):  # binomial expansion of (2-t)^(n-k)
@@ -232,16 +250,16 @@ def _folded_t_poly_exact(state: RadialEigenstate) -> tuple:
 def _weight(Lambda: float, L: int, degree: int) -> tuple:
     """(a, b, log_k): the Jacobi weight (1-x)^a (1+x)^b and the log of the
     constant prefactor for a product of two states of total degree m + n."""
-    a_w = L + Fraction(1, 2)
-    lam_f = Fraction(Lambda)
+    a_w = Fraction(2 * L + 1, 2)
+    P, Q = Lambda.as_integer_ratio()
     if Lambda < 0:
         # x = 1 - 2|Lambda|y^2
         babs = -Lambda
-        b_w = 1 / (-lam_f) - Fraction(1, 2)
+        b_w = Fraction(2 * Q + P, -2 * P)  # 1/|Lambda| - 1/2
         log_k = -math.log(4.0 * babs) - (L + 0.5) * math.log(2.0 * babs) - float(b_w) * math.log(2.0)
     else:
         # y = sqrt((1-x)/(Lambda(1+x))); the (1+x)^-n poles fold into the weight
-        b_w = 1 / lam_f - 2 - L - degree
+        b_w = Fraction(Q - (2 + L + degree) * P, P)  # 1/Lambda - 2 - L - degree
         log_k = -(L + 1.5 + degree) * math.log(Lambda) - (1.0 / Lambda + 0.5) * math.log(2.0)
     return a_w, b_w, log_k
 
@@ -253,22 +271,18 @@ def _beta_moments(a: Fraction, b: Fraction, log_k: float, count: int) -> tuple:
     point and the exact M_j / M_0 = ratios[j] / den as integers over one
     denominator (successive moments differ by the rational 2(a+j+1)/(a+b+j+2)).
     """
+    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+    # int / int rounds each rational once, as float() of a Fraction does
     log_m0 = (
         log_k
-        + float(a + b + 1) * math.log(2.0)
-        + math.lgamma(float(a) + 1.0)
-        + math.lgamma(float(b) + 1.0)
-        - math.lgamma(float(a + b) + 2.0)
+        + (pa * qb + pb * qa + qa * qb) / (qa * qb) * math.log(2.0)
+        + math.lgamma(pa / qa + 1.0)
+        + math.lgamma(pb / qb + 1.0)
+        - math.lgamma((pa * qb + pb * qa) / (qa * qb) + 2.0)
     )
-    steps = [2 * (a + j + 1) / (a + b + j + 2) for j in range(count - 1)]
-    ratios = [1]
-    for r in steps:
-        ratios.append(ratios[-1] * r.numerator)
-    den = 1  # ratios[j] becomes num_0..num_(j-1) * den_j..den_(count-2)
-    for j in reversed(range(count - 1)):
-        den *= steps[j].denominator
-        ratios[j] *= den
-    return log_m0, ratios, den
+    # 2(a+j+1)/(a+b+j+2) with a = pa/qa and b = pb/qb
+    steps = [(2 * (pa + (j + 1) * qa) * qb, pa * qb + pb * qa + (j + 2) * qa * qb) for j in range(count - 1)]
+    return (log_m0, *_running_products(1, 1, steps))
 
 
 def _beta_moment_value(q: tuple, moments: tuple):
@@ -400,6 +414,8 @@ def effective_potential_mass_form(r: float, params: ModelParams, L: int) -> floa
     """Same potential written through M(r); equal to machine precision."""
     if r <= 0:
         raise OutsideDomain(f"effective potential needs r > 0, got {r}")
+    if r * r == 0:
+        raise OutsideDomain(f"effective potential needs r*r > 0, got r = {r}")
     M = mass_at(r, params)
     alpha2 = params.alpha**2
     cent = L * (L + 1) * params.hbar**2

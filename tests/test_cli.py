@@ -373,3 +373,18 @@ class TestOneLineErrors:
             code, out, err = capture(["veff", "--lambda", "1", "--L", L, "--grid", "1e-200:1:3"])
         assert (code, out) == (1, "")
         assert err == "error: OutsideDomain: effective potential needs r*r > 0, got r = 1e-200\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["veff", "--lambda", "1", "--m", "nan", "--grid", "1:2:3"], "mass parameter must be positive, got nan"),
+            (["classical", "--lambda", "1", "--alpha", "nan"], "alpha must be positive, got nan"),
+        ],
+        ids=["veff-m", "classical-alpha"],
+    )
+    def test_nan_physical_constant(self, capture, argv, message):
+        assert capture(argv) == (1, "", f"error: NonPositiveParameter: {message}\n")
+
+    def test_integer_too_large_for_a_float(self, capture):
+        argv = ["spectrum", "--lambda", "-1", "--L", "1" + "0" * 400, "--n-max", "1"]
+        assert capture(argv) == (1, "", "error: OverflowError: int too large to convert to float\n")

@@ -12,7 +12,7 @@ from nlosc.orthopoly import (
     jacobi_rodrigues,
     laguerre,
 )
-from nlosc.radial import _beta_moment_value, _beta_moments, _over_common_denominator
+from nlosc.radial import _beta_moment_value, _beta_moments
 
 
 class TestJacobi:
@@ -148,14 +148,16 @@ class TestEvalPoly:
 class TestJacobiOrthogonality:
     @staticmethod
     def _to_t_basis(coeffs):
-        """Rewrite p(x) as a polynomial in t = 1 - x, exactly."""
+        """Rewrite p(x) as a polynomial in t = 1 - x, exactly, as
+        (integer numerators, one common denominator)."""
         out = [Fraction(0)] * len(coeffs)
         for k, c in enumerate(coeffs):
             # x^k = (1 - t)^k
             ck = Fraction(c)
             for j in range(k + 1):
                 out[j] += ck * math.comb(k, j) * (-1) ** j
-        return out
+        den = math.lcm(*(v.denominator for v in out))
+        return [v.numerator * (den // v.denominator) for v in out], den
 
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (1.5, -0.75), (0.0, 2.0)])
     def test_weighted_integrals_vanish(self, a, b):
@@ -163,11 +165,11 @@ class TestJacobiOrthogonality:
         diag = []
         for n in range(6):
             q = self._to_t_basis(np.convolve(polys[n].coeffs, polys[n].coeffs))
-            val, _ = _beta_moment_value(_over_common_denominator(q), _beta_moments(Fraction(a), Fraction(b), 0.0, len(q)))
+            val, _ = _beta_moment_value(q, _beta_moments(Fraction(a), Fraction(b), 0.0, len(q[0])))
             diag.append(val)
             assert val > 0
         for m in range(6):
             for n in range(m + 1, 6):
                 q = self._to_t_basis(np.convolve(polys[m].coeffs, polys[n].coeffs))
-                val, _ = _beta_moment_value(_over_common_denominator(q), _beta_moments(Fraction(a), Fraction(b), 0.0, len(q)))
+                val, _ = _beta_moment_value(q, _beta_moments(Fraction(a), Fraction(b), 0.0, len(q[0])))
                 assert abs(val) <= 1e-8 * math.sqrt(diag[m] * diag[n])

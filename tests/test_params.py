@@ -15,7 +15,10 @@ class TestMakeModel:
         p = make_model(1.0, 2.0, 1.0, 1.0)
         assert p.coupling_g == pytest.approx(6.0, abs=0)
 
-    @pytest.mark.parametrize("m,alpha,hbar", [(-1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -2.0)])
+    @pytest.mark.parametrize(
+        "m,alpha,hbar",
+        [(-1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -2.0), (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)],
+    )
     def test_rejects_nonpositive(self, m, alpha, hbar):
         with pytest.raises(NonPositiveParameter):
             make_model(m, alpha, 0.0, hbar)

@@ -277,6 +277,11 @@ class TestEffectivePotential:
             v2 = radial.effective_potential_mass_form(r, p, L)
             assert v1 == pytest.approx(v2, rel=1e-13)
 
+    @pytest.mark.parametrize("L", [0, 1])
+    def test_mass_form_r_squared_underflow(self, L):
+        with pytest.raises(OutsideDomain, match="r\\*r > 0, got r = 1e-200"):
+            radial.effective_potential_mass_form(1e-200, make_model(1, 1, 1), L)
+
     def test_swap_symmetry(self):
         # V_eff = (alpha^2*M*r^2 + L(L+1)*hbar^2/(M*r^2))/2 is invariant under
         # swapping alpha^2 <-> L(L+1)*hbar^2 together with M*r^2 <-> 1/(M*r^2)
