@@ -108,6 +108,14 @@ def _mesh(N: int, a: float, b: float):
     eigenvectors of the Jacobi matrix would give P too, but only to absolute
     accuracy: where the weight is tiny (large b) the derivative recurrence
     amplifies that error by orders of magnitude per degree.
+
+    The recurrence runs on one (N, 2N) array R whose row i is
+    [p_i(x), p_i'(x)], so each degree is one numpy pass over both halves.
+    Far from the weight's bulk p_i grows fast: once some |p_i(x_j)| passes
+    1e100, column j of both halves is scaled by 1e-100 (the common factor
+    drops out with the Christoffel scaling).  Only large meshes at large b
+    reach it: no N <= 88 up to b = 1e5, but N = 142 at b = 999.5
+    (|Lambda| = 1e-3) and N = 400 from b near 200.
     """
     n = np.arange(1.0, N)
     s = 2.0 * n + a + b
@@ -115,22 +123,26 @@ def _mesh(N: int, a: float, b: float):
     diag[0] = (b - a) / (a + b + 2.0)
     diag[1:] = (b * b - a * a) / (s * (s + 2.0))
     off = np.sqrt(4.0 * n * (n + a) * (n + b) * (n + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    P = np.zeros((N, N))
-    D = np.zeros((N, N))
-    P[0] = 1.0
+    J = np.zeros((N, N))
+    J.flat[:: N + 1] = diag
+    J.flat[1 :: N + 1] = off
+    J.flat[N :: N + 1] = off
+    x = np.linalg.eigvalsh(J)
+    T = np.concatenate((x, x)) - diag[:, None]  # row i is x - a_i, twice
+    R = np.zeros((N, 2 * N))
+    R[0, :N] = 1.0
     for i in range(N - 1):  # b_{i+1} p_{i+1} = (x - a_i) p_i - b_i p_{i-1}, and its derivative
-        P[i + 1] = (x - diag[i]) * P[i]
-        D[i + 1] = P[i] + (x - diag[i]) * D[i]
+        row = R[i + 1]
+        np.multiply(T[i], R[i], out=row)
+        row[N:] += R[i, :N]
         if i:
-            P[i + 1] -= off[i - 1] * P[i - 1]
-            D[i + 1] -= off[i - 1] * D[i - 1]
-        P[i + 1] /= off[i]
-        D[i + 1] /= off[i]
-        big = np.abs(P[i + 1]) > 1e100  # far from the weight's bulk p_i grows fast
-        if big.any():
-            P[: i + 2, big] *= 1e-100
-            D[: i + 2, big] *= 1e-100
+            row -= off[i - 1] * R[i - 1]
+        row /= off[i]
+        # fmax skips a NaN, so a NaN node leaves the others' rescale as it was
+        if np.fmax.reduce(np.abs(row[:N])) > 1e100:
+            big = np.abs(row[:N]) > 1e100
+            R[: i + 2, np.concatenate((big, big))] *= 1e-100
+    P, D = R[:, :N], R[:, N:]
     scale = 1.0 / np.sqrt((P * P).sum(axis=0))
     return x, P * scale, D * scale
 
@@ -293,8 +305,12 @@ def eigenfunction_nodes(Lambda: float, L: int, e: float) -> int:
     R = phi g with phi > 0 inside the domain, so the nodes are the sign
     changes of g.  At the Gauss nodes g sqrt(w_j) is the eigenvector times P;
     the mesh has at least 8 nodes more than the level's index, and values
-    below 1e-10 of the largest (the far tails) carry no sign.
+    below 1e-10 of the largest (the far tails) carry no sign.  A negative L
+    or a non-finite e raises ValueError.
     """
+    check_angular_momentum(L)
+    if not math.isfinite(e):
+        raise ValueError(f"e must be finite, got {e}")
     _check_lambda(Lambda)
     beta = 0.0
     if Lambda > 0:

@@ -166,6 +166,119 @@ class TestNodeCounting:
         with pytest.raises(NotAdmissible):
             oracle.eigenfunction_nodes(0.1, 0, 5.6)
 
+    @pytest.mark.parametrize("Lambda", [-1.0, 0.1])
+    @pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_raises(self, Lambda, e):
+        with pytest.raises(ValueError, match=r"^e must be finite, got"):
+            oracle.eigenfunction_nodes(Lambda, 0, e)
+
+    @pytest.mark.parametrize("Lambda,L,e", [(-1.0, -1, 1.5), (0.1, -2, 1.0)])
+    def test_negative_L_raises(self, Lambda, L, e):
+        with pytest.raises(ValueError, match=rf"^quantum numbers must be nonnegative, got L = {L}$"):
+            oracle.eigenfunction_nodes(Lambda, L, e)
+
+
+# The Gauss-Jacobi mesh before p_i and p_i' were stacked into one array, kept
+# as the reference for the stacked recurrence of oracle._mesh.  It records
+# (N, a, b) each time the 1e-100 rescale fires.
+_REF_RESCALED = []
+
+
+def _ref_mesh(N, a, b):
+    n = np.arange(1.0, N)
+    s = 2.0 * n + a + b
+    diag = np.empty(N)
+    diag[0] = (b - a) / (a + b + 2.0)
+    diag[1:] = (b * b - a * a) / (s * (s + 2.0))
+    off = np.sqrt(4.0 * n * (n + a) * (n + b) * (n + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    P = np.zeros((N, N))
+    D = np.zeros((N, N))
+    P[0] = 1.0
+    for i in range(N - 1):
+        P[i + 1] = (x - diag[i]) * P[i]
+        D[i + 1] = P[i] + (x - diag[i]) * D[i]
+        if i:
+            P[i + 1] -= off[i - 1] * P[i - 1]
+            D[i + 1] -= off[i - 1] * D[i - 1]
+        P[i + 1] /= off[i]
+        D[i + 1] /= off[i]
+        big = np.abs(P[i + 1]) > 1e100
+        if big.any():
+            _REF_RESCALED.append((N, a, b))
+            P[: i + 2, big] *= 1e-100
+            D[: i + 2, big] *= 1e-100
+    scale = 1.0 / np.sqrt((P * P).sum(axis=0))
+    return x, P * scale, D * scale
+
+
+# a = L + 1/2; b = 1/|Lambda| - 1/2 (Lambda < 0) or 2 beta - 2 (Lambda > 0),
+# so b = -0.9 and -0.5 are tails with beta near 1/2; (400, 0.5, 999.5) rescales
+MESH_GRID = [
+    (N, a, b)
+    for N in (16, 32, 44, 88)
+    for a, b in [(0.5, -0.9), (0.5, -0.5), (1.5, 0.0), (2.5, 3.5), (4.5, 99.5), (0.5, 999.5)]
+] + [(400, 0.5, 999.5)]
+
+
+def _shoot_outcome(Lambda, L, k):
+    try:
+        return repr(oracle.shoot_eigenvalue(Lambda, L, k))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _shoot_draws(seed, count):
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        Lambda = sign * float(10.0 ** rng.uniform(-3.0, math.log10(3.0)))
+        draws.append((Lambda, int(rng.integers(0, 5)), int(rng.integers(0, 13))))
+    return draws
+
+
+SHOOT_DRAWS = _shoot_draws(7, 24)
+
+
+class TestStackedMesh:
+    @pytest.mark.parametrize("N,a,b", MESH_GRID)
+    def test_bit_identical_to_the_reference(self, N, a, b):
+        for new, ref in zip(oracle._mesh(N, a, b), _ref_mesh(N, a, b)):
+            assert new.flags.c_contiguous
+            assert new.tobytes() == ref.tobytes()
+
+    def test_the_grid_reaches_the_rescale(self):
+        _REF_RESCALED.clear()
+        _ref_mesh(400, 0.5, 999.5)
+        assert _REF_RESCALED
+
+    @pytest.mark.parametrize("Lambda,L,k", SHOOT_DRAWS + [(0.1, 0, 4), (1 / 128, 0, 63), (-1e-7, 0, 3)])
+    def test_shoot_eigenvalue_unchanged(self, monkeypatch, Lambda, L, k):
+        new = _shoot_outcome(Lambda, L, k)
+        monkeypatch.setattr(oracle, "_mesh", _ref_mesh)
+        assert new == _shoot_outcome(Lambda, L, k)
+
+    def test_the_draws_cover_both_signs_and_every_outcome(self):
+        assert {math.copysign(1.0, lam) for lam, _, _ in SHOOT_DRAWS} == {1.0, -1.0}
+        # results and NotAdmissible both
+        assert {type(_shoot_outcome(*draw)) for draw in SHOOT_DRAWS} == {str, tuple}
+        assert _shoot_outcome(-1e-7, 0, 3)[0] == "MeshNotConverged"
+
+    @pytest.mark.parametrize("N,a,b", MESH_GRID)
+    def test_gauss_rule_is_exact_on_the_basis(self, N, a, b):
+        # P P^T is the Gauss rule applied to p_i p_j, degree <= 2N - 2
+        _, P, _ = oracle._mesh(N, a, b)
+        assert np.max(np.abs(P @ P.T - np.eye(N))) <= 1e-12
+
+    @pytest.mark.parametrize("N,a,b", MESH_GRID)
+    def test_derivative_rows_have_lower_degree(self, N, a, b):
+        # p_i' has degree i - 1, so it is orthogonal to p_j for j >= i
+        _, P, D = oracle._mesh(N, a, b)
+        M = D @ P.T
+        assert np.max(np.abs(np.triu(M))) <= 1e-10 * np.max(np.abs(M))
+        assert not D[0].any()
+
 
 class TestRadialResidual:
     def test_closed_form_satisfies_equation(self):
