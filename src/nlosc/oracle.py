@@ -45,13 +45,16 @@ import numpy as np
 
 from . import radial
 from .errors import BracketInvalid, LambdaTooSmall, MeshNotConverged, NotAdmissible, OutsideDomain
-from .orthopoly import _libm, laguerre
+from .orthopoly import _check_degree, _libm, laguerre_values
 from .params import mass_denominator
 from .spectrum import QuantumNumbers, check_angular_momentum
 
 # The mesh has max(_N_MIN, k + _N_PAD) nodes and is checked against twice that.
 _N_MIN = 16
 _N_PAD = 8
+# eigenfunction_nodes doubles its mesh up to this many nodes (a level index of
+# about 1,000) and raises MeshNotConverged beyond
+_N_NODES_MAX = 1024
 # Closest approach of the tail exponent beta to the normalizability limit 1/2
 # (Lambda > 0), where the Jacobi weight (1+x)**(2 beta - 2) stops being
 # integrable.  The walk of :func:`_bound_level` stops here, so a state with
@@ -304,9 +307,12 @@ def eigenfunction_nodes(Lambda: float, L: int, e: float) -> int:
 
     R = phi g with phi > 0 inside the domain, so the nodes are the sign
     changes of g.  At the Gauss nodes g sqrt(w_j) is the eigenvector times P;
-    the mesh has at least 8 nodes more than the level's index, and values
-    below 1e-10 of the largest (the far tails) carry no sign.  A negative L
-    or a non-finite e raises ValueError.
+    the mesh has at least 8 nodes more than the level's index and a top
+    level above e, and values below 1e-10 of the largest (the far tails) carry
+    no sign.  A mesh that would need more than _N_NODES_MAX nodes raises
+    :class:`MeshNotConverged`.  A negative L, a non-finite e, or (Lambda > 0)
+    an e so far below the spectrum that the Galerkin matrix of its tail
+    exponent is not finite raises ValueError.
     """
     check_angular_momentum(L)
     if not math.isfinite(e):
@@ -318,13 +324,22 @@ def eigenfunction_nodes(Lambda: float, L: int, e: float) -> int:
         if not e < e_star:
             raise NotAdmissible(f"e = {e} is not below the continuum threshold e* = {e_star!r}")
         beta = _tail_exponent(e, Lambda, L)
+        if not math.isfinite(beta):
+            raise ValueError(f"e = {e} lies too far below the spectrum: the tail exponent is {beta}")
     N = _N_MIN
     while True:
-        S, P = _galerkin(Lambda, L, N, beta)
+        with np.errstate(all="ignore"):  # a non-finite matrix is reported below
+            S, P = _galerkin(Lambda, L, N, beta)
+        if not np.isfinite(S).all():
+            raise ValueError(f"e = {e} lies too far below the spectrum: the tail exponent {beta} overflows the mesh")
         levels, vectors = np.linalg.eigh(S)
         j = int(np.argmin(np.abs(0.5 * levels - e)))
-        if j + _N_PAD <= N:
+        if j + _N_PAD <= N and e <= 0.5 * levels[-1]:
             break
+        if N >= _N_NODES_MAX:
+            raise MeshNotConverged(
+                f"e = {e} at Lambda = {Lambda}, L = {L} needs a mesh of more than {_N_NODES_MAX} nodes"
+            )
         N *= 2
     g = vectors[:, j] @ P
     signs = np.sign(g[np.abs(g) > 1e-10 * np.max(np.abs(g))])
@@ -338,11 +353,11 @@ def ho_wavefunction(n: int, L: int) -> Callable:
     shape; float_power and libm exp keep an array bit-identical to floats.
     """
     check_angular_momentum(L)
-    poly = laguerre(n, L + 0.5)
+    _check_degree(n)
 
     def f(y):
         y = np.asarray(y, dtype=float)
-        r = np.float_power(y, L) * _libm(math.exp, -0.5 * y * y) * poly(y * y)
+        r = np.float_power(y, L) * _libm(math.exp, -0.5 * y * y) * laguerre_values(n, L + 0.5, y * y)[0]
         return float(r) if r.ndim == 0 else r
 
     return f
@@ -357,16 +372,14 @@ def ho_norm_sq(n: int, L: int) -> float:
 def ho_wavefunction_with_derivatives(n: int, L: int) -> Callable:
     """Analytic (R, R', R'') of the harmonic-oscillator radial function, on a
     float (giving floats) or an array, as :func:`ho_wavefunction`."""
-    poly = laguerre(n, L + 0.5)
-    dpoly = poly.derivative()
-    d2poly = dpoly.derivative()
+    _check_degree(n)
 
     def f(y):
         y = np.asarray(y, dtype=float)
         s = y * y
         if np.any(s == 0.0):  # L / y and -L / (y*y), as on floats
             raise ZeroDivisionError("float division by zero")
-        Q, dQ, d2Q = poly(s), dpoly(s), d2poly(s)
+        Q, dQ, d2Q = laguerre_values(n, L + 0.5, s)
         A = np.float_power(y, L) * _libm(math.exp, -0.5 * s)
         la = L / y - y
         dla = -L / s - 1.0

@@ -36,7 +36,7 @@ from .errors import (
     OutsideDomain,
     QuadratureFailure,
 )
-from .orthopoly import PolyCoeffs, _libm
+from .orthopoly import _libm, jacobi_values
 from .params import ModelParams, domain, mass_at, mass_denominator
 from .spectrum import QuantumNumbers, energy_dimless, is_admissible
 
@@ -54,15 +54,13 @@ _TOL = 1e-8
 class RadialEigenstate:
     """Closed-form radial eigenfunction for admissible (n, L, Lambda).
 
-    ``series_poly`` is the Jacobi piece P(1 + 2*Lambda*y**2) expanded in
-    s = y**2 via the terminating hypergeometric series; this form keeps
-    coefficients O(1) at small |Lambda| and high n.
+    The Jacobi piece P_n^(L+1/2, -1/Lambda-1/2)(1 + 2*Lambda*y**2) is not
+    stored: :func:`eval_state` runs its three-term recurrence at the points.
     """
 
     qn: QuantumNumbers
     Lambda: float
     e: float
-    series_poly: PolyCoeffs
     L_power: int
     prefactor_exponent: float  # -1/(2*Lambda), power of (Lambda*y**2 + 1)
     norm_const: float = 1.0
@@ -83,26 +81,6 @@ def weight(y, Lambda: float):
     return y * y / np.sqrt(mass_denominator(Lambda, y, "y"))
 
 
-def _series_coeffs(n: int, L: int, lam: float) -> list:
-    """Jacobi-normalized polynomial piece as float coefficients in s = y**2.
-
-    C(n+L+1/2, n) * 2F1(-n, n+L+1-1/lam; L+3/2; -lam*s), expanded with the
-    lam factors absorbed into each coefficient so everything stays O(1).
-    """
-    kappa = 1.0
-    for j in range(1, n + 1):  # C(n + L + 1/2, n)
-        kappa *= (L + 0.5 + j) / j
-    b2 = n + L + 1.0 - 1.0 / lam
-    c = L + 1.5
-    coeffs = []
-    term = kappa
-    for k in range(n + 1):
-        coeffs.append(term)
-        if k < n:
-            term *= (-n + k) * (b2 + k) / ((c + k) * (k + 1.0)) * (-lam)
-    return coeffs
-
-
 def build_state(n: int, L: int, Lambda: float) -> RadialEigenstate:
     """Construct the (unnormalized) closed-form eigenstate."""
     if abs(Lambda) <= LAMBDA_SWITCH:
@@ -111,12 +89,10 @@ def build_state(n: int, L: int, Lambda: float) -> RadialEigenstate:
         )
     if not is_admissible(n, L, Lambda):
         raise NotAdmissible(f"(n={n}, L={L}) is not normalizable at Lambda = {Lambda}")
-    series = PolyCoeffs(tuple(_series_coeffs(n, L, float(Lambda))), n, (L + 0.5, -1.0 / Lambda - 0.5))
     return RadialEigenstate(
         qn=QuantumNumbers(n=n, L=L),
         Lambda=Lambda,
         e=energy_dimless(n, L, Lambda),
-        series_poly=series,
         L_power=L,
         prefactor_exponent=-0.5 / Lambda,
     )
@@ -142,6 +118,14 @@ def _prefactor(state: RadialEigenstate, y: np.ndarray, w: np.ndarray) -> np.ndar
     return _libm(math.exp, state.L_power * _libm(math.log, y) + state.prefactor_exponent * _libm(math.log, w))
 
 
+def _jacobi_piece(state: RadialEigenstate, s: np.ndarray) -> tuple:
+    """(Q, dQ/ds, d2Q/ds2) of Q(s) = P_n^(L+1/2, -1/Lambda-1/2)(1 + 2*Lambda*s)
+    at s = y**2: the Jacobi recurrence and the chain factors 2*Lambda and 4*Lambda**2."""
+    lam = state.Lambda
+    P, P1, P2 = jacobi_values(state.qn.n, state.L_power + 0.5, -1.0 / lam - 0.5, 1.0 + 2.0 * lam * s)
+    return P, 2.0 * lam * P1, 4.0 * lam * lam * P2
+
+
 def eval_state(state: RadialEigenstate, y):
     """Evaluate R(y), endpoints included; y a float or an array of any shape.
 
@@ -151,7 +135,7 @@ def eval_state(state: RadialEigenstate, y):
     ys = np.asarray(y, dtype=float)
     flat = ys.ravel()
     w = _check_inside(state, flat)
-    Q = state.series_poly(flat * flat)
+    Q = _jacobi_piece(state, flat * flat)[0]
     # != rather than >: NaN flows through the interior arithmetic
     inner = (flat != 0.0) & (w != 0.0)
     # 0 at the Lambda < 0 endpoint (a positive power of a zero base) and at y = 0 for L > 0
@@ -182,8 +166,7 @@ def eval_state_with_derivatives(state: RadialEigenstate, y):
         raise ZeroDivisionError("float division by zero")  # -L / (y*y) once y*y underflows
     L = state.L_power
     p = state.prefactor_exponent
-    dq = state.series_poly.derivative()
-    Q, dQ, d2Q = state.series_poly(s), dq(s), dq.derivative()(s)
+    Q, dQ, d2Q = _jacobi_piece(state, s)
     sp = 2.0 * flat  # ds/dy
     A = _prefactor(state, flat, w)
     la = L / flat + 2.0 * lam * p * flat / w  # A'/A
@@ -225,7 +208,10 @@ def _folded_t_poly_exact(state: RadialEigenstate) -> tuple:
     Lambda > 0 (s = t/(Lambda(2-t))): (Lambda(2-t))^n Q(s); the caller
     compensates with Lambda^-n and n extra powers of (1+x) in the weight.
 
-    With lam = P/Q exactly, the series term ratio of ``_series_coeffs`` is
+    The state's polynomial piece in s = y**2 is the terminating series
+    C(n+L+1/2, n) 2F1(-n, n+L+1-1/lam; L+3/2; -lam*s), the Jacobi polynomial
+    P_n^(L+1/2, -1/lam-1/2)(1 + 2*lam*s).  With lam = P/Q exactly, the term
+    ratio of its coefficients in s is
     -2(k-n)((n+L+1+k)P - Q) / ((2L+3+2k)(k+1)Q); the rescaling folds one more
     factor into it, -Q/(2P) per power for Lambda < 0 and Q/P for Lambda > 0.
     """

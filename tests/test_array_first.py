@@ -14,6 +14,7 @@ from nlosc import classical, oracle, radial
 from nlosc.classical import ClassicalStatePlanar
 from nlosc.errors import DomainExit, OutsideDomain, RadialCollapse, StiffnessFailure
 from nlosc.kernels import STATUS_NONFINITE, STATUS_OK, STATUS_UNDERFLOW
+from nlosc.orthopoly import jacobi_values, laguerre_values
 from nlosc.params import domain, make_model, mass_denominator
 
 LAMS = [-0.7, 0.4]
@@ -214,23 +215,30 @@ class TestSolveHelper:
             classical.integrate_planar(0.5, -2.0, 0.0, make_model(1.0, 1.0, 1.0), 5.0)
 
 
-# the parent's float formulas, kept as the references for the array paths
+# the per-point float formulas, kept as the references for the array paths
+def _jacobi_piece(state, s):
+    """(Q, dQ/ds, d2Q/ds2) of P_n^(L+1/2, -1/Lambda-1/2)(1 + 2*Lambda*s) at one float s."""
+    lam = state.Lambda
+    x = 1.0 + 2.0 * lam * s
+    P, P1, P2 = (float(v) for v in jacobi_values(state.qn.n, state.L_power + 0.5, -1.0 / lam - 0.5, x))
+    return P, 2.0 * lam * P1, 4.0 * lam * lam * P2
+
+
 def _reference_R(state, y):
     w = 0.0 if state.Lambda * y * y + 1.0 <= 0 else state.Lambda * y * y + 1.0
     if y == 0.0:
-        return state.norm_const * state.series_poly(0.0) if state.L_power == 0 else 0.0
+        return state.norm_const * _jacobi_piece(state, 0.0)[0] if state.L_power == 0 else 0.0
     if w == 0.0:
         return 0.0
     pref = math.exp(state.L_power * math.log(y) + state.prefactor_exponent * math.log(w))
-    return state.norm_const * pref * state.series_poly(y * y)
+    return state.norm_const * pref * _jacobi_piece(state, y * y)[0]
 
 
 def _reference_derivatives(state, y):
     lam, L, p = state.Lambda, state.L_power, state.prefactor_exponent
     w = lam * y * y + 1.0
     s = y * y
-    dq = state.series_poly.derivative()
-    Q, dQ, d2Q = state.series_poly(s), dq(s), dq.derivative()(s)
+    Q, dQ, d2Q = _jacobi_piece(state, s)
     sp = 2.0 * y
     A = math.exp(L * math.log(y) + p * math.log(w))
     la = L / y + 2.0 * lam * p * y / w
@@ -287,7 +295,7 @@ class TestEigenfunctionArrays:
         assert got.tobytes() == _loop(lambda yi: radial.eval_state(st, yi), y).tobytes()
         assert got.tobytes() == _loop(lambda yi: _reference_R(st, yi), y).tobytes()
         assert np.count_nonzero(np.isnan(got)) == 1  # NaN flows through, as on floats
-        assert got[3] == (0.0 if L else st.norm_const * st.series_poly(0.0))  # y = 0
+        assert got[3] == (0.0 if L else st.norm_const * _jacobi_piece(st, 0.0)[0])  # y = 0
         assert lam > 0 or got[-1] == 0.0  # inside the slack past the lam < 0 endpoint
         assert radial.eval_state(st, y[:256].reshape(16, 16)).tobytes() == got[:256].tobytes()
 
@@ -348,8 +356,7 @@ class TestHarmonicArrays:
         # float_power is libm pow, as Python's ** on floats
         f = oracle.ho_wavefunction(2, L)
         y = np.concatenate([_grid(1.0, 20 + L, signed=True), [0.0, np.nan]])
-        poly = oracle.laguerre(2, L + 0.5)
-        ref = _loop(lambda yi: yi**L * math.exp(-0.5 * yi * yi) * poly(yi * yi), y)
+        ref = _loop(lambda yi: yi**L * math.exp(-0.5 * yi * yi) * float(laguerre_values(2, L + 0.5, yi * yi)[0]), y)
         assert f(y).tobytes() == ref.tobytes() == _loop(f, y).tobytes()
         assert type(f(0.5)) is float
 

@@ -2,10 +2,13 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
+from nlosc import oracle, radial
 from nlosc.cli import run, serialize
 from nlosc.errors import NonFiniteValue
+from polynomial_references import ho_exact, state_exact
 
 
 @pytest.fixture
@@ -86,6 +89,19 @@ class TestStatesCommand:
         for line in out.strip().split("\n")[1:]:
             y, _, weight = map(float, line.split(","))
             assert weight == y * y
+
+    @pytest.mark.parametrize("lam,n,grid", [("-0.1", 30, "0.5:3:6"), ("0", 40, "0.5:6:6")])
+    def test_high_degree_matches_exact_evaluation(self, capture, lam, n, grid):
+        # the polynomial piece evaluated exactly; Horner on monomial coefficients
+        # printed R(3) = 51.3 and R(6) = -2.137 here, where the values are O(0.1)
+        code, out, _ = capture(["states", "--lambda", lam, "--L", "0", "--n", str(n), "--grid", grid])
+        assert code == 0
+        ys, rs, _ = np.array([list(map(float, line.split(","))) for line in out.strip().split("\n")[1:]]).T
+        if float(lam) == 0.0:
+            exact = ho_exact(n, 0, ys)[0] / math.sqrt(oracle.ho_norm_sq(n, 0))
+        else:
+            exact = state_exact(radial.normalize(radial.build_state(n, 0, float(lam))), ys)
+        assert np.max(np.abs(rs - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 class TestGramCommand:

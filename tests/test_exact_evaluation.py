@@ -1,0 +1,96 @@
+"""Eigenfunctions against exact rational evaluation, up to degree 40.
+
+The Jacobi piece of ``eval_state`` and the Laguerre piece of the
+harmonic-oscillator closures are compared with rational evaluation of the same
+polynomials (see ``polynomial_references``) on 60 points of
+(0.05, min(0.999 y_end, 6)), by max|R - R_exact| / max|R_exact|.  The range is
+both signs of Lambda, L = 0..4 and n <= 40, with the top admissible state where
+Lambda > 0 leaves fewer than 41: the ten of Lambda = 0.013 (n = 35..37) and
+Lambda = 0.1 (n = 2..4).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from nlosc import oracle, radial
+from nlosc.params import domain
+from nlosc.spectrum import bound_state_count
+from polynomial_references import ho_exact, state_exact
+
+LAMBDAS = [-3.0, -0.5, -0.1, -0.01, 0.005, 0.013, 0.1]
+DEGREES = (0, 1, 10, 20, 30, 40)
+ACCURACY = 1e-12
+RESIDUAL_GATE = 1e-9
+
+
+def _points(lam):
+    upper = domain(lam).upper
+    return np.linspace(0.05, min(0.999 * upper, 6.0) if math.isfinite(upper) else 6.0, 60)
+
+
+def _states(lam):
+    """(n, L) for L = 0..4 and n in DEGREES up to the top admissible state, which is included."""
+    for L in range(5):
+        count = bound_state_count(lam, L)
+        top = 40 if count.unbounded else min(40, count.count - 1)
+        for n in sorted({n for n in DEGREES if n <= top} | {top}):
+            yield n, L
+
+
+def _rel_err(got, exact):
+    return float(np.max(np.abs(got - exact)) / np.max(np.abs(exact)))
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_eval_state_is_exact_to_1e_12(lam):
+    ys, worst = _points(lam), []
+    for n, L in _states(lam):
+        state = radial.normalize(radial.build_state(n, L, lam))
+        worst.append((_rel_err(radial.eval_state(state, ys), state_exact(state, ys)), n, L))
+    assert max(worst)[0] <= ACCURACY, max(worst)
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_u_transform_residual_at_high_degree(lam):
+    worst = max((radial.u_transform_residual(radial.normalize(radial.build_state(n, L, lam))), n, L)
+                for n, L in _states(lam))
+    assert worst[0] <= RESIDUAL_GATE, worst
+
+
+@pytest.mark.parametrize("L", range(5))
+def test_harmonic_closures_are_exact_to_1e_12(L):
+    ys = _points(0.0)
+    for n in DEGREES:
+        exact = ho_exact(n, L, ys)
+        assert _rel_err(oracle.ho_wavefunction(n, L)(ys), exact[0]) <= ACCURACY, n
+        got = oracle.ho_wavefunction_with_derivatives(n, L)(ys)
+        for k in range(3):
+            assert _rel_err(got[k], exact[k]) <= ACCURACY, (n, k)
+
+
+@pytest.mark.parametrize("L", range(5))
+def test_harmonic_radial_residual_at_high_degree(L):
+    for n in DEGREES:
+        f = oracle.ho_wavefunction_with_derivatives(n, L)
+        worst = max(oracle.radial_residual(f, float(y), 2 * n + L + 1.5, 0.0, L) for y in _points(0.0))
+        assert worst <= 1e-12, n
+
+
+def test_no_recurrence_denominator_vanishes_at_an_admissible_state():
+    # The Jacobi recurrence divides by 2m(m+a+b)(2m+a+b-2), m = 2..n, with
+    # a = L+1/2 and b = -1/Lambda-1/2, so a+b = L - 1/Lambda.  For Lambda < 0
+    # every factor is positive.  For Lambda > 0 the cutoff 2n+L+1 < 1/Lambda
+    # keeps both Lambda-dependent factors below -1; Lambda = 1/k makes a+b an
+    # integer, the closest approach to a zero.
+    lams = np.concatenate([1.0 / np.arange(1, 401), np.geomspace(1e-3, 1.0, 997), -np.geomspace(1e-3, 3.0, 101)])
+    for lam in lams:
+        for L in range(7):
+            count = bound_state_count(lam, L)
+            top = 60 if count.unbounded else count.count - 1
+            if top < 2:
+                continue
+            a, b = L + 0.5, -1.0 / lam - 0.5
+            m = np.arange(2.0, top + 1)
+            assert np.min(np.abs(m + a + b)) > 1.0 and np.min(np.abs(2.0 * m + a + b - 2.0)) > 1.0, (lam, L)

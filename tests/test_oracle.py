@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,7 +100,8 @@ def _raise(*args, **kwargs):
 def test_independent_of_the_closed_form(monkeypatch):
     monkeypatch.setattr(spectrum, "energy_dimless", _raise)
     monkeypatch.setattr(radial, "build_state", _raise)
-    monkeypatch.setattr(orthopoly, "jacobi", _raise)
+    monkeypatch.setattr(orthopoly, "jacobi_values", _raise)
+    monkeypatch.setattr(radial, "jacobi_values", _raise)
     for Lambda, L, k, e in [(-1.5, 0, 2, 23.5), (-0.5, 1, 1, 7.75), (0.1, 0, 4, 5.5), (0.1, 2, 1, 4.6)]:
         assert abs(oracle.shoot_eigenvalue(Lambda, L, k).e_numeric - e) < 1e-9
         assert oracle.eigenfunction_nodes(Lambda, L, e) == k
@@ -171,6 +173,25 @@ class TestNodeCounting:
     def test_non_finite_energy_raises(self, Lambda, e):
         with pytest.raises(ValueError, match=r"^e must be finite, got"):
             oracle.eigenfunction_nodes(Lambda, 0, e)
+
+    @pytest.mark.parametrize("e", [1e12, 1e300])
+    def test_energy_above_every_mesh_raises(self, e):
+        # Lambda < 0 has levels without bound: the mesh doubles while e lies
+        # above its top level, up to the node cap
+        match = rf"needs a mesh of more than {oracle._N_NODES_MAX} nodes$"
+        with pytest.raises(MeshNotConverged, match=match):
+            oracle.eigenfunction_nodes(-1.0, 0, e)
+
+    @pytest.mark.parametrize("Lambda,e", [(0.1, -1e300), (0.1, -1e50), (1e-8, -1e300)])
+    def test_energy_far_below_the_spectrum_raises(self, Lambda, e):
+        # the tail exponent beta(e) overflows (1e-8) or makes the Galerkin matrix non-finite
+        match = "^" + re.escape(f"e = {e} lies too far below the spectrum: the tail exponent")
+        with pytest.raises(ValueError, match=match):
+            oracle.eigenfunction_nodes(Lambda, 0, e)
+
+    @pytest.mark.parametrize("Lambda,e", [(0.1, -1e20), (-1.0, -1e300)])
+    def test_energy_below_the_ground_state_counts_its_nodes(self, Lambda, e):
+        assert oracle.eigenfunction_nodes(Lambda, 0, e) == 0
 
     @pytest.mark.parametrize("Lambda,L,e", [(-1.0, -1, 1.5), (0.1, -2, 1.0)])
     def test_negative_L_raises(self, Lambda, L, e):

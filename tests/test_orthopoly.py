@@ -1,33 +1,30 @@
-import math
-from fractions import Fraction
-
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
+from nlosc import oracle
 from nlosc.errors import InvalidDegree, PoleInDenominator
-from nlosc.orthopoly import (
-    eval_poly,
-    hyp2f1_terminating,
-    jacobi,
-    jacobi_rodrigues,
-    laguerre,
-)
-from nlosc.radial import _beta_moment_value, _beta_moments
+from nlosc.orthopoly import jacobi_values, laguerre_values
+from polynomial_references import hyp2f1_terminating, jacobi_rodrigues
+
+XS = np.linspace(-1.0, 1.0, 21)
 
 
 class TestJacobi:
     def test_degree_zero(self):
-        p = jacobi(0, 0.7, -3.2)
-        assert p.coeffs == (1.0,)
+        assert jacobi_values(0, 0.7, -3.2, XS).tolist() == [[1.0] * 21, [0.0] * 21, [0.0] * 21]
 
     def test_degree_one(self):
-        p = jacobi(1, 0.5, 1.5)
-        assert p.coeffs[0] == pytest.approx(-0.5, rel=1e-15)
-        assert p.coeffs[1] == pytest.approx(2.0, rel=1e-15)
+        # P_1^(0.5, 1.5) = -1/2 + 2x
+        P, P1, P2 = jacobi_values(1, 0.5, 1.5, XS)
+        assert np.allclose(P, -0.5 + 2.0 * XS, rtol=1e-15, atol=1e-15)
+        assert P1.tolist() == [2.0] * 21 and P2.tolist() == [0.0] * 21
 
     def test_legendre(self):
-        p = jacobi(2, 0.0, 0.0)
-        assert np.allclose(p.coeffs, (-0.5, 0.0, 1.5), rtol=1e-14)
+        P, P1, P2 = jacobi_values(2, 0.0, 0.0, XS)
+        assert np.allclose(P, 1.5 * XS * XS - 0.5, rtol=1e-14, atol=1e-15)
+        assert np.allclose(P1, 3.0 * XS, rtol=1e-14, atol=1e-15)
+        assert np.allclose(P2, 3.0, rtol=1e-14)
 
     def test_value_at_one(self):
         # P_n^{(a,b)}(1) = C(n+a, n)
@@ -36,40 +33,49 @@ class TestJacobi:
             expect = 1.0
             for j in range(1, n + 1):
                 expect *= (a + j) / j
-            assert jacobi(n, a, -0.3)(1.0) == pytest.approx(expect, rel=1e-12)
+            assert jacobi_values(n, a, -0.3, 1.0)[0] == pytest.approx(expect, rel=1e-12)
 
     def test_negative_degree(self):
         with pytest.raises(InvalidDegree):
-            jacobi(-1, 0.5, 0.5)
+            jacobi_values(-1, 0.5, 0.5, XS)
+
+
+class TestJacobiValues:
+    @pytest.mark.parametrize("n,a,b", [(3, 1.0, -3.0), (4, 0.5, -2.5), (5, 0.0, -2.0), (4, 2.0, -4.0), (6, 1.5, -5.5)])
+    def test_zero_denominator_raises(self, n, a, b):
+        # a + b a negative integer <= -2 zeroes 2m(m+a+b)(2m+a+b-2) at some m <= n
+        with pytest.raises(PoleInDenominator, match=r"^Jacobi recurrence denominator .* vanishes at m = \d+"):
+            jacobi_values(n, a, b, XS)
+
+    def test_below_the_pole_degree_evaluates(self):
+        # m + a + b = 0 first at m = 2 for a + b = -2, so degree 1 is fine
+        assert np.allclose(jacobi_values(1, 1.0, -3.0, XS)[0], 2.0 + 0.0 * XS)
+
+    def test_shape_and_loop_of_scalars(self):
+        x = np.linspace(-0.9, 3.0, 12).reshape(3, 4)
+        got = jacobi_values(7, 2.5, -20.5, x)
+        assert got.shape == (3, 3, 4)
+        loop = np.array([jacobi_values(7, 2.5, -20.5, float(xi)) for xi in x.ravel()]).T.reshape(3, 3, 4)
+        assert got.tobytes() == loop.tobytes()
 
 
 class TestRodriguesOracle:
     def test_trivial_cases(self):
-        assert jacobi_rodrigues(0, 0.3, 0.9).coeffs == (1.0,)
-        assert np.allclose(jacobi_rodrigues(1, 0.0, 0.0).coeffs, (0.0, 1.0), atol=1e-15)
+        assert jacobi_rodrigues(0, 0.3, 0.9).tolist() == [1.0]
+        assert np.allclose(jacobi_rodrigues(1, 0.0, 0.0), (0.0, 1.0), atol=1e-15)
 
     @pytest.mark.parametrize("a", [0.5, 1.5, 2.5])
     @pytest.mark.parametrize("b", [-0.75, 0.0, 1.0 / 0.25 - 0.5, 1.0 / 0.5 - 0.5])
     @pytest.mark.parametrize("n", range(11))
     def test_agrees_with_recurrence(self, n, a, b):
-        c1 = np.array(jacobi(n, a, b).coeffs)
-        c2 = np.array(jacobi_rodrigues(n, a, b).coeffs)
-        scale = np.max(np.abs(c1))
-        assert np.max(np.abs(c1 - c2)) <= 1e-12 * scale
+        c = jacobi_rodrigues(n, a, b)
+        scale = np.max(np.abs(c))
+        assert np.max(np.abs(jacobi_values(n, a, b, XS)[0] - npoly.polyval(XS, c))) <= 1e-12 * scale
 
     def test_half_integer_negative_b(self):
         # a + b = 1.5: the recurrence never degenerates here
-        c1 = np.array(jacobi(3, 2.0, -0.5).coeffs)
-        c2 = np.array(jacobi_rodrigues(3, 2.0, -0.5).coeffs)
-        assert np.max(np.abs(c1 - c2)) <= 1e-12 * np.max(np.abs(c1))
-
-    @pytest.mark.parametrize("n,a,b", [(3, 1.0, -3.0), (4, 0.5, -2.5), (5, 0.0, -2.0), (4, 2.0, -4.0), (6, 1.5, -5.5)])
-    def test_explicit_sum_fallback(self, n, a, b):
-        # a + b a negative integer <= -2 zeroes a recurrence denominator, so
-        # jacobi falls back to the explicit binomial sum
-        c1 = np.array(jacobi(n, a, b).coeffs)
-        c2 = np.array(jacobi_rodrigues(n, a, b).coeffs)
-        assert np.max(np.abs(c1 - c2)) <= 1e-12 * np.max(np.abs(c1))
+        c = jacobi_rodrigues(3, 2.0, -0.5)
+        assert np.max(np.abs(jacobi_values(3, 2.0, -0.5, XS)[0] - npoly.polyval(XS, c))) <= 1e-12 * np.max(np.abs(c))
 
 
 class TestHyp2f1:
@@ -87,25 +93,33 @@ class TestHyp2f1:
     def test_jacobi_identity(self, n):
         # P_n^{(a,b)}(x) = C(n+a,n) ((x+1)/2)^n 2F1(-n, -n-b; a+1; (x-1)/(x+1))
         a, b = 0.5, 1.25
-        p = jacobi(n, a, b)
         binom = 1.0
         for j in range(1, n + 1):
             binom *= (a + j) / j
         for x in np.linspace(-0.9, 0.9, 20):
             lhs = hyp2f1_terminating(n, -n - b, a + 1.0, (x - 1.0) / (x + 1.0))
-            rhs = (2.0 / (x + 1.0)) ** n / binom * p(x)
+            rhs = (2.0 / (x + 1.0)) ** n / binom * jacobi_values(n, a, b, x)[0]
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
 class TestLaguerre:
+    X = np.linspace(0.0, 9.0, 19)
+
     def test_trivial(self):
-        assert laguerre(0, 2.3).coeffs == (1.0,)
+        assert laguerre_values(0, 2.3, self.X).tolist() == [[1.0] * 19, [0.0] * 19, [0.0] * 19]
 
     def test_degree_one(self):
-        assert np.allclose(laguerre(1, 0.5).coeffs, (1.5, -1.0), rtol=1e-15)
+        # L_1^(1/2) = 3/2 - x
+        P, P1, P2 = laguerre_values(1, 0.5, self.X)
+        assert np.allclose(P, 1.5 - self.X, rtol=1e-15, atol=1e-15)
+        assert P1.tolist() == [-1.0] * 19 and P2.tolist() == [0.0] * 19
 
     def test_degree_two(self):
-        assert np.allclose(laguerre(2, 0.0).coeffs, (1.0, -2.0, 0.5), rtol=1e-14)
+        # L_2^(0) = 1 - 2x + x^2/2
+        P, P1, P2 = laguerre_values(2, 0.0, self.X)
+        assert np.allclose(P, 1.0 - 2.0 * self.X + 0.5 * self.X**2, rtol=1e-14, atol=1e-14)
+        assert np.allclose(P1, -2.0 + self.X, rtol=1e-14, atol=1e-14)
+        assert np.allclose(P2, 1.0, rtol=1e-14)
 
     @pytest.mark.parametrize("n,L", [(0, 0), (1, 0), (2, 1)])
     def test_hypergeometric_limit(self, n, L):
@@ -113,63 +127,46 @@ class TestLaguerre:
         # which is the Laguerre polynomial up to its value at 0; sample points
         # stay away from polynomial roots where a relative bound is meaningless
         lam = 1e-4
-        lag = laguerre(n, L + 0.5)
+        at_zero = laguerre_values(n, L + 0.5, 0.0)[0]
         for y in (0.3, 0.8, 1.5):
             left = hyp2f1_terminating(n, n + L + 1.0 - 1.0 / lam, L + 1.5, -lam * y * y)
-            right = lag(y * y) / lag(0.0)
+            right = laguerre_values(n, L + 0.5, y * y)[0] / at_zero
             assert left == pytest.approx(right, rel=1e-3, abs=1e-3)
 
 
 class TestEvalPoly:
+    """Evaluation at points: scalars, arrays and the derivative rows."""
+
     def test_constant(self):
-        assert jacobi(0, 1.0, 1.0)(7.0) == 1.0
+        assert jacobi_values(0, 1.0, 1.0, 7.0)[0] == 1.0
 
     def test_identity(self):
-        p = jacobi(1, 0.0, 0.0)
-        assert p(3.0) == pytest.approx(3.0, rel=1e-15)
+        assert jacobi_values(1, 0.0, 0.0, 3.0)[0] == pytest.approx(3.0, rel=1e-15)
 
     def test_jacobi_normalization_value(self):
-        assert jacobi(1, 0.5, 1.5)(1.0) == pytest.approx(1.5, rel=1e-14)
+        assert jacobi_values(1, 0.5, 1.5, 1.0)[0] == pytest.approx(1.5, rel=1e-14)
 
     def test_array_input(self):
-        p = jacobi(2, 0.0, 0.0)
-        xs = np.array([0.0, 1.0])
-        assert np.allclose(p(xs), [-0.5, 1.0], rtol=1e-14)
+        assert np.allclose(jacobi_values(2, 0.0, 0.0, np.array([0.0, 1.0]))[0], [-0.5, 1.0], rtol=1e-14)
 
     def test_derivative(self):
-        p = jacobi(3, 0.5, 0.5)
-        dp = p.derivative()
-        x = 0.37
-        h = 1e-6
-        num = (p(x + h) - p(x - h)) / (2 * h)
-        assert dp(x) == pytest.approx(num, rel=1e-8)
+        x, h = 0.37, 1e-6
+        for values in (lambda x: jacobi_values(3, 0.5, 0.5, x), lambda x: laguerre_values(4, 1.5, x)):
+            P, P1, P2 = values(x)
+            lo, hi = values(x - h), values(x + h)
+            assert P1 == pytest.approx((hi[0] - lo[0]) / (2 * h), rel=1e-8)
+            assert P2 == pytest.approx((hi[1] - lo[1]) / (2 * h), rel=1e-8)
 
 
 class TestJacobiOrthogonality:
-    @staticmethod
-    def _to_t_basis(coeffs):
-        """Rewrite p(x) as a polynomial in t = 1 - x, exactly, as
-        (integer numerators, one common denominator)."""
-        out = [Fraction(0)] * len(coeffs)
-        for k, c in enumerate(coeffs):
-            # x^k = (1 - t)^k
-            ck = Fraction(c)
-            for j in range(k + 1):
-                out[j] += ck * math.comb(k, j) * (-1) ** j
-        den = math.lcm(*(v.denominator for v in out))
-        return [v.numerator * (den // v.denominator) for v in out], den
-
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (1.5, -0.75), (0.0, 2.0)])
     def test_weighted_integrals_vanish(self, a, b):
-        polys = [jacobi(n, a, b) for n in range(6)]
-        diag = []
-        for n in range(6):
-            q = self._to_t_basis(np.convolve(polys[n].coeffs, polys[n].coeffs))
-            val, _ = _beta_moment_value(q, _beta_moments(Fraction(a), Fraction(b), 0.0, len(q[0])))
-            diag.append(val)
-            assert val > 0
-        for m in range(6):
-            for n in range(m + 1, 6):
-                q = self._to_t_basis(np.convolve(polys[m].coeffs, polys[n].coeffs))
-                val, _ = _beta_moment_value(q, _beta_moments(Fraction(a), Fraction(b), 0.0, len(q[0])))
-                assert abs(val) <= 1e-8 * math.sqrt(diag[m] * diag[n])
+        # the 8-node Gauss rule of the weight (1-x)^a (1+x)^b is exact to degree 15;
+        # its normalized weights are the squares of the oracle's first basis row
+        x, P, _ = oracle._mesh(8, a, b)
+        w = P[0] ** 2
+        vals = np.array([jacobi_values(n, a, b, x)[0] for n in range(6)])
+        gram = (vals * w) @ vals.T
+        assert np.all(np.diag(gram) > 0)
+        off = gram / np.sqrt(np.outer(np.diag(gram), np.diag(gram))) - np.eye(6)
+        assert np.max(np.abs(off)) <= 1e-12

@@ -16,6 +16,17 @@ def test_import_loads_no_scipy_or_numba():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_numpy_polynomial():
+    # eigenfunctions run their three-term recurrences at the points; no
+    # coefficient-list polynomial module is needed
+    code = "import sys, nlosc.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    src = str(Path(nlosc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_version_matches_pyproject():
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     assert nlosc.__version__ == re.search(r'^version = "([^"]+)"', text, re.M).group(1)

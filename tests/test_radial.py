@@ -6,9 +6,9 @@ import pytest
 from nlosc import radial
 from nlosc.errors import LambdaTooSmall, NotAdmissible, OutsideDomain, QuadratureFailure
 from nlosc.oracle import radial_residual
-from nlosc.orthopoly import hyp2f1_terminating
 from nlosc.params import make_model
 from nlosc.spectrum import bound_state_count, is_admissible
+from polynomial_references import hyp2f1_terminating
 
 
 class TestWeight:
@@ -30,13 +30,15 @@ class TestWeight:
 class TestBuildState:
     def test_ground_state_negative(self):
         st = radial.build_state(0, 0, -1.0)
-        assert st.series_poly.coeffs == (1.0,)
+        Q, dQ, d2Q = radial._jacobi_piece(st, np.array([0.0, 0.5]))
+        assert (Q.tolist(), dQ.tolist(), d2Q.tolist()) == ([1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
         assert st.prefactor_exponent == pytest.approx(0.5, abs=0)
         assert st.e == 1.5
 
     def test_ground_state_positive_l2(self):
         st = radial.build_state(0, 2, 0.1)
-        assert st.series_poly.coeffs == (1.0,)
+        Q, dQ, d2Q = radial._jacobi_piece(st, np.array([0.0, 4.0]))
+        assert (Q.tolist(), dQ.tolist(), d2Q.tolist()) == ([1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
         assert st.L_power == 2
         assert st.prefactor_exponent == pytest.approx(-5.0, rel=1e-15)
 
