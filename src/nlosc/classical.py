@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainExit, OutsideDomain, RadialCollapse, StiffnessFailure
 from .kernels import STATUS_NONFINITE, STATUS_OK, integrate_adaptive, rhs_classical_1d, rhs_classical_planar
-from .params import ModelParams, domain, mass_denominator
+from .params import ModelParams, check_finite, domain, mass_denominator
 
 _R_COLLAPSE = 1e-10
 
@@ -135,10 +135,9 @@ def _solve(rhs, u0, params, t_end, tol, n_samples, what, name, C=None):
     ``C`` is the planar angular momentum, None in 1D.  The first coordinate,
     called ``name`` in messages, must stay inside lam*name**2 + 1 > 0.
     """
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    for arg, value in (("t_end", t_end), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{arg} must be finite and positive, got {value}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2 (the initial state and at least one more), got {n_samples}")
     ts = np.linspace(0.0, t_end, n_samples)
@@ -173,6 +172,7 @@ def integrate_1d(
     n_samples: int = 1000,
 ) -> Trajectory:
     """Integrate (lam*x**2+1)*xdd - lam*x*xd**2 + alpha**2*x = 0."""
+    check_finite(x0=x0, v0=v0)
     mass_denominator(params.lam, x0, "x0")
     rhs = rhs_classical_1d(params.lam, params.alpha**2)
     ts, U = _solve(rhs, (x0, v0), params, t_end, tol, n_samples, "1D integration", "x")
@@ -190,6 +190,7 @@ def integrate_planar(
     n_samples: int = 1000,
 ) -> Trajectory:
     """Integrate the planar radial equation with theta reconstructed from C."""
+    check_finite(r0=r0, rdot0=rdot0, C=C)
     if r0 <= 0:
         raise OutsideDomain(f"initial radius must be positive, got {r0}")
     mass_denominator(params.lam, r0, "r0")

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import classical, oracle, radial
 from .errors import NloscError, NonFiniteValue, NotAdmissible
-from .params import domain, make_model
+from .params import check_finite, domain, make_model
 from .spectrum import bound_state_count, energy_dimless, is_admissible
 
 Columns = Dict[str, list]
@@ -252,8 +252,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        if not math.isfinite(args.Lambda):
-            raise ValueError(f"Lambda must be finite, got {args.Lambda}")
+        check_finite(Lambda=args.Lambda)
         with np.errstate(all="ignore"):
             params, columns = _DISPATCH[args.command](args)
             text = serialize(args.command, params, columns, args.format)

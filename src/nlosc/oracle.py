@@ -45,8 +45,8 @@ import numpy as np
 
 from . import radial
 from .errors import BracketInvalid, LambdaTooSmall, MeshNotConverged, NotAdmissible, OutsideDomain
-from .orthopoly import _check_degree, _libm, laguerre_values
-from .params import mass_denominator
+from .orthopoly import _check_degree, _libm, laguerre
+from .params import check_finite, mass_denominator
 from .spectrum import QuantumNumbers, check_angular_momentum
 
 # The mesh has max(_N_MIN, k + _N_PAD) nodes and is checked against twice that.
@@ -256,8 +256,7 @@ def _level(Lambda: float, L: int, k: int, N: int):
 
 
 def _check_lambda(Lambda: float) -> None:
-    if not math.isfinite(Lambda):
-        raise ValueError(f"Lambda must be finite, got {Lambda}")
+    check_finite(Lambda=Lambda)
     if Lambda == 0:
         raise LambdaTooSmall("Lambda = 0 is the harmonic oscillator, e = 2n + L + 3/2 (spectrum.ho_energy)")
 
@@ -315,8 +314,7 @@ def eigenfunction_nodes(Lambda: float, L: int, e: float) -> int:
     exponent is not finite raises ValueError.
     """
     check_angular_momentum(L)
-    if not math.isfinite(e):
-        raise ValueError(f"e must be finite, got {e}")
+    check_finite(e=e)
     _check_lambda(Lambda)
     beta = 0.0
     if Lambda > 0:
@@ -357,7 +355,7 @@ def ho_wavefunction(n: int, L: int) -> Callable:
 
     def f(y):
         y = np.asarray(y, dtype=float)
-        r = np.float_power(y, L) * _libm(math.exp, -0.5 * y * y) * laguerre_values(n, L + 0.5, y * y)[0]
+        r = np.float_power(y, L) * _libm(math.exp, -0.5 * y * y) * laguerre(n, L + 0.5, y * y)
         return float(r) if r.ndim == 0 else r
 
     return f
@@ -366,12 +364,15 @@ def ho_wavefunction(n: int, L: int) -> Callable:
 def ho_norm_sq(n: int, L: int) -> float:
     """Weighted norm int_0^inf ho_wavefunction(n, L)(y)**2 y**2 dy in closed
     form: the Laguerre norm Gamma(n+L+3/2)/(2*n!)."""
+    check_angular_momentum(L)
+    _check_degree(n)
     return 0.5 * math.exp(math.lgamma(n + L + 1.5) - math.lgamma(n + 1.0))
 
 
 def ho_wavefunction_with_derivatives(n: int, L: int) -> Callable:
     """Analytic (R, R', R'') of the harmonic-oscillator radial function, on a
     float (giving floats) or an array, as :func:`ho_wavefunction`."""
+    check_angular_momentum(L)
     _check_degree(n)
 
     def f(y):
@@ -379,7 +380,8 @@ def ho_wavefunction_with_derivatives(n: int, L: int) -> Callable:
         s = y * y
         if np.any(s == 0.0):  # L / y and -L / (y*y), as on floats
             raise ZeroDivisionError("float division by zero")
-        Q, dQ, d2Q = laguerre_values(n, L + 0.5, s)
+        # d/ds L_n^(a) = -L_(n-1)^(a+1), with L_(-1) = L_(-2) = 0
+        Q, dQ, d2Q = ((-1.0) ** j * laguerre(n - j, L + 0.5 + j, s) if j <= n else np.zeros_like(s) for j in range(3))
         A = np.float_power(y, L) * _libm(math.exp, -0.5 * s)
         la = L / y - y
         dla = -L / s - 1.0

@@ -1,13 +1,11 @@
 """Jacobi and Laguerre polynomials at points, by their three-term recurrences.
 
 Both families satisfy p_(k+1) = ((A_k x + B_k) p_k - C_k p_(k-1)) / D_k
-(DLMF 18.9.1, with 18.9.2 for Jacobi and 18.9.13 for Laguerre).
-:func:`_recurrence` runs it on the array of evaluation points, one numpy pass
-per degree, and differentiates it in place: the j-th derivatives obey
-
-    D_k p_(k+1)^(j) = (A_k x + B_k) p_k^(j) + j A_k p_k^(j-1) - C_k p_(k-1)^(j),
-
-so P, P' and P'' advance together as the rows of one array.  No monomial
+(DLMF 18.9.1, with 18.9.2 for Jacobi and 18.9.13 for Laguerre), which
+:func:`_recurrence` runs on the array of points, one numpy pass per degree.
+A derivative is the same family one degree lower at shifted parameters,
+d/dx P_n^(a,b) = (n+a+b+1)/2 P_(n-1)^(a+1,b+1) and d/dx L_n^(a) = -L_(n-1)^(a+1)
+(DLMF 18.9.15, 18.9.23), so no derivative is carried here.  No monomial
 coefficients are formed: summed at a point they alternate in sign and cancel,
 to O(1) relative error by degree 30, while the recurrence stays within a few
 hundred ulp of exact rational evaluation up to degree 40 at least.
@@ -27,33 +25,24 @@ def _check_degree(n: int) -> int:
 
 
 def _recurrence(n: int, x, step) -> np.ndarray:
-    """(p_n, p_n', p_n'') at the points x, stacked on a leading axis of 3;
-    ``step(k)`` gives (A_k, B_k, C_k, D_k) for degree k -> k+1, with p_0 = 1."""
+    """p_n at the points x, an array of their shape, from p_0 = 1 and p_(-1) = 0; ``step(k)``
+    gives (A_k, B_k, C_k, D_k) for degree k -> k+1.  A negative or fractional n raises."""
     x = np.asarray(x, dtype=float)
-    prev = np.zeros((3,) + x.shape)
-    cur = np.zeros((3,) + x.shape)
-    cur[0] = 1.0
-    for k in range(n):
+    prev, cur = np.zeros(x.shape), np.ones(x.shape)
+    for k in range(_check_degree(n)):
         A, B, C, D = step(k)
-        nxt = (A * x + B) * cur
-        nxt[1] += A * cur[0]
-        nxt[2] += 2.0 * A * cur[1]
-        nxt -= C * prev
-        nxt /= D
-        prev, cur = cur, nxt
+        prev, cur = cur, ((A * x + B) * cur - C * prev) / D
     return cur
 
 
-def jacobi_values(n: int, a: float, b: float, x) -> np.ndarray:
-    """P_n^(a,b) with P_n^(a,b)(1) = C(n+a, n), and its first two derivatives,
-    at the points x: an array of shape (3,) + shape of x.
+def jacobi(n: int, a: float, b: float, x) -> np.ndarray:
+    """P_n^(a,b) with P_n^(a,b)(1) = C(n+a, n) at the points x, an array of their shape.
 
     b may be any real.  A recurrence denominator 2m(m+a+b)(2m+a+b-2) that is
     zero up to rounding (a+b a negative integer reached by an intermediate
     degree m) raises :class:`PoleInDenominator`; no admissible state of
-    :mod:`nlosc.radial` reaches one.
+    :mod:`nlosc.radial` reaches one, nor do its shifted parameters.
     """
-    n = _check_degree(n)
 
     def step(k):
         if k == 0:
@@ -70,10 +59,8 @@ def jacobi_values(n: int, a: float, b: float, x) -> np.ndarray:
     return _recurrence(n, x, step)
 
 
-def laguerre_values(n: int, a: float, x) -> np.ndarray:
-    """Generalized Laguerre L_n^(a) with L_n^(a)(0) = C(n+a, n), and its first
-    two derivatives, at the points x, stacked as in :func:`jacobi_values`."""
-    n = _check_degree(n)
+def laguerre(n: int, a: float, x) -> np.ndarray:
+    """Generalized Laguerre L_n^(a) with L_n^(a)(0) = C(n+a, n) at the points x, an array of their shape."""
     return _recurrence(n, x, lambda k: (-1.0, 2.0 * k + a + 1.0, k + a, k + 1.0))
 
 

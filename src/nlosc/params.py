@@ -71,6 +71,13 @@ def dimensionless(params: ModelParams) -> DimensionlessModel:
     return DimensionlessModel(Lambda=params.lam * c * c, scale_C=c)
 
 
+def check_finite(**values) -> None:
+    """Raise a ValueError naming the first argument that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def domain(Lambda: float) -> Domain:
     """Radial domain: (0, sqrt(1/|Lambda|)) for Lambda < 0, else (0, inf)."""
     if Lambda < 0:

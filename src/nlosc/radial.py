@@ -36,7 +36,7 @@ from .errors import (
     OutsideDomain,
     QuadratureFailure,
 )
-from .orthopoly import _libm, jacobi_values
+from .orthopoly import _libm, jacobi
 from .params import ModelParams, domain, mass_at, mass_denominator
 from .spectrum import QuantumNumbers, energy_dimless, is_admissible
 
@@ -118,12 +118,15 @@ def _prefactor(state: RadialEigenstate, y: np.ndarray, w: np.ndarray) -> np.ndar
     return _libm(math.exp, state.L_power * _libm(math.log, y) + state.prefactor_exponent * _libm(math.log, w))
 
 
-def _jacobi_piece(state: RadialEigenstate, s: np.ndarray) -> tuple:
-    """(Q, dQ/ds, d2Q/ds2) of Q(s) = P_n^(L+1/2, -1/Lambda-1/2)(1 + 2*Lambda*s)
-    at s = y**2: the Jacobi recurrence and the chain factors 2*Lambda and 4*Lambda**2."""
-    lam = state.Lambda
-    P, P1, P2 = jacobi_values(state.qn.n, state.L_power + 0.5, -1.0 / lam - 0.5, 1.0 + 2.0 * lam * s)
-    return P, 2.0 * lam * P1, 4.0 * lam * lam * P2
+def _jacobi_piece(state: RadialEigenstate, s: np.ndarray):
+    """Q, dQ/ds and d2Q/ds2 of Q(s) = P_n^(L+1/2, -1/Lambda-1/2)(1 + 2*Lambda*s) in
+    turn, each computed when drawn: the j-th is P_(n-j) at both parameters plus j
+    (0 for j > n), times Lambda*(n+L+k) - 1 for k = 1..j (dx/ds = 2*Lambda)."""
+    lam, n, L = state.Lambda, state.qn.n, state.L_power
+    x, c = 1.0 + 2.0 * lam * s, 1.0
+    for j in range(3):
+        yield c * jacobi(n - j, L + 0.5 + j, -1.0 / lam - 0.5 + j, x) if j <= n else np.zeros_like(x)
+        c *= lam * (n + L + 1 + j) - 1.0
 
 
 def eval_state(state: RadialEigenstate, y):
@@ -135,7 +138,7 @@ def eval_state(state: RadialEigenstate, y):
     ys = np.asarray(y, dtype=float)
     flat = ys.ravel()
     w = _check_inside(state, flat)
-    Q = _jacobi_piece(state, flat * flat)[0]
+    Q = next(_jacobi_piece(state, flat * flat))
     # != rather than >: NaN flows through the interior arithmetic
     inner = (flat != 0.0) & (w != 0.0)
     # 0 at the Lambda < 0 endpoint (a positive power of a zero base) and at y = 0 for L > 0

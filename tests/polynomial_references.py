@@ -77,6 +77,35 @@ def jacobi_piece_exact(state, ys):
     return out
 
 
+def jacobi_piece_s_coeffs(state):
+    """Coefficients, ascending in s = y**2, of the state's Jacobi piece as
+    Fractions: the terminating series C(n+L+1/2, n) 2F1(-n, n+L+1-1/lam; L+3/2; -lam*s)
+    with lam the float Lambda taken exactly."""
+    n, L, lam = state.qn.n, state.qn.L, Fraction(state.Lambda)
+    h = Fraction(1)
+    for j in range(1, n + 1):  # C(n+L+1/2, n)
+        h *= (L + Fraction(1, 2) + j) / j
+    coeffs = [h]
+    for k in range(n):
+        h *= (k - n) * (n + L + 1 + k - 1 / lam) * -lam / ((L + Fraction(3, 2) + k) * (k + 1))
+        coeffs.append(h)
+    return coeffs
+
+
+def jacobi_piece_derivatives_exact(state, ys):
+    """Rows Q, dQ/ds and d2Q/ds2 of the state's Jacobi piece at s = y**2 for
+    each float y, exactly: the coefficients in s differentiated term by term
+    and summed in integers, rounded once per value."""
+    c = jacobi_piece_s_coeffs(state)
+    rows = []
+    for j in range(3):
+        cj = [math.perm(k, j) * c[k] for k in range(j, len(c))]
+        den = math.lcm(1, *(v.denominator for v in cj))
+        ints = [int(v * den) for v in cj]
+        rows.append([float(_at(ints, den, Fraction(y) ** 2)) for y in ys])
+    return np.array(rows)
+
+
 def state_exact(state, ys):
     """R at the points ys with the Jacobi piece exact (float prefactor and norm)."""
     out = []

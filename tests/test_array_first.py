@@ -14,7 +14,7 @@ from nlosc import classical, oracle, radial
 from nlosc.classical import ClassicalStatePlanar
 from nlosc.errors import DomainExit, OutsideDomain, RadialCollapse, StiffnessFailure
 from nlosc.kernels import STATUS_NONFINITE, STATUS_OK, STATUS_UNDERFLOW
-from nlosc.orthopoly import jacobi_values, laguerre_values
+from nlosc.orthopoly import jacobi, laguerre
 from nlosc.params import domain, make_model, mass_denominator
 
 LAMS = [-0.7, 0.4]
@@ -217,11 +217,14 @@ class TestSolveHelper:
 
 # the per-point float formulas, kept as the references for the array paths
 def _jacobi_piece(state, s):
-    """(Q, dQ/ds, d2Q/ds2) of P_n^(L+1/2, -1/Lambda-1/2)(1 + 2*Lambda*s) at one float s."""
-    lam = state.Lambda
+    """(Q, dQ/ds, d2Q/ds2) of P_n^(L+1/2, -1/Lambda-1/2)(1 + 2*Lambda*s) at one float s;
+    the j-th derivative is P_(n-j) at parameters shifted by j, times a factor
+    Lambda*(n+L+k) - 1 for each k = 1..j."""
+    lam, n, L = state.Lambda, state.qn.n, state.L_power
     x = 1.0 + 2.0 * lam * s
-    P, P1, P2 = (float(v) for v in jacobi_values(state.qn.n, state.L_power + 0.5, -1.0 / lam - 0.5, x))
-    return P, 2.0 * lam * P1, 4.0 * lam * lam * P2
+    P, P1, P2 = (float(jacobi(n - j, L + 0.5 + j, -1.0 / lam - 0.5 + j, x)) if j <= n else 0.0 for j in range(3))
+    c1 = lam * (n + L + 1) - 1.0
+    return P, c1 * P1, c1 * (lam * (n + L + 2) - 1.0) * P2
 
 
 def _reference_R(state, y):
@@ -356,7 +359,7 @@ class TestHarmonicArrays:
         # float_power is libm pow, as Python's ** on floats
         f = oracle.ho_wavefunction(2, L)
         y = np.concatenate([_grid(1.0, 20 + L, signed=True), [0.0, np.nan]])
-        ref = _loop(lambda yi: yi**L * math.exp(-0.5 * yi * yi) * float(laguerre_values(2, L + 0.5, yi * yi)[0]), y)
+        ref = _loop(lambda yi: yi**L * math.exp(-0.5 * yi * yi) * float(laguerre(2, L + 0.5, yi * yi)), y)
         assert f(y).tobytes() == ref.tobytes() == _loop(f, y).tobytes()
         assert type(f(0.5)) is float
 

@@ -85,6 +85,20 @@ class TestIntegrate1D:
         with pytest.raises(ValueError, match=r"^tol must be finite and positive, got"):
             classical.integrate_planar(0.5, 0.0, 0.3, p, 10.0, tol=tol)
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    def test_t_end_must_be_finite(self, model, t_end):
+        # t_end = nan returned t = [nan, nan, nan]; t_end = inf ran up to the 10 M step cap
+        with pytest.raises(ValueError, match=r"^t_end must be finite and positive, got"):
+            classical.integrate_1d(1.0, 0.0, model, t_end, n_samples=3)
+        with pytest.raises(ValueError, match=r"^t_end must be finite and positive, got"):
+            classical.integrate_planar(1.0, 0.0, 0.5, model, t_end, n_samples=3)
+
+    @pytest.mark.parametrize("x0,v0,name", [(math.nan, 0.0, "x0"), (-math.inf, 0.0, "x0"), (0.5, math.inf, "v0")])
+    def test_initial_state_must_be_finite(self, model, x0, v0, name):
+        # these reported DomainExit (non-finite state) after a first step
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got"):
+            classical.integrate_1d(x0, v0, model, 1.0, n_samples=3)
+
     @pytest.mark.parametrize("lam", [-0.5, 0.5, 1.0, 2.0])
     def test_random_constraint_pairs(self, lam):
         rng = np.random.default_rng(int(10 * abs(lam)) + 3)
@@ -115,6 +129,15 @@ class TestIntegratePlanar:
         linear = classical.integrate_1d(0.5, 0.3, model, 0.6, n_samples=400)
         assert np.max(np.abs(planar.x - linear.x)) < 1e-12
         assert np.max(np.abs(planar.theta)) == 0.0
+
+    @pytest.mark.parametrize(
+        "r0,rdot0,C,name",
+        [(math.nan, 0.0, 0.5, "r0"), (math.inf, 0.0, 0.5, "r0"), (1.0, math.nan, 0.5, "rdot0"), (1.0, 0.0, math.nan, "C")],
+    )
+    def test_initial_state_must_be_finite(self, model, r0, rdot0, C, name):
+        # these reported RadialCollapse after a first step
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got"):
+            classical.integrate_planar(r0, rdot0, C, model, 1.0, n_samples=3)
 
     def test_angular_momentum_conserved(self, model):
         C = 1.3

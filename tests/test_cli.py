@@ -175,6 +175,8 @@ class TestClassicalArguments:
             ("--tol", "0", "tol must be finite and positive, got 0.0"),
             ("--tol", "-1", "tol must be finite and positive, got -1.0"),
             ("--tol", "nan", "tol must be finite and positive, got nan"),
+            ("--t-end", "inf", "t_end must be finite and positive, got inf"),
+            ("--t-end", "nan", "t_end must be finite and positive, got nan"),
         ],
     )
     @pytest.mark.parametrize("mode", ["1d", "planar"])
@@ -185,6 +187,17 @@ class TestClassicalArguments:
         assert out == ""
         assert err.startswith(f"error: ValueError: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "mode,flag,value",
+        [("1d", "--x0", "nan"), ("1d", "--v0", "inf"), ("planar", "--C", "nan"), ("planar", "--r0", "nan"),
+         ("planar", "--rdot0", "nan"), ("planar", "--r0", "-inf")],
+    )
+    def test_non_finite_initial_value_exit_1(self, capture, mode, flag, value):
+        # these reported DomainExit or RadialCollapse after a first step
+        code, out, err = capture(["classical", "--mode", mode, "--lambda", "1", flag, value])
+        assert (code, out) == (1, "")
+        assert err == f"error: ValueError: {flag[2:]} must be finite, got {float(value)}\n"
 
     def test_shoot_tol_exit_1(self, capture):
         code, out, err = capture(["shoot", "--lambda", "-0.5", "--n", "1", "--tol", "0"])

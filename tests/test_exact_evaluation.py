@@ -1,8 +1,9 @@
 """Eigenfunctions against exact rational evaluation, up to degree 40.
 
-The Jacobi piece of ``eval_state`` and the Laguerre piece of the
-harmonic-oscillator closures are compared with rational evaluation of the same
-polynomials (see ``polynomial_references``) on 60 points of
+The Jacobi piece of ``eval_state`` with its two derivatives in s = y**2, and
+the Laguerre piece of the harmonic-oscillator closures, are compared with
+rational evaluation of the same polynomials (see ``polynomial_references``) on
+60 points of
 (0.05, min(0.999 y_end, 6)), by max|R - R_exact| / max|R_exact|.  The range is
 both signs of Lambda, L = 0..4 and n <= 40, with the top admissible state where
 Lambda > 0 leaves fewer than 41: the ten of Lambda = 0.013 (n = 35..37) and
@@ -17,7 +18,7 @@ import pytest
 from nlosc import oracle, radial
 from nlosc.params import domain
 from nlosc.spectrum import bound_state_count
-from polynomial_references import ho_exact, state_exact
+from polynomial_references import ho_exact, jacobi_piece_derivatives_exact, state_exact
 
 LAMBDAS = [-3.0, -0.5, -0.1, -0.01, 0.005, 0.013, 0.1]
 DEGREES = (0, 1, 10, 20, 30, 40)
@@ -53,6 +54,22 @@ def test_eval_state_is_exact_to_1e_12(lam):
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
+def test_jacobi_piece_and_its_derivatives_are_exact_to_1e_12(lam):
+    # Q, dQ/ds and d2Q/ds2 by the parameter shift, against the exact series in s
+    ys, worst = _points(lam), []
+    for n, L in _states(lam):
+        state = radial.build_state(n, L, lam)
+        got = tuple(radial._jacobi_piece(state, ys * ys))
+        exact = jacobi_piece_derivatives_exact(state, ys)
+        for j in range(3):
+            if j > n:
+                assert not np.any(got[j]), (n, L, j)
+            else:
+                worst.append((_rel_err(got[j], exact[j]), n, L, j))
+    assert max(worst)[0] <= ACCURACY, max(worst)
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
 def test_u_transform_residual_at_high_degree(lam):
     worst = max((radial.u_transform_residual(radial.normalize(radial.build_state(n, L, lam))), n, L)
                 for n, L in _states(lam))
@@ -80,10 +97,11 @@ def test_harmonic_radial_residual_at_high_degree(L):
 
 def test_no_recurrence_denominator_vanishes_at_an_admissible_state():
     # The Jacobi recurrence divides by 2m(m+a+b)(2m+a+b-2), m = 2..n, with
-    # a = L+1/2 and b = -1/Lambda-1/2, so a+b = L - 1/Lambda.  For Lambda < 0
-    # every factor is positive.  For Lambda > 0 the cutoff 2n+L+1 < 1/Lambda
-    # keeps both Lambda-dependent factors below -1; Lambda = 1/k makes a+b an
-    # integer, the closest approach to a zero.
+    # a = L+1/2 and b = -1/Lambda-1/2, so a+b = L - 1/Lambda; the derivatives
+    # run it at (a+j, b+j) up to degree n-j, j = 1, 2.  For Lambda < 0 every
+    # factor is positive.  For Lambda > 0 the cutoff 2n+L+1 < 1/Lambda keeps
+    # both Lambda-dependent factors below -1 for each j; Lambda = 1/k makes a+b
+    # an integer, the closest approach to a zero.
     lams = np.concatenate([1.0 / np.arange(1, 401), np.geomspace(1e-3, 1.0, 997), -np.geomspace(1e-3, 3.0, 101)])
     for lam in lams:
         for L in range(7):
@@ -91,6 +109,8 @@ def test_no_recurrence_denominator_vanishes_at_an_admissible_state():
             top = 60 if count.unbounded else count.count - 1
             if top < 2:
                 continue
-            a, b = L + 0.5, -1.0 / lam - 0.5
-            m = np.arange(2.0, top + 1)
-            assert np.min(np.abs(m + a + b)) > 1.0 and np.min(np.abs(2.0 * m + a + b - 2.0)) > 1.0, (lam, L)
+            for j in range(3):
+                a, b = L + 0.5 + j, -1.0 / lam - 0.5 + j
+                m = np.arange(2.0, top - j + 1)
+                if m.size:
+                    assert np.min(np.abs(m + a + b)) > 1.0 and np.min(np.abs(2.0 * m + a + b - 2.0)) > 1.0, (lam, L, j)

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nlosc import oracle, orthopoly, radial, spectrum
-from nlosc.errors import BracketInvalid, LambdaTooSmall, MeshNotConverged, NotAdmissible
+from nlosc.errors import BracketInvalid, InvalidDegree, LambdaTooSmall, MeshNotConverged, NotAdmissible
 from nlosc.spectrum import bound_state_count, energy_dimless
 
 EIGENVALUE_GATE = 1e-6
@@ -100,8 +100,7 @@ def _raise(*args, **kwargs):
 def test_independent_of_the_closed_form(monkeypatch):
     monkeypatch.setattr(spectrum, "energy_dimless", _raise)
     monkeypatch.setattr(radial, "build_state", _raise)
-    monkeypatch.setattr(orthopoly, "jacobi_values", _raise)
-    monkeypatch.setattr(radial, "jacobi_values", _raise)
+    monkeypatch.setattr(orthopoly, "_recurrence", _raise)  # every Jacobi and Laguerre polynomial
     for Lambda, L, k, e in [(-1.5, 0, 2, 23.5), (-0.5, 1, 1, 7.75), (0.1, 0, 4, 5.5), (0.1, 2, 1, 4.6)]:
         assert abs(oracle.shoot_eigenvalue(Lambda, L, k).e_numeric - e) < 1e-9
         assert oracle.eigenfunction_nodes(Lambda, L, e) == k
@@ -328,6 +327,14 @@ class TestHarmonicBranch:
     def test_rejects_negative_L(self):
         with pytest.raises(ValueError, match="^quantum numbers must be nonnegative, got L = -1$"):
             oracle.ho_wavefunction(0, -1)
+
+    @pytest.mark.parametrize("helper", [oracle.ho_wavefunction, oracle.ho_norm_sq, oracle.ho_wavefunction_with_derivatives])
+    def test_helpers_check_n_and_L(self, helper):
+        # ho_norm_sq(0, -1) returned 0.886 and ho_norm_sq(-1, 0) raised a bare math domain error
+        with pytest.raises(ValueError, match="^quantum numbers must be nonnegative, got L = -1$"):
+            helper(0, -1)
+        with pytest.raises(InvalidDegree, match="^degree must be a nonnegative integer, got -1$"):
+            helper(-1, 0)
 
     @pytest.mark.parametrize("n,L", [(0, 0), (1, 0), (2, 1), (3, 2)])
     def test_residual(self, n, L):
