@@ -44,7 +44,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import radial
-from .errors import BracketInvalid, LambdaTooSmall, MeshNotConverged, NotAdmissible, OutsideDomain
+from .errors import BracketInvalid, MeshNotConverged, NotAdmissible, OutsideDomain
 from .orthopoly import _check_degree, _libm, laguerre
 from .params import check_finite, mass_denominator
 from .spectrum import QuantumNumbers, check_angular_momentum
@@ -70,10 +70,13 @@ _MAX_SECANT = 60
 class ShootingResult:
     """The oracle's k-th eigenvalue and what it cost.
 
-    ``iterations`` counts the eigen-solves; ``bracket`` is the explicit
-    ``e_bracket`` or an interval that isolates ``e_numeric`` (the final secant
-    bracket for Lambda > 0, the midpoints to the neighboring levels for
-    Lambda < 0); ``terminal_mismatch`` is |e(2N) - e(N)| / max(1, |e|).
+    ``iterations`` counts the eigen-solves on both meshes, for Lambda > 0
+    including the one or two that try to start the 2N secant from the N-node
+    level (and the walk after them when that start fails); ``bracket`` is
+    the explicit ``e_bracket`` or an interval that isolates ``e_numeric``
+    (the final 2N secant bracket for Lambda > 0, usually within rtol of the
+    N-node level; the midpoints to the neighboring levels for Lambda < 0);
+    ``terminal_mismatch`` is |e(2N) - e(N)| / max(1, |e|).
     """
 
     e_numeric: float
@@ -194,7 +197,7 @@ def _tail_exponent(e: float, Lambda: float, L: int) -> float:
     return 0.5 * (1.0 + math.sqrt(max(0.0, 2.0 * (_threshold(Lambda, L) - e) / Lambda)))
 
 
-def _bound_level(Lambda: float, L: int, k: int, N: int):
+def _bound_level(Lambda: float, L: int, k: int, N: int, start: Optional[Tuple[float, float]] = None):
     """k-th level for Lambda > 0: the root of f(e) = E_k(beta(e)) - e on
     [0, e*), E_k the k-th Galerkin level with tail exponent beta.  Returns
     (e, solves, bracket).
@@ -207,6 +210,15 @@ def _bound_level(Lambda: float, L: int, k: int, N: int):
     walk that reaches t = _TAIL_MARGIN finds no level.  The root is then
     polished by the Illinois variant of the secant method, which keeps the
     sign change.
+
+    ``start = (e_c, w)`` is a level expected within w of e_c (the coarse
+    mesh's, for the fine solve).  f is then taken at e_c and at e_c + w or
+    e_c - w, on the side where the sign of f(e_c) puts the root; if the pair
+    changes sign inside the walk's range, the secant starts from it with e_c
+    as its previous iterate, so a level that has not moved stops after one
+    step.  Otherwise the walk from e = 0 runs as without a start.  Either
+    way ``solves`` counts every evaluation of f and ``bracket`` is the final
+    secant bracket.
     """
     solves = 0
 
@@ -216,23 +228,35 @@ def _bound_level(Lambda: float, L: int, k: int, N: int):
         return _levels(Lambda, L, N, beta)[k] - e
 
     e_star = _threshold(Lambda, L)
-    t = _tail_exponent(0.0, Lambda, L) - 0.5
-    a, fa = 0.0, f(0.0, 0.5 + t)
-    if fa <= 0:
-        raise MeshNotConverged(f"level k = {k} at Lambda = {Lambda}, L = {L} is not above e = 0 on {N} nodes")
-    while True:
-        t *= 0.5
-        if t < _TAIL_MARGIN:
-            raise NotAdmissible(
-                f"no bound state k = {k} at Lambda = {Lambda}, L = {L}: the level stays above e "
-                f"up to the continuum threshold e* = {e_star!r}"
-            )
-        b = e_star - 2.0 * Lambda * t * t
-        fb = f(b, 0.5 + t)
-        if fb < 0:
-            break
-        a, fa = b, fb
-    c = math.inf
+
+    def walk():
+        t = _tail_exponent(0.0, Lambda, L) - 0.5
+        a, fa = 0.0, f(0.0, 0.5 + t)
+        if fa <= 0:
+            raise MeshNotConverged(f"level k = {k} at Lambda = {Lambda}, L = {L} is not above e = 0 on {N} nodes")
+        while True:
+            t *= 0.5
+            if t < _TAIL_MARGIN:
+                raise NotAdmissible(
+                    f"no bound state k = {k} at Lambda = {Lambda}, L = {L}: the level stays above e "
+                    f"up to the continuum threshold e* = {e_star!r}"
+                )
+            b = e_star - 2.0 * Lambda * t * t
+            fb = f(b, 0.5 + t)
+            if fb < 0:
+                return a, fa, b, fb
+            a, fa = b, fb
+
+    c, pair = math.inf, None  # the secant's previous iterate, and its starting pair
+    if start is not None:
+        e_c, w = start
+        f_c = f(e_c, _tail_exponent(e_c, Lambda, L))
+        e_w = e_c + w if f_c > 0 else e_c - w
+        if 0.0 < e_w <= e_star - 2.0 * Lambda * _TAIL_MARGIN**2:  # where the walk may look
+            f_w = f(e_w, _tail_exponent(e_w, Lambda, L))
+            if f_c * f_w < 0:
+                c, pair = e_c, (e_c, f_c, e_w, f_w)
+    a, fa, b, fb = pair or walk()
     for _ in range(_MAX_SECANT):
         c_old, c = c, (a * fb - b * fa) / (fb - fa)
         fc = f(c, _tail_exponent(c, Lambda, L))
@@ -246,10 +270,11 @@ def _bound_level(Lambda: float, L: int, k: int, N: int):
     raise MeshNotConverged(f"secant on E_k(beta(e)) - e did not settle in {_MAX_SECANT} steps at Lambda = {Lambda}")
 
 
-def _level(Lambda: float, L: int, k: int, N: int):
-    """(e, solves, bracket) of the k-th level on the N-node mesh."""
+def _level(Lambda: float, L: int, k: int, N: int, start: Optional[Tuple[float, float]] = None):
+    """(e, solves, bracket) of the k-th level on the N-node mesh; ``start``
+    as in :func:`_bound_level` (unused for Lambda < 0)."""
     if Lambda > 0:
-        return _bound_level(Lambda, L, k, N)
+        return _bound_level(Lambda, L, k, N, start)
     e = _levels(Lambda, L, N)
     lo = 0.5 * (e[k - 1] + e[k]) if k else 1.5 * e[0] - 0.5 * e[1]
     return float(e[k]), 1, (float(lo), float(0.5 * (e[k] + e[k + 1])))
@@ -257,8 +282,7 @@ def _level(Lambda: float, L: int, k: int, N: int):
 
 def _check_lambda(Lambda: float) -> None:
     check_finite(Lambda=Lambda)
-    if Lambda == 0:
-        raise LambdaTooSmall("Lambda = 0 is the harmonic oscillator, e = 2n + L + 3/2 (spectrum.ho_energy)")
+    radial.check_lambda_switch(Lambda)
 
 
 def shoot_eigenvalue(
@@ -272,9 +296,14 @@ def shoot_eigenvalue(
 
     The level is solved on N = max(16, k + 8) nodes and again on 2N; ``rtol``
     bounds |e(2N) - e(N)| / max(1, |e|), and a larger change raises
-    :class:`MeshNotConverged`.  An explicit ``e_bracket`` that does not hold
-    the level raises :class:`BracketInvalid`; for Lambda > 0, a k with no bound
-    state raises :class:`NotAdmissible`.
+    :class:`MeshNotConverged`.  For Lambda > 0 the 2N secant starts from the
+    N-node level e_c and its neighbor at distance rtol max(1, |e_c|) (see
+    :func:`_bound_level`); when the level moved further than that, the 2N
+    solve walks up from e = 0 as the N-node one did.  An explicit
+    ``e_bracket`` that does not hold the level raises :class:`BracketInvalid`;
+    for Lambda > 0, a k with no bound state raises :class:`NotAdmissible`.
+    |Lambda| <= radial.LAMBDA_SWITCH raises :class:`LambdaTooSmall`: there
+    the tail exponent, about 1/(2 Lambda), resolves e only to about eps/Lambda.
     """
     QuantumNumbers(n=k, L=L)  # raises ValueError for negative k or L
     if not (math.isfinite(rtol) and rtol > 0):
@@ -282,7 +311,7 @@ def shoot_eigenvalue(
     _check_lambda(Lambda)
     N = max(_N_MIN, k + _N_PAD)
     e_coarse, solves_coarse, _ = _level(Lambda, L, k, N)
-    e, solves, bracket = _level(Lambda, L, k, 2 * N)
+    e, solves, bracket = _level(Lambda, L, k, 2 * N, start=(e_coarse, rtol * max(1.0, abs(e_coarse))))
     mismatch = abs(e - e_coarse) / max(1.0, abs(e))
     if not mismatch <= rtol:
         raise MeshNotConverged(

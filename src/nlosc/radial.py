@@ -81,12 +81,17 @@ def weight(y, Lambda: float):
     return y * y / np.sqrt(mass_denominator(Lambda, y, "y"))
 
 
-def build_state(n: int, L: int, Lambda: float) -> RadialEigenstate:
-    """Construct the (unnormalized) closed-form eigenstate."""
+def check_lambda_switch(Lambda: float) -> None:
+    """Raise :class:`LambdaTooSmall` for |Lambda| <= LAMBDA_SWITCH."""
     if abs(Lambda) <= LAMBDA_SWITCH:
         raise LambdaTooSmall(
             f"|Lambda| = {abs(Lambda)} <= {LAMBDA_SWITCH}; use the harmonic-oscillator branch"
         )
+
+
+def build_state(n: int, L: int, Lambda: float) -> RadialEigenstate:
+    """Construct the (unnormalized) closed-form eigenstate."""
+    check_lambda_switch(Lambda)
     if not is_admissible(n, L, Lambda):
         raise NotAdmissible(f"(n={n}, L={L}) is not normalizable at Lambda = {Lambda}")
     return RadialEigenstate(

@@ -204,6 +204,12 @@ class TestClassicalArguments:
         assert code == 1
         assert err == "error: ValueError: rtol must be finite and positive, got 0.0\n"
 
+    def test_shoot_small_lambda_exit_1(self, capture):
+        # this printed a level 3e-5 off the closed form with exit 0
+        code, out, err = capture(["shoot", "--lambda=1e-12", "--n", "0"])
+        assert (code, out) == (1, "")
+        assert err == "error: LambdaTooSmall: |Lambda| = 1e-12 <= 1e-08; use the harmonic-oscillator branch\n"
+
 
 class TestNegativeExponentValues:
     # argparse reads "-1e-3" after a space as an option unless the CLI joins it

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nlosc import oracle, orthopoly, radial, spectrum
@@ -46,6 +46,17 @@ class TestShooting:
     def test_lambda_zero_is_the_harmonic_branch(self):
         with pytest.raises(LambdaTooSmall):
             oracle.shoot_eigenvalue(0.0, 0, 1)
+
+    @pytest.mark.parametrize("Lambda", [1e-8, -1e-8, 1e-12, -1e-12, 1e-300, -1e-300])
+    def test_small_lambda_is_the_harmonic_branch(self, Lambda):
+        # beta ~ 1/(2 Lambda) resolves e only to about eps/Lambda, so both
+        # meshes agreed on a wrong level (3e-5 off at 1e-12), and at 1e-20
+        # the eigen-solve itself failed to converge
+        match = "^" + re.escape(f"|Lambda| = {abs(Lambda)} <= {radial.LAMBDA_SWITCH}; use the harmonic-oscillator branch")
+        with pytest.raises(LambdaTooSmall, match=match):
+            oracle.shoot_eigenvalue(Lambda, 0, 0)
+        with pytest.raises(LambdaTooSmall, match=match):
+            oracle.eigenfunction_nodes(Lambda, 0, 1.5)
 
     def test_unresolved_mesh_raises(self):
         # at |Lambda| = 1e-7 the states squeeze into 1 - x ~ 1e-7 and the
@@ -151,6 +162,69 @@ class TestPropertyAgainstClosedForm:
         assert err / max(1.0, abs(res.e_numeric)) <= max(res.terminal_mismatch, 1e-10)
 
 
+def _solves_per_mesh(monkeypatch, Lambda, L, k):
+    """{N: eigen-solves on the N-node mesh} of one shoot_eigenvalue."""
+    counts = {}
+    levels = oracle._levels
+
+    def counting(Lambda, L, N, *args):
+        counts[N] = counts.get(N, 0) + 1
+        return levels(Lambda, L, N, *args)
+
+    monkeypatch.setattr(oracle, "_levels", counting)
+    res = oracle.shoot_eigenvalue(Lambda, L, k)
+    assert res.iterations == sum(counts.values())
+    return counts
+
+
+def _fine_outcome(Lambda, L, k, N, start=None):
+    """The level of oracle._level, or the type of what it raised."""
+    try:
+        return oracle._level(Lambda, L, k, N, start)[0]
+    except Exception as exc:
+        return type(exc)
+
+
+class TestStartedFineSolve:
+    # the 2N solve at Lambda > 0 starts from the N-node level instead of
+    # walking up from e = 0
+    @pytest.mark.parametrize("Lambda,L,k", [(0.1, 0, 2), (0.06, 0, 6), (0.45, 1, bound_state_count(0.45, 1).count - 1)])
+    def test_fine_mesh_takes_at_most_four_solves(self, monkeypatch, Lambda, L, k):
+        N = max(oracle._N_MIN, k + oracle._N_PAD)
+        counts = _solves_per_mesh(monkeypatch, Lambda, L, k)
+        assert set(counts) == {N, 2 * N}
+        assert counts[2 * N] <= 4 < counts[N]
+
+    @pytest.mark.parametrize("k,moved", [(0, "2.14e-10"), (3, "3.87e-10")])
+    def test_a_moved_level_falls_back_to_the_walk(self, k, moved):
+        # the root moved by more than rtol, so the started pair has no sign
+        # change; the walk finds the 32-node level and the mismatch raises
+        match = "^" + re.escape(
+            f"level k = {k} at Lambda = 1e-07, L = 0 moved by {moved} (relative) from 16 to 32 nodes, above rtol = 1e-10"
+        ) + "$"
+        with pytest.raises(MeshNotConverged, match=match):
+            oracle.shoot_eigenvalue(1e-7, 0, k)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+    @given(_levels().filter(lambda case: case[0] > 0 and case[2] is not None))
+    @example((1 / 128, 0, 63))  # top states, the second 1.5e-8 below e*
+    @example((0.3333, 0, 1))
+    def test_same_level_as_the_walk_from_zero(self, case):
+        Lambda, L, k = case
+        N = max(oracle._N_MIN, k + oracle._N_PAD)
+        try:
+            e_c = oracle._level(Lambda, L, k, N)[0]
+        except NotAdmissible:
+            return
+        start = (e_c, 1e-10 * max(1.0, abs(e_c)))
+        started = _fine_outcome(Lambda, L, k, 2 * N, start)
+        walked = _fine_outcome(Lambda, L, k, 2 * N)
+        if isinstance(walked, float) and isinstance(started, float):
+            assert abs(started - walked) <= 1e-11 * max(1.0, abs(walked))
+        else:
+            assert started == walked
+
+
 class TestNodeCounting:
     @pytest.mark.parametrize("Lambda", [-1.0, 0.1])
     @pytest.mark.parametrize("L", [0, 2])
@@ -181,9 +255,9 @@ class TestNodeCounting:
         with pytest.raises(MeshNotConverged, match=match):
             oracle.eigenfunction_nodes(-1.0, 0, e)
 
-    @pytest.mark.parametrize("Lambda,e", [(0.1, -1e300), (0.1, -1e50), (1e-8, -1e300)])
+    @pytest.mark.parametrize("Lambda,e", [(0.1, -1e300), (0.1, -1e50), (2e-8, -1e301)])
     def test_energy_far_below_the_spectrum_raises(self, Lambda, e):
-        # the tail exponent beta(e) overflows (1e-8) or makes the Galerkin matrix non-finite
+        # the tail exponent beta(e) overflows (2e-8) or makes the Galerkin matrix non-finite
         match = "^" + re.escape(f"e = {e} lies too far below the spectrum: the tail exponent")
         with pytest.raises(ValueError, match=match):
             oracle.eigenfunction_nodes(Lambda, 0, e)
