@@ -18,7 +18,7 @@ class InvalidDegree(NloscError):
 
 
 class PoleInDenominator(NloscError):
-    """A Pochhammer symbol in a series denominator vanishes."""
+    """A denominator of the Jacobi three-term recurrence vanishes."""
 
 
 class NotAdmissible(NloscError):

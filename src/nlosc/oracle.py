@@ -44,7 +44,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import radial
-from .errors import BracketInvalid, MeshNotConverged, NotAdmissible, OutsideDomain
+from .errors import BracketInvalid, MeshNotConverged, NotAdmissible, OutsideDomain, QuadratureFailure
 from .orthopoly import _check_degree, _libm, laguerre
 from .params import check_finite, mass_denominator
 from .spectrum import QuantumNumbers, check_angular_momentum
@@ -76,7 +76,11 @@ class ShootingResult:
     the explicit ``e_bracket`` or an interval that isolates ``e_numeric``
     (the final 2N secant bracket for Lambda > 0, usually within rtol of the
     N-node level; the midpoints to the neighboring levels for Lambda < 0);
-    ``terminal_mismatch`` is |e(2N) - e(N)| / max(1, |e|).
+    ``terminal_mismatch`` is |e(2N) - e(N)| / max(1, |e|).  For
+    |Lambda| >= 1e-6 it bounds the true error |e - e_exact| / max(1, |e|)
+    (or 1e-10, whichever is larger); below that both meshes share the
+    eps/|Lambda| rounding of the weight exponent (the tail exponent beta(e)
+    for Lambda > 0), and the error can exceed it several times over.
     """
 
     e_numeric: float
@@ -92,6 +96,8 @@ def radial_residual(f: Callable[[float], Tuple[float, float, float]], y: float, 
     """
     if y <= 0:
         raise OutsideDomain(f"residual needs an interior point, got y = {y}")
+    if y * y == 0:  # L(L+1) / (y*y) would divide by zero
+        raise OutsideDomain(f"derivatives need y*y > 0, got y = {y}")
     w = mass_denominator(Lambda, y, "y")
     R, R1, R2 = f(y)
     coeff = 2.0 * e - L * (L + 1) * Lambda - 1.0 + (1.0 - y * y) / w - L * (L + 1) / (y * y)
@@ -395,7 +401,10 @@ def ho_norm_sq(n: int, L: int) -> float:
     form: the Laguerre norm Gamma(n+L+3/2)/(2*n!)."""
     check_angular_momentum(L)
     _check_degree(n)
-    return 0.5 * math.exp(math.lgamma(n + L + 1.5) - math.lgamma(n + 1.0))
+    try:
+        return 0.5 * math.exp(math.lgamma(n + L + 1.5) - math.lgamma(n + 1.0))
+    except OverflowError:
+        raise QuadratureFailure(f"non-finite norm: Gamma(n+L+3/2)/(2*n!) overflows at n = {n}, L = {L}") from None
 
 
 def ho_wavefunction_with_derivatives(n: int, L: int) -> Callable:
@@ -407,8 +416,12 @@ def ho_wavefunction_with_derivatives(n: int, L: int) -> Callable:
     def f(y):
         y = np.asarray(y, dtype=float)
         s = y * y
-        if np.any(s == 0.0):  # L / y and -L / (y*y), as on floats
-            raise ZeroDivisionError("float division by zero")
+        bad = np.flatnonzero((y <= 0) | (s == 0.0))
+        if bad.size:  # raise what a loop of scalar calls raises first
+            y_bad = float(y.ravel()[bad[0]])
+            if y_bad <= 0:
+                raise OutsideDomain(f"derivatives need an interior point, got y = {y_bad}")
+            raise OutsideDomain(f"derivatives need y*y > 0, got y = {y_bad}")
         # d/ds L_n^(a) = -L_(n-1)^(a+1), with L_(-1) = L_(-2) = 0
         Q, dQ, d2Q = ((-1.0) ** j * laguerre(n - j, L + 0.5 + j, s) if j <= n else np.zeros_like(s) for j in range(3))
         A = np.float_power(y, L) * _libm(math.exp, -0.5 * s)

@@ -9,22 +9,21 @@ serves both signs.
 Inner products are taken in L^2 with weight mu = y^2/sqrt(Lambda*y^2+1).  The
 change of variable x = 1-2*|Lambda|*y^2 (Lambda < 0) or
 y = sqrt((1-x)/(Lambda*(1+x))) (Lambda > 0) turns every integrand into a
-polynomial times the Jacobi weight (1-x)^a*(1+x)^b, so the integral reduces to
-a short sum of Beta-function moments, exact up to roundoff.  The sums are
-exact integers: each state's polynomial is held as integers over one common
-denominator per state, the moment ratios as integers over one denominator per
-weight, and the rational total is rounded once by a single division.  Both
-come from integer recurrences (Lambda = P/Q exactly, every term ratio an
-integer numerator and denominator) with one gcd reduction at the end, so no
-per-coefficient Fraction is formed.  All constant prefactors are carried in
-log space to survive the huge exponents that appear at small |Lambda|.
+polynomial in t = 1-x times the Jacobi weight (1-x)^a*(1+x)^b, so the integral
+reduces to a short sum of Beta-function moments, exact up to roundoff.  For
+either sign a state is one terminating sum in t: its hypergeometric series in
+y^2 (Lambda < 0), or DLMF 18.5.8 in u = Lambda*y^2/(1+Lambda*y^2) = t/2
+(Lambda > 0).  With Lambda = P/Q exactly, its coefficients and the moment
+ratios come from integer term-ratio recurrences as integers over one common
+denominator, and the rational total is rounded once by a single division.
+All constant prefactors are carried in log space to survive the huge exponents
+that appear at small |Lambda|.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -171,7 +170,7 @@ def eval_state_with_derivatives(state: RadialEigenstate, y):
         if w[bad[0]] <= 0:
             _check_inside(state, flat[bad[0] : bad[0] + 1])  # raises beyond the endpoint
             raise OutsideDomain(f"derivatives need an interior point, got the endpoint y = {y_bad}")
-        raise ZeroDivisionError("float division by zero")  # -L / (y*y) once y*y underflows
+        raise OutsideDomain(f"derivatives need y*y > 0, got y = {y_bad}")  # -L / (y*y) would divide by zero
     L = state.L_power
     p = state.prefactor_exponent
     Q, dQ, d2Q = _jacobi_piece(state, s)
@@ -212,114 +211,98 @@ def _folded_t_poly_exact(state: RadialEigenstate) -> tuple:
     """Exact polynomial factor of the state in the substituted variable t = 1-x,
     as (integer coefficients, common denominator).
 
-    Lambda < 0 (x = 1 - 2|Lambda|y^2, s = t/(2|Lambda|)): rescaled powers.
-    Lambda > 0 (s = t/(Lambda(2-t))): (Lambda(2-t))^n Q(s); the caller
-    compensates with Lambda^-n and n extra powers of (1+x) in the weight.
+    The state's polynomial piece is P_n^(L+1/2, -1/lam-1/2)(1 + 2*lam*s),
+    s = y**2, lam = P/Q exactly; both signs give one sum in t:
 
-    The state's polynomial piece in s = y**2 is the terminating series
-    C(n+L+1/2, n) 2F1(-n, n+L+1-1/lam; L+3/2; -lam*s), the Jacobi polynomial
-    P_n^(L+1/2, -1/lam-1/2)(1 + 2*lam*s).  With lam = P/Q exactly, the term
-    ratio of its coefficients in s is
-    -2(k-n)((n+L+1+k)P - Q) / ((2L+3+2k)(k+1)Q); the rescaling folds one more
-    factor into it, -Q/(2P) per power for Lambda < 0 and Q/P for Lambda > 0.
+    - Lambda < 0 (s = t/(2|Lambda|)): C(n+L+1/2, n) 2F1(-n, n+L+1-1/lam; L+3/2; -lam*s),
+      term ratio (k-n)((n+L+1+k)P - Q) / ((2L+3+2k)(k+1)P) in t;
+    - Lambda > 0 (u = lam*s/(1+lam*s) = t/2): (2*lam)^n times
+      C(n+L+1/2, n) (1+lam*s)^n 2F1(-n, -n+1/lam+1/2; L+3/2; u) (DLMF 18.5.8),
+      first term C(n+L+1/2, n) (2P/Q)^n, term ratio
+      (n-k)((2n-2k-1)P - 2Q) / (2(2L+3+2k)(k+1)P).  The caller compensates
+      with Lambda^-n and n extra powers of (1+x) in the weight.
     """
     n, L = state.qn.n, state.qn.L
     P, Q = state.Lambda.as_integer_ratio()
-    # C(n+L+1/2, n) = (2L+3)(2L+5)..(2L+1+2n) / (2^n n!), the first term
+    # C(n+L+1/2, n) = (2L+3)(2L+5)..(2L+1+2n) / (2^n n!)
     num0, den0 = math.prod(range(2 * L + 3, 2 * L + 2 + 2 * n, 2)), 2**n * math.factorial(n)
-    # the term ratio times the rescaling, with Q cancelled
-    factor = 1 if P < 0 else -2
-    steps = [(factor * (k - n) * ((n + L + 1 + k) * P - Q), (2 * L + 3 + 2 * k) * (k + 1) * P) for k in range(n)]
     if P < 0:
+        steps = [((k - n) * ((n + L + 1 + k) * P - Q), (2 * L + 3 + 2 * k) * (k + 1) * P) for k in range(n)]
         return _running_products(num0, den0, steps)
-    # h[k] * lam^(n-k) * t^k * (2-t)^(n-k)
-    base, den = _running_products(num0 * P**n, den0 * Q**n, steps)
-    total = [0] * (n + 1)
-    for k, bk in enumerate(base):
-        for i in range(n - k + 1):  # binomial expansion of (2-t)^(n-k)
-            total[k + i] += bk * math.comb(n - k, i) * (-1) ** i * 2 ** (n - k - i)
-    return total, den
+    steps = [((n - k) * ((2 * n - 2 * k - 1) * P - 2 * Q), 2 * (2 * L + 3 + 2 * k) * (k + 1) * P) for k in range(n)]
+    return _running_products(num0 * (2 * P) ** n, den0 * Q**n, steps)
 
 
-def _weight(Lambda: float, L: int, degree: int) -> tuple:
-    """(a, b, log_k): the Jacobi weight (1-x)^a (1+x)^b and the log of the
-    constant prefactor for a product of two states of total degree m + n."""
-    a_w = Fraction(2 * L + 1, 2)
-    P, Q = Lambda.as_integer_ratio()
-    if Lambda < 0:
-        # x = 1 - 2|Lambda|y^2
-        babs = -Lambda
-        b_w = Fraction(2 * Q + P, -2 * P)  # 1/|Lambda| - 1/2
-        log_k = -math.log(4.0 * babs) - (L + 0.5) * math.log(2.0 * babs) - float(b_w) * math.log(2.0)
-    else:
-        # y = sqrt((1-x)/(Lambda(1+x))); the (1+x)^-n poles fold into the weight
-        b_w = Fraction(Q - (2 + L + degree) * P, P)  # 1/Lambda - 2 - L - degree
-        log_k = -(L + 1.5 + degree) * math.log(Lambda) - (1.0 / Lambda + 0.5) * math.log(2.0)
-    return a_w, b_w, log_k
+def _moments(Lambda: float, L: int, degree: int) -> tuple:
+    """Moments M_0..M_degree of the Jacobi weight (1-x)^a (1+x)^b against
+    powers of t = 1-x, for a product of two states of total degree ``degree``.
 
-
-def _beta_moments(a: Fraction, b: Fraction, log_k: float, count: int) -> tuple:
-    """Moments M_0..M_{count-1} of (1-x)^a (1+x)^b against powers of t = 1-x.
-
-    Returns (log_m0, ratios, den) with log_m0 = log_k + log M_0 in floating
-    point and the exact M_j / M_0 = ratios[j] / den as integers over one
-    denominator (successive moments differ by the rational 2(a+j+1)/(a+b+j+2)).
+    a = L + 1/2, and b = 1/|Lambda| - 1/2 (Lambda < 0, x = 1 - 2|Lambda|y^2)
+    or 1/Lambda - 2 - L - degree (Lambda > 0, y = sqrt((1-x)/(Lambda(1+x))),
+    the (1+x)^-n poles folded into the weight), both integers over one
+    denominator d.  Returns (log_m0, ratios, den): log_m0 is the log of the
+    constant prefactor times M_0, in floating point, and
+    M_j / M_0 = ratios[j] / den exactly (successive moments differ by the
+    rational 2(a+j+1)/(a+b+j+2)).
     """
-    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
-    # int / int rounds each rational once, as float() of a Fraction does
+    P, Q = Lambda.as_integer_ratio()
+    d, pa = 2 * abs(P), (2 * L + 1) * abs(P)  # a = pa/d
+    if P < 0:
+        pb = 2 * Q + P  # b = pb/d
+        log_k = -math.log(-4.0 * Lambda) - (L + 0.5) * math.log(-2.0 * Lambda) - pb / d * math.log(2.0)
+    else:
+        pb = 2 * (Q - (2 + L + degree) * P)
+        log_k = -(L + 1.5 + degree) * math.log(Lambda) - (1.0 / Lambda + 0.5) * math.log(2.0)
+    # int / int rounds each rational once
     log_m0 = (
         log_k
-        + (pa * qb + pb * qa + qa * qb) / (qa * qb) * math.log(2.0)
-        + math.lgamma(pa / qa + 1.0)
-        + math.lgamma(pb / qb + 1.0)
-        - math.lgamma((pa * qb + pb * qa) / (qa * qb) + 2.0)
+        + (pa + pb + d) / d * math.log(2.0)
+        + math.lgamma(pa / d + 1.0)
+        + math.lgamma(pb / d + 1.0)
+        - math.lgamma((pa + pb) / d + 2.0)
     )
-    # 2(a+j+1)/(a+b+j+2) with a = pa/qa and b = pb/qb
-    steps = [(2 * (pa + (j + 1) * qa) * qb, pa * qb + pb * qa + (j + 2) * qa * qb) for j in range(count - 1)]
+    steps = [(2 * (pa + (j + 1) * d), pa + pb + (j + 2) * d) for j in range(degree)]
     return (log_m0, *_running_products(1, 1, steps))
 
 
-def _beta_moment_value(q: tuple, moments: tuple):
-    """exp(log_k) * int_{-1}^{1} (1-x)^a (1+x)^b q(1-x) dx, q in the t = 1-x basis.
-
-    ``q`` is (integer coefficients, denominator) and ``moments`` comes from
-    ``_beta_moments``.  The sum over Beta-function moments is one integer dot
-    product, so the massive cancellation between orthogonal states is exact
-    and the rational sum is rounded once; only the single prefactor
-    exp(log_k + log B(a+1, b+1) + (a+b+1) log 2) is floating point.  Returns
-    (value, error estimate).
-    """
-    coeffs, q_den = q
-    log_m0, ratios, r_den = moments
-    den = q_den * r_den
-    pos = neg = 0  # the sums of c*r over c > 0 and over c < 0
-    for c, r in zip(coeffs, ratios, strict=True):
-        if c > 0:
-            pos += c * r
-        else:
-            neg += c * r
-    value = math.exp(log_m0) * ((pos + neg) / den)
-    # lgamma carries a few ulp on logs of size O(1/|Lambda|); fold that in
-    est = abs(value) * (1e-15 + 5e-16 * abs(log_m0)) + 1e-300 * ((pos - neg) / den)
-    return value, est
-
-
 def _raw_inner(qa: tuple, qb: tuple, moments: tuple):
-    """(value, error estimate) of the product of two folded polynomials
-    against ``moments``, before the states' norm constants."""
-    ca, da = qa
-    cb, db = qb
+    """(value, error estimate) of exp(log_k) * int_{-1}^{1} (1-x)^a (1+x)^b qa qb dx
+    for two folded polynomials in t = 1-x and ``moments`` from :func:`_moments`,
+    before the states' norm constants.
+
+    The sum over Beta-function moments is one integer dot product, so the
+    massive cancellation between orthogonal states is exact and the rational
+    sum is rounded once; only the single prefactor
+    exp(log_k + log B(a+1, b+1) + (a+b+1) log 2) is floating point.
+    """
+    (ca, da), (cb, db) = qa, qb
+    log_m0, ratios, r_den = moments
     prod = [0] * (len(ca) + len(cb) - 1)
     for i, ai in enumerate(ca):
         for j, bj in enumerate(cb):
             prod[i + j] += ai * bj
-    return _beta_moment_value((prod, da * db), moments)
+    den = da * db * r_den
+    pos = neg = 0  # the sums of c*r over c > 0 and over c < 0
+    for c, r in zip(prod, ratios, strict=True):
+        if c > 0:
+            pos += c * r
+        else:
+            neg += c * r
+    try:  # exp, or an int / int beyond the float range
+        value = math.exp(log_m0) * ((pos + neg) / den)
+        # lgamma carries a few ulp on logs of size O(1/|Lambda|); fold that in
+        est = abs(value) * (1e-15 + 5e-16 * abs(log_m0)) + 1e-300 * ((pos - neg) / den)
+    except OverflowError:
+        raise QuadratureFailure(f"non-finite norm or inner product: exp({log_m0!r}) times the moment sum overflows") from None
+    return value, est
 
 
 def _scaled(raw: tuple, scale: float, tol: float) -> WeightedInnerProductResult:
     """Apply the product of norm constants and enforce the error gate."""
     value = scale * raw[0]
     est = abs(scale) * raw[1]
+    if not (math.isfinite(value) and math.isfinite(est)):
+        raise QuadratureFailure(f"non-finite norm or inner product {value} (error estimate {est})")
     if est > tol * max(1.0, abs(value)):
         raise QuadratureFailure(f"quadrature error estimate {est} exceeds tolerance {tol}")
     return WeightedInnerProductResult(value=value, est_abs_error=est)
@@ -339,7 +322,7 @@ def inner_product(state_a: RadialEigenstate, state_b: RadialEigenstate, tol: flo
     if state_a.qn.L != state_b.qn.L or state_a.Lambda != state_b.Lambda:
         raise ValueError("inner product requires states sharing (L, Lambda)")
     degree = state_a.qn.n + state_b.qn.n
-    moments = _beta_moments(*_weight(state_a.Lambda, state_a.qn.L, degree), degree + 1)
+    moments = _moments(state_a.Lambda, state_a.qn.L, degree)
     raw = _raw_inner(_folded_t_poly_exact(state_a), _folded_t_poly_exact(state_b), moments)
     return _scaled(raw, state_a.norm_const * state_b.norm_const, tol)
 
@@ -372,7 +355,7 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
 
     def raw(i, j):
         if i + j not in moments:  # the weight depends on the total degree only
-            moments[i + j] = _beta_moments(*_weight(Lambda, L, i + j), i + j + 1)
+            moments[i + j] = _moments(Lambda, L, i + j)
         return _raw_inner(folds[i], folds[j], moments[i + j])
 
     for n in range(size):

@@ -343,11 +343,11 @@ class TestEigenfunctionErrors:
         assert _first_error(radial.u_transform_residual, self.STATE, y) == _first_error_of_loop(f, y)
 
     def test_underflowing_square(self):
-        # -L/(y*y) divides by zero on floats; the array raises the same, in order
-        with pytest.raises(ZeroDivisionError):
-            radial.eval_state_with_derivatives(self.STATE, 1e-170)
-        with pytest.raises(ZeroDivisionError):
-            radial.eval_state_with_derivatives(self.STATE, np.array([0.3, 1e-170, 2.0]))
+        # y*y underflows to 0, where -L/(y*y) would divide by zero; the array raises the same, in order
+        message = "derivatives need y*y > 0, got y = 1e-170"
+        assert _first_error(radial.eval_state_with_derivatives, self.STATE, 1e-170) == message
+        assert _first_error(radial.eval_state_with_derivatives, self.STATE, np.array([0.3, 1e-170, 2.0])) == message
+        assert _first_error(radial.u_transform_residual, self.STATE, [0.3, 1e-170]) == message
         f = lambda yi: radial.eval_state_with_derivatives(self.STATE, yi)  # noqa: E731
         y = [0.3, 2.0, 1e-170]
         assert _first_error(f, np.array(y)) == _first_error_of_loop(f, y)
@@ -369,5 +369,7 @@ class TestHarmonicArrays:
         got = f(y)
         for k in range(3):
             assert got[k].tobytes() == _loop(lambda yi: f(yi)[k], y).tobytes()
-        with pytest.raises(ZeroDivisionError):  # L / y at y = 0, as on floats
-            f(np.array([0.5, 0.0]))
+        assert _first_error(f, 0.0) == "derivatives need an interior point, got y = 0.0"
+        assert _first_error(f, 1e-170) == "derivatives need y*y > 0, got y = 1e-170"
+        for bad in ([0.5, 0.0], [0.5, -1.0, 1e-170], [0.5, 1e-170, -1.0], [np.nan, -0.5]):
+            assert _first_error(f, np.array(bad)) == _first_error_of_loop(f, bad)

@@ -420,6 +420,23 @@ class TestOneLineErrors:
     def test_nan_physical_constant(self, capture, argv, message):
         assert capture(argv) == (1, "", f"error: NonPositiveParameter: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["states", "--lambda", "-0.001", "--L", "170", "--n", "5", "--grid", "1:30:4"],
+            ["gram", "--lambda", "-0.001", "--L", "400", "--n-max", "2"],
+            ["limit", "--lambda", "0.001", "--L", "300", "--n", "0"],
+            ["states", "--lambda", "0", "--L", "300", "--n", "0", "--grid", "1:30:4"],
+        ],
+        ids=["states-inf-norm", "gram-overflow", "limit-overflow", "states-harmonic-overflow"],
+    )
+    def test_non_finite_norm(self, capture, argv):
+        # a squared norm that rounds to inf would give R = 0 at every point
+        code, out, err = capture(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: QuadratureFailure: non-finite norm")
+        assert err.count("\n") == 1
+
     def test_integer_too_large_for_a_float(self, capture):
         argv = ["spectrum", "--lambda", "-1", "--L", "1" + "0" * 400, "--n-max", "1"]
         assert capture(argv) == (1, "", "error: OverflowError: int too large to convert to float\n")

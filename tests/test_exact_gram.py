@@ -1,7 +1,8 @@
 """The integer-only exact Gram path against a Fraction reference.
 
-The reference below is the per-coefficient ``Fraction`` fold, weight and
-Beta-moment recurrence that the integer recurrences of ``nlosc.radial``
+The reference below is the per-coefficient ``Fraction`` fold (for
+Lambda > 0 a series in y**2 re-expanded through the binomial theorem), weight
+and Beta-moment recurrence that the integer recurrences of ``nlosc.radial``
 replaced.  Both give the same rationals, and every float is one correctly
 rounded ``int / int`` division of a rational, so the outputs must agree byte
 for byte, errors included.
@@ -88,6 +89,10 @@ def _ref_beta_moments(a, b, log_k, count):
     return log_m0, ratios, den
 
 
+def _ref_moments(Lambda, L, degree):
+    return _ref_beta_moments(*_ref_weight(Lambda, L, degree), degree + 1)
+
+
 @pytest.fixture
 def reference(monkeypatch):
     """Run ``fn`` with the Fraction reference patched into nlosc.radial."""
@@ -95,8 +100,7 @@ def reference(monkeypatch):
     def call(fn, *args):
         with monkeypatch.context() as m:
             m.setattr(radial, "_folded_t_poly_exact", _ref_folded)
-            m.setattr(radial, "_weight", _ref_weight)
-            m.setattr(radial, "_beta_moments", _ref_beta_moments)
+            m.setattr(radial, "_moments", _ref_moments)
             return _outcome(fn, *args)
 
     return call
@@ -123,6 +127,20 @@ def _grid(seed, count):
 
 def _inner(n_a, n_b, L, Lambda):
     return radial.inner_product(radial.normalize(radial.build_state(n_a, L, Lambda)), radial.build_state(n_b, L, Lambda))
+
+
+def _assert_same_fold(st):
+    (c, d), (rc, rd) = radial._folded_t_poly_exact(st), _ref_folded(st)
+    assert d > 0
+    assert [Fraction(x, d) for x in c] == [Fraction(x, rd) for x in rc]
+
+
+def _assert_same_moments(Lambda, L, degree):
+    log_m0, ratios, den = radial._moments(Lambda, L, degree)
+    ref_log_m0, ref_ratios, ref_den = _ref_moments(Lambda, L, degree)
+    assert log_m0.hex() == ref_log_m0.hex()
+    assert den > 0
+    assert [Fraction(r, den) for r in ratios] == [Fraction(r, ref_den) for r in ref_ratios]
 
 
 class TestBitIdentity:
@@ -155,15 +173,27 @@ class TestBitIdentity:
     def test_same_rationals(self, L, Lambda, n_max):
         n_top = min(n_max, bound_state_count(Lambda, L).count - 1) if Lambda > 0 else n_max
         for n in range(n_top + 1):
-            st = radial.build_state(n, L, Lambda)
-            (c, d), (rc, rd) = radial._folded_t_poly_exact(st), _ref_folded(st)
-            assert d > 0
-            assert [Fraction(x, d) for x in c] == [Fraction(x, rd) for x in rc]
-        degree = 2 * max(n_top, 0)
-        w = radial._weight(Lambda, L, degree)
-        assert w == _ref_weight(Lambda, L, degree)
-        log_m0, ratios, den = radial._beta_moments(*w, degree + 1)
-        ref_log_m0, ref_ratios, ref_den = _ref_beta_moments(*w, degree + 1)
-        assert log_m0.hex() == ref_log_m0.hex()
-        assert den > 0
-        assert [Fraction(r, den) for r in ratios] == [Fraction(r, ref_den) for r in ref_ratios]
+            _assert_same_fold(radial.build_state(n, L, Lambda))
+        _assert_same_moments(Lambda, L, 2 * max(n_top, 0))
+
+
+class TestHighDegree:
+    """The same rationals beyond the Gram grids' n_max 17, without a Gram matrix."""
+
+    @pytest.mark.parametrize("Lambda", [-1e-3, 1e-3, -0.01, 0.01])
+    @pytest.mark.parametrize("L", range(5))
+    def test_fold_up_to_n_40(self, Lambda, L):
+        for n in range(41):
+            _assert_same_fold(radial.build_state(n, L, Lambda))
+
+    @pytest.mark.parametrize("Lambda,n_top", [(1 / 128, 63), (0.013, 37), (0.45, 0)])
+    def test_fold_up_to_the_top_state(self, Lambda, n_top):
+        assert bound_state_count(Lambda, 0).count == n_top + 1
+        for n in range(n_top + 1):
+            _assert_same_fold(radial.build_state(n, 0, Lambda))
+
+    @pytest.mark.parametrize("Lambda", [-1e-3, 1e-3, -0.01, 0.01, 1 / 128])
+    @pytest.mark.parametrize("L", range(5))
+    def test_moments_up_to_degree_80(self, Lambda, L):
+        for degree in range(0, 81, 10):
+            _assert_same_moments(Lambda, L, degree)

@@ -7,7 +7,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nlosc import oracle, orthopoly, radial, spectrum
-from nlosc.errors import BracketInvalid, InvalidDegree, LambdaTooSmall, MeshNotConverged, NotAdmissible
+from nlosc.errors import (
+    BracketInvalid,
+    InvalidDegree,
+    LambdaTooSmall,
+    MeshNotConverged,
+    NotAdmissible,
+    OutsideDomain,
+    QuadratureFailure,
+)
 from nlosc.spectrum import bound_state_count, energy_dimless
 
 EIGENVALUE_GATE = 1e-6
@@ -159,6 +167,21 @@ class TestPropertyAgainstClosedForm:
         err = abs(res.e_numeric - energy_dimless(n, L, Lambda))
         assert err < EIGENVALUE_GATE
         # the diagnostic bounds the true error, both relative to max(1, |e|)
+        assert err / max(1.0, abs(res.e_numeric)) <= max(res.terminal_mismatch, 1e-10)
+
+
+class TestTerminalMismatchAtSmallLambda:
+    # The bound of test_every_admissible_level, below |Lambda| = 1e-3.  It holds
+    # down to 1e-6 and not below: there the eps/|Lambda| quantization of the
+    # tail exponent beta(e) is shared by both meshes, which the N-to-2N change
+    # cannot see (a scan broke the bound on 3 of 128 draws in [3.2e-7, 1e-6)
+    # and by up to 12x near 3e-8).
+    @settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.floats(-6.0, -3.0, exclude_max=True), st.booleans(), st.integers(0, 3), st.integers(0, 8))
+    def test_mismatch_bounds_error(self, log10_mag, positive, L, n):
+        Lambda = 10.0**log10_mag if positive else -(10.0**log10_mag)
+        res = oracle.shoot_eigenvalue(Lambda, L, n)
+        err = abs(res.e_numeric - energy_dimless(n, L, Lambda))
         assert err / max(1.0, abs(res.e_numeric)) <= max(res.terminal_mismatch, 1e-10)
 
 
@@ -392,6 +415,11 @@ class TestRadialResidual:
 
         assert oracle.radial_residual(f, 0.5, st.e + 0.3, -1.0, 0) > 1e-3
 
+    def test_underflowing_square(self):
+        # y*y underflows to 0, where L(L+1)/(y*y) would divide by zero
+        with pytest.raises(OutsideDomain, match=r"^derivatives need y\*y > 0, got y = 1e-170$"):
+            oracle.radial_residual(lambda y: (1.0, 0.0, 0.0), 1e-170, 1.5, -1.0, 1)
+
 
 class TestHarmonicBranch:
     def test_ground_state_shape(self):
@@ -425,6 +453,24 @@ class TestHarmonicBranch:
         g = np.array([f(float(y)) ** 2 * y * y for y in ys])
         trap = (ys[1] - ys[0]) * (g.sum() - 0.5 * (g[0] + g[-1]))
         assert oracle.ho_norm_sq(n, L) == pytest.approx(trap, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n,L,y,message",
+        [
+            (1, 0, 1e-170, r"derivatives need y\*y > 0, got y = 1e-170"),
+            (1, 1, 0.0, "derivatives need an interior point, got y = 0.0"),
+            (2, 0, -1.0, "derivatives need an interior point, got y = -1.0"),
+        ],
+    )
+    def test_derivatives_need_interior_point(self, n, L, y, message):
+        # as radial.eval_state_with_derivatives: y*y = 0 would divide by zero, and y < 0 is outside
+        with pytest.raises(OutsideDomain, match=f"^{message}$"):
+            oracle.ho_wavefunction_with_derivatives(n, L)(y)
+
+    def test_infinite_norm_refused(self):
+        # Gamma(301.5) overflows a float
+        with pytest.raises(QuadratureFailure, match="^non-finite norm: Gamma"):
+            oracle.ho_norm_sq(0, 300)
 
     def test_derivatives_consistent(self):
         f = oracle.ho_wavefunction(2, 1)

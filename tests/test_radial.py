@@ -193,6 +193,23 @@ class TestInnerProductAndNorm:
         with pytest.raises(QuadratureFailure, match="exceeds tolerance"):
             radial.inner_product(st, st, tol=1e-30)
 
+    def test_infinite_norm_refused(self):
+        # the squared norm rounds to inf, which the error gate alone lets
+        # through (inf > tol*inf is false); normalize would give the norm constant 0.0
+        st = radial.build_state(5, 170, -0.001)
+        with pytest.raises(QuadratureFailure, match="^non-finite norm or inner product inf"):
+            radial.inner_product(st, st)
+        with pytest.raises(QuadratureFailure, match="^non-finite norm or inner product inf"):
+            radial.normalize(st)
+
+    @pytest.mark.parametrize("n,L,Lambda", [(0, 400, -0.001), (0, 300, 0.001)])
+    def test_overflowing_prefactor_refused(self, n, L, Lambda):
+        # exp(log M_0) alone overflows a float
+        with pytest.raises(QuadratureFailure, match="^non-finite norm or inner product: exp"):
+            radial.normalize(radial.build_state(n, L, Lambda))
+        with pytest.raises(QuadratureFailure, match="overflows$"):
+            radial.gram_matrix(L, Lambda, 2)
+
     def test_mismatched_states_rejected(self):
         a = radial.build_state(0, 0, -1.0)
         b = radial.build_state(0, 1, -1.0)
@@ -245,14 +262,14 @@ class TestGramMatrix:
         # the first 4 moment sums of a 4-state matrix are the diagonal norms;
         # forcing from 4 on leaves them alone and reaches the off-diagonal gate
         calls = []
-        exact = radial._beta_moment_value
+        exact = radial._raw_inner
 
-        def forced(q, moments):
-            value, est = exact(q, moments)
+        def forced(qa, qb, moments):
+            value, est = exact(qa, qb, moments)
             calls.append(value)
             return value, (1.0 if len(calls) > forced_from else est)
 
-        monkeypatch.setattr(radial, "_beta_moment_value", forced)
+        monkeypatch.setattr(radial, "_raw_inner", forced)
         with pytest.raises(QuadratureFailure, match="exceeds tolerance"):
             radial.gram_matrix(0, -1.0, 3)
         assert len(calls) == forced_from + 1
