@@ -67,10 +67,11 @@ class TestShooting:
             oracle.eigenfunction_nodes(Lambda, 0, 1.5)
 
     def test_unresolved_mesh_raises(self):
-        # at |Lambda| = 1e-7 the states squeeze into 1 - x ~ 1e-7 and the
-        # 16- and 32-node levels disagree: a typed error, not a number
-        with pytest.raises(MeshNotConverged):
-            oracle.shoot_eigenvalue(-1e-7, 0, 3)
+        # an rtol below the rounding of the levels: the 16- and 32-node
+        # levels disagree by about 7e-15, a typed error, not a number
+        match = r"^level k = 3 at Lambda = -0.5, L = 0 moved by \S+ \(relative\) from 16 to 32 nodes, above rtol = 1e-16$"
+        with pytest.raises(MeshNotConverged, match=match):
+            oracle.shoot_eigenvalue(-0.5, 0, 3, rtol=1e-16)
 
     def test_iterations_count_the_eigen_solves(self, monkeypatch):
         # Lambda < 0: one solve on N nodes and one on 2N
@@ -152,6 +153,8 @@ def _levels(draw):
 class TestPropertyAgainstClosedForm:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_levels())
+    @example((-1e-7, 0, 3))  # |Lambda| < 1e-6, where the weight exponent b is near 1e7
+    @example((-5.012749062531772e-08, 0, 7))
     def test_every_admissible_level(self, case):
         Lambda, L, n = case
         if n is None:
@@ -171,13 +174,16 @@ class TestPropertyAgainstClosedForm:
 
 
 class TestTerminalMismatchAtSmallLambda:
-    # The bound of test_every_admissible_level, below |Lambda| = 1e-3.  It holds
-    # down to 1e-6 and not below: there the eps/|Lambda| quantization of the
-    # tail exponent beta(e) is shared by both meshes, which the N-to-2N change
-    # cannot see (a scan broke the bound on 3 of 128 draws in [3.2e-7, 1e-6)
-    # and by up to 12x near 3e-8).
+    # The bound of test_every_admissible_level, below |Lambda| = 1e-3 and down
+    # to the harmonic branch at 1e-8, where the weight exponent b ~ 1/|Lambda|
+    # crowds the nodes into 1 - x ~ |Lambda| N**2.
     @settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
-    @given(st.floats(-6.0, -3.0, exclude_max=True), st.booleans(), st.integers(0, 3), st.integers(0, 8))
+    @given(
+        st.floats(-8.0, -3.0, exclude_max=True).filter(lambda m: 10.0**m > radial.LAMBDA_SWITCH),
+        st.booleans(),
+        st.integers(0, 3),
+        st.integers(0, 8),
+    )
     def test_mismatch_bounds_error(self, log10_mag, positive, L, n):
         Lambda = 10.0**log10_mag if positive else -(10.0**log10_mag)
         res = oracle.shoot_eigenvalue(Lambda, L, n)
@@ -218,15 +224,23 @@ class TestStartedFineSolve:
         assert set(counts) == {N, 2 * N}
         assert counts[2 * N] <= 4 < counts[N]
 
-    @pytest.mark.parametrize("k,moved", [(0, "2.14e-10"), (3, "3.87e-10")])
-    def test_a_moved_level_falls_back_to_the_walk(self, k, moved):
-        # the root moved by more than rtol, so the started pair has no sign
-        # change; the walk finds the 32-node level and the mismatch raises
-        match = "^" + re.escape(
-            f"level k = {k} at Lambda = 1e-07, L = 0 moved by {moved} (relative) from 16 to 32 nodes, above rtol = 1e-10"
-        ) + "$"
+    @pytest.mark.parametrize("Lambda,L,k", [(0.1, 1, 0), (0.2, 1, 1)])
+    def test_a_moved_level_falls_back_to_the_walk(self, monkeypatch, Lambda, L, k):
+        # the root moved by more than rtol (about 2e-14 against 1e-16), so the
+        # started pair has no sign change; the walk from e = 0 finds the
+        # 32-node level and the mismatch raises
+        calls = []
+        levels = oracle._levels
+
+        def counting(*args):
+            calls.append(args)
+            return levels(*args)
+
+        monkeypatch.setattr(oracle, "_levels", counting)
+        match = "^" + re.escape(f"level k = {k} at Lambda = {Lambda}, L = {L} moved by ") + r"\S+ \(relative\) from 16 to 32 nodes"
         with pytest.raises(MeshNotConverged, match=match):
-            oracle.shoot_eigenvalue(1e-7, 0, k)
+            oracle.shoot_eigenvalue(Lambda, L, k, rtol=1e-16)
+        assert (Lambda, L, 32, oracle._tail_exponent(0.0, Lambda, L)) in calls
 
     @settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
     @given(_levels().filter(lambda case: case[0] > 0 and case[2] is not None))
@@ -256,7 +270,10 @@ class TestNodeCounting:
         e = energy_dimless(k, L, Lambda)
         assert oracle.eigenfunction_nodes(Lambda, L, e) == k
 
-    @pytest.mark.parametrize("Lambda,L,k", [(-3.0, 1, 12), (-1e-3, 0, 9), (0.02, 1, 20), (0.05, 3, 7)])
+    @pytest.mark.parametrize(
+        "Lambda,L,k",
+        [(-3.0, 1, 12), (-1e-3, 0, 9), (0.02, 1, 20), (0.05, 3, 7), (-1e-7, 0, 3), (-5.012749062531772e-08, 0, 7)],
+    )
     def test_high_states(self, Lambda, L, k):
         assert oracle.eigenfunction_nodes(Lambda, L, energy_dimless(k, L, Lambda)) == k
 
@@ -295,9 +312,10 @@ class TestNodeCounting:
             oracle.eigenfunction_nodes(Lambda, L, e)
 
 
-# The Gauss-Jacobi mesh before p_i and p_i' were stacked into one array, kept
-# as the reference for the stacked recurrence of oracle._mesh.  It records
-# (N, a, b) each time the 1e-100 rescale fires.
+# The Gauss-Jacobi mesh of the three-term recurrence run at the nodes, with
+# its derivative rows: the reference for the eigenvectors of oracle._mesh and
+# for the closed-form stiffness of oracle._stiffness.  It records (N, a, b)
+# each time the 1e-100 rescale fires.
 _REF_RESCALED = []
 
 
@@ -338,11 +356,12 @@ MESH_GRID = [
 ] + [(400, 0.5, 999.5)]
 
 
-def _shoot_outcome(Lambda, L, k):
+def _shoot_outcome(Lambda, L, k, **kwargs):
+    """The ShootingResult, or the name of what shoot_eigenvalue raised."""
     try:
-        return repr(oracle.shoot_eigenvalue(Lambda, L, k))
+        return oracle.shoot_eigenvalue(Lambda, L, k, **kwargs)
     except Exception as exc:
-        return type(exc).__name__, str(exc)
+        return type(exc).__name__
 
 
 def _shoot_draws(seed, count):
@@ -358,29 +377,45 @@ def _shoot_draws(seed, count):
 SHOOT_DRAWS = _shoot_draws(7, 24)
 
 
+def _kappa(Lambda, x):
+    """w (dx/dy)**2 as a function of x."""
+    return -4.0 * Lambda * (1.0 - x * x) if Lambda < 0 else 2.0 * Lambda * (1.0 - x) * (1.0 + x) ** 2
+
+
 class TestStackedMesh:
     @pytest.mark.parametrize("N,a,b", MESH_GRID)
-    def test_bit_identical_to_the_reference(self, N, a, b):
-        for new, ref in zip(oracle._mesh(N, a, b), _ref_mesh(N, a, b)):
-            assert new.flags.c_contiguous
-            assert new.tobytes() == ref.tobytes()
+    def test_agrees_with_the_reference(self, N, a, b):
+        # the eigenvectors of J are the recurrence's node values, column signs included
+        x, P, _ = oracle._mesh(N, a, b)
+        x_ref, P_ref, _ = _ref_mesh(N, a, b)
+        assert np.max(np.abs(x - x_ref)) <= 1e-13
+        assert np.max(np.abs(P - P_ref)) <= 1e-11
 
     def test_the_grid_reaches_the_rescale(self):
         _REF_RESCALED.clear()
         _ref_mesh(400, 0.5, 999.5)
         assert _REF_RESCALED
 
-    @pytest.mark.parametrize("Lambda,L,k", SHOOT_DRAWS + [(0.1, 0, 4), (1 / 128, 0, 63), (-1e-7, 0, 3)])
+    @pytest.mark.parametrize("Lambda,L,k", SHOOT_DRAWS + [(0.1, 0, 4), (1 / 128, 0, 63)])
     def test_shoot_eigenvalue_unchanged(self, monkeypatch, Lambda, L, k):
+        # unchanged to rounding when P is the recurrence's: same outcome, and
+        # the level and its mismatch within 1e-13
         new = _shoot_outcome(Lambda, L, k)
-        monkeypatch.setattr(oracle, "_mesh", _ref_mesh)
-        assert new == _shoot_outcome(Lambda, L, k)
+        mesh = oracle._mesh
+        monkeypatch.setattr(oracle, "_mesh", lambda N, a, b: (*_ref_mesh(N, a, b)[:2], mesh(N, a, b)[2]))
+        ref = _shoot_outcome(Lambda, L, k)
+        if isinstance(ref, str):
+            assert new == ref
+        else:
+            assert abs(new.e_numeric - ref.e_numeric) <= 1e-13 * max(1.0, abs(ref.e_numeric))
+            assert abs(new.terminal_mismatch - ref.terminal_mismatch) <= 1e-13
 
     def test_the_draws_cover_both_signs_and_every_outcome(self):
         assert {math.copysign(1.0, lam) for lam, _, _ in SHOOT_DRAWS} == {1.0, -1.0}
-        # results and NotAdmissible both
-        assert {type(_shoot_outcome(*draw)) for draw in SHOOT_DRAWS} == {str, tuple}
-        assert _shoot_outcome(-1e-7, 0, 3)[0] == "MeshNotConverged"
+        outcomes = {_shoot_outcome(*draw) for draw in SHOOT_DRAWS}
+        assert "NotAdmissible" in outcomes and any(isinstance(out, oracle.ShootingResult) for out in outcomes)
+        # MeshNotConverged, from an rtol below the rounding of the levels
+        assert _shoot_outcome(-0.5, 0, 3, rtol=1e-16) == "MeshNotConverged"
 
     @pytest.mark.parametrize("N,a,b", MESH_GRID)
     def test_gauss_rule_is_exact_on_the_basis(self, N, a, b):
@@ -390,11 +425,24 @@ class TestStackedMesh:
 
     @pytest.mark.parametrize("N,a,b", MESH_GRID)
     def test_derivative_rows_have_lower_degree(self, N, a, b):
-        # p_i' has degree i - 1, so it is orthogonal to p_j for j >= i
-        _, P, D = oracle._mesh(N, a, b)
+        # p_i' has degree i - 1, so it is orthogonal to p_j for j >= i: the
+        # reference that test_stiffness_is_the_closed_form compares against
+        _, P, D = _ref_mesh(N, a, b)
         M = D @ P.T
         assert np.max(np.abs(np.triu(M))) <= 1e-10 * np.max(np.abs(M))
         assert not D[0].any()
+
+    @pytest.mark.parametrize("N,a,b", MESH_GRID)
+    def test_stiffness_is_the_closed_form(self, N, a, b):
+        # K = int nu kappa p_i' p_j' by the Gauss rule on the reference's
+        # derivative rows; b = 999.5 is |Lambda| = 1e-3 below 0 and beta = 500.75 above
+        x, _, D = _ref_mesh(N, a, b)
+        J = oracle._mesh(N, a, b)[2]
+        for Lambda in (-0.3, 0.3):
+            ref = (D * _kappa(Lambda, x)) @ D.T
+            K = oracle._stiffness(Lambda, a, b, J)
+            assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert not np.triu(K, 2).any()  # tridiagonal
 
 
 class TestRadialResidual:
