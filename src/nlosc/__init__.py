@@ -50,7 +50,6 @@ from .radial import (
 )
 from .oracle import ShootingResult, limit_compare, radial_residual, shoot_eigenvalue
 from .classical import (
-    ClassicalState1D,
     ClassicalStatePlanar,
     Trajectory,
     analytic_1d,

@@ -26,13 +26,6 @@ _R_COLLAPSE = 1e-10
 
 
 @dataclass(frozen=True)
-class ClassicalState1D:
-    t: float
-    x: float
-    v: float
-
-
-@dataclass(frozen=True)
 class ClassicalStatePlanar:
     t: float
     r: float

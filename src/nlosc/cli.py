@@ -91,10 +91,11 @@ def _cmd_spectrum(args) -> Tuple[dict, Columns]:
 
 
 def _cmd_states(args) -> Tuple[dict, Columns]:
-    grid = args.grid or _default_grid(args.Lambda)
+    harmonic = abs(args.Lambda) <= radial.LAMBDA_SWITCH
+    # the harmonic state lives on the half-line, not on a tiny Lambda < 0 ball of radius 1/sqrt(|Lambda|)
+    grid = args.grid or _default_grid(0.0 if harmonic else args.Lambda)
     ys = np.linspace(grid[0], grid[1], grid[2])
-    if abs(args.Lambda) <= radial.LAMBDA_SWITCH:
-        # harmonic-oscillator branch for vanishing nonlinearity
+    if harmonic:  # harmonic-oscillator branch for vanishing nonlinearity
         f = oracle.ho_wavefunction(args.n, args.L)
         c = 1.0 / math.sqrt(oracle.ho_norm_sq(args.n, args.L))
         rs = c * f(ys)

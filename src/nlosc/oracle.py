@@ -58,7 +58,7 @@ import numpy as np
 
 from . import radial
 from .errors import BracketInvalid, MeshNotConverged, NotAdmissible, OutsideDomain, QuadratureFailure
-from .orthopoly import _check_degree, _libm, laguerre
+from .orthopoly import _check_degree, laguerre
 from .params import check_finite, mass_denominator
 from .spectrum import QuantumNumbers, check_angular_momentum
 
@@ -392,14 +392,15 @@ def ho_wavefunction(n: int, L: int) -> Callable:
     """Unnormalized harmonic-oscillator radial function y^L exp(-y^2/2) L_n^(L+1/2)(y^2).
 
     The returned function takes a float (giving a float) or an array of any
-    shape; float_power and libm exp keep an array bit-identical to floats.
+    shape; a float goes through the same ``np.float_power`` and ``np.exp``
+    as an array, so an array is bit-identical to a loop of floats.
     """
     check_angular_momentum(L)
     _check_degree(n)
 
     def f(y):
         y = np.asarray(y, dtype=float)
-        r = np.float_power(y, L) * _libm(math.exp, -0.5 * y * y) * laguerre(n, L + 0.5, y * y)
+        r = np.float_power(y, L) * np.exp(-0.5 * y * y) * laguerre(n, L + 0.5, y * y)
         return float(r) if r.ndim == 0 else r
 
     return f
@@ -433,7 +434,7 @@ def ho_wavefunction_with_derivatives(n: int, L: int) -> Callable:
             raise OutsideDomain(f"derivatives need y*y > 0, got y = {y_bad}")
         # d/ds L_n^(a) = -L_(n-1)^(a+1), with L_(-1) = L_(-2) = 0
         Q, dQ, d2Q = ((-1.0) ** j * laguerre(n - j, L + 0.5 + j, s) if j <= n else np.zeros_like(s) for j in range(3))
-        A = np.float_power(y, L) * _libm(math.exp, -0.5 * s)
+        A = np.float_power(y, L) * np.exp(-0.5 * s)
         la = L / y - y
         dla = -L / s - 1.0
         R = A * Q

@@ -63,15 +63,3 @@ def laguerre(n: int, a: float, x) -> np.ndarray:
     """Generalized Laguerre L_n^(a) with L_n^(a)(0) = C(n+a, n) at the points x, an array of their shape."""
     return _recurrence(n, x, lambda k: (-1.0, 2.0 * k + a + 1.0, k + a, k + 1.0))
 
-
-def _libm(fn, x):
-    """``fn`` (``math.exp`` or ``math.log``) on every element of a float array,
-    keeping its shape.
-
-    numpy's SIMD exp and log are not the libm that ``math`` calls: on 200,000
-    uniform draws np.exp differs from math.exp in about 9,100 and np.log from
-    math.log in about 70, in the last bit.  Mapping the ``math`` function keeps
-    an array evaluation bit-identical to the same formula on Python floats.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)

@@ -35,7 +35,7 @@ from .errors import (
     OutsideDomain,
     QuadratureFailure,
 )
-from .orthopoly import _libm, jacobi
+from .orthopoly import jacobi
 from .params import ModelParams, domain, mass_at, mass_denominator
 from .spectrum import QuantumNumbers, energy_dimless, is_admissible
 
@@ -118,8 +118,11 @@ def _check_inside(state: RadialEigenstate, y: np.ndarray) -> np.ndarray:
 
 
 def _prefactor(state: RadialEigenstate, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """y**L * w**(-1/(2*Lambda)) at interior points, by libm exp and log."""
-    return _libm(math.exp, state.L_power * _libm(math.log, y) + state.prefactor_exponent * _libm(math.log, w))
+    """y**L * w**(-1/(2*Lambda)) as exp(L*log(y) + p*log(w)), by numpy's exp and log
+    (the L*log(y) term left out for L = 0).  With log(0) = -inf it is 0 at y = 0
+    for L > 0 and at the Lambda < 0 endpoint, and 1 at y = 0 for L = 0."""
+    log_a = state.prefactor_exponent * np.log(w)
+    return np.exp(state.L_power * np.log(y) + log_a if state.L_power else log_a)
 
 
 def _jacobi_piece(state: RadialEigenstate, s: np.ndarray):
@@ -143,14 +146,8 @@ def eval_state(state: RadialEigenstate, y):
     flat = ys.ravel()
     w = _check_inside(state, flat)
     Q = next(_jacobi_piece(state, flat * flat))
-    # != rather than >: NaN flows through the interior arithmetic
-    inner = (flat != 0.0) & (w != 0.0)
-    # 0 at the Lambda < 0 endpoint (a positive power of a zero base) and at y = 0 for L > 0
-    r = np.zeros_like(flat)
-    r[inner] = state.norm_const * _prefactor(state, flat[inner], w[inner]) * Q[inner]
-    if state.L_power == 0:
-        origin = flat == 0.0
-        r[origin] = state.norm_const * Q[origin]
+    with np.errstate(divide="ignore"):  # log(0) = -inf at y = 0 and at the Lambda < 0 endpoint
+        r = state.norm_const * _prefactor(state, flat, w) * Q + 0.0  # + 0.0: a zero is +0.0, never -0.0
     return float(r[0]) if ys.ndim == 0 else r.reshape(ys.shape)
 
 

@@ -2,14 +2,14 @@
 
 The Rodrigues expansion and the terminating 2F1 are independent float forms of
 the Jacobi polynomial.  The exact references evaluate in rational arithmetic at
-rational points (every float is one): the Jacobi piece of a state from the
-integer coefficients of ``radial._folded_t_poly_exact``, and the Laguerre
-polynomial from its explicit sum in ``Fraction``s.  A transcendental prefactor
+rational points (every float is one), in integers over one common denominator,
+each value rounded once by a single division: the Jacobi piece of a state from
+the integer coefficients of ``radial._folded_t_poly_exact``, and the Laguerre
+polynomial from its explicit sum.  A transcendental prefactor
 (a power of Lambda*y**2 + 1, or exp(-y**2/2)) is the one float factor left.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -53,56 +53,78 @@ def hyp2f1_terminating(n, b2, c, z):
     return total
 
 
-def _at(coeffs, den, t):
-    """sum_k coeffs[k] t**k / den at the Fraction t, by integer Horner."""
-    p, q = t.numerator, t.denominator
-    acc, qk = 0, 1
+def _ratio_series(num0, den0, ratios):
+    """Terms c_0 = num0/den0 and c_(k+1) = c_k * p_k/q_k for (p_k, q_k) in ``ratios``,
+    all integers and q_k > 0, as (integer numerators, one common denominator) in lowest terms."""
+    coeffs, den = [num0], den0
+    for p, q in ratios:
+        coeffs = [c * q for c in coeffs] + [coeffs[-1] * p]
+        den *= q
+    g = math.gcd(den, *coeffs)
+    return [c // g for c in coeffs], den // g
+
+
+def _horner(coeffs, p, q):
+    """q**m * sum_k coeffs[k] (p/q)**k, m = len(coeffs) - 1, for integers p and q > 0:
+    Horner's rule in integers.  For a power of two q (the denominator of every
+    float) the powers of q are shifts, several times faster than products."""
+    acc, e = 0, q.bit_length() - 1
+    if q == 1 << e:
+        for k, c in enumerate(reversed(coeffs)):
+            acc = acc * p + (c << (e * k))
+        return acc
+    qk = 1
     for c in reversed(coeffs):
         acc = acc * p + c * qk
         qk *= q
-    return Fraction(acc, den * q ** max(len(coeffs) - 1, 0))
+    return acc
+
+
+def _at(coeffs, den, p, q):
+    """sum_k coeffs[k] (p/q)**k / den at integers p and q > 0, exact and rounded once."""
+    return _horner(coeffs, p, q) / (den * q ** max(len(coeffs) - 1, 0))
 
 
 def jacobi_piece_exact(state, ys):
-    """The state's Jacobi piece P_n(1 + 2*Lambda*y**2), exactly, at each float y."""
+    """The state's Jacobi piece P_n(1 + 2*Lambda*y**2) at each float y, exact and rounded once."""
     coeffs, den = radial._folded_t_poly_exact(state)
-    lam, n = Fraction(state.Lambda), state.qn.n
+    P, Q = state.Lambda.as_integer_ratio()  # Lambda = P/Q and y = p/q, so s = p**2/q**2
     out = []
     for y in ys:
-        s = Fraction(y) ** 2
-        if lam < 0:  # t = 2|Lambda| s
-            out.append(_at(coeffs, den, -2 * lam * s))
-        else:  # t = 2 Lambda s / (1 + Lambda s), and the fold carries (Lambda (2 - t))**n
-            out.append(_at(coeffs, den, 2 * lam * s / (1 + lam * s)) * ((1 + lam * s) / (2 * lam)) ** n)
+        p, q = float(y).as_integer_ratio()
+        p2, q2 = p * p, q * q
+        if P < 0:  # t = 2|Lambda| s
+            out.append(_at(coeffs, den, -2 * P * p2, Q * q2))
+        else:  # t = 2 Lambda s / (1 + Lambda s) = tn/td, and the fold carries (Lambda (2 - t))**n
+            # = (2 P q2 / td)**n, whose td**n cancels the one Horner leaves
+            tn, td = 2 * P * p2, Q * q2 + P * p2
+            out.append(_horner(coeffs, tn, td) / (den * (2 * P * q2) ** state.qn.n))
     return out
 
 
 def jacobi_piece_s_coeffs(state):
     """Coefficients, ascending in s = y**2, of the state's Jacobi piece as
-    Fractions: the terminating series C(n+L+1/2, n) 2F1(-n, n+L+1-1/lam; L+3/2; -lam*s)
-    with lam the float Lambda taken exactly."""
-    n, L, lam = state.qn.n, state.qn.L, Fraction(state.Lambda)
-    h = Fraction(1)
-    for j in range(1, n + 1):  # C(n+L+1/2, n)
-        h *= (L + Fraction(1, 2) + j) / j
-    coeffs = [h]
-    for k in range(n):
-        h *= (k - n) * (n + L + 1 + k - 1 / lam) * -lam / ((L + Fraction(3, 2) + k) * (k + 1))
-        coeffs.append(h)
-    return coeffs
+    (integers, common denominator): the terminating series
+    C(n+L+1/2, n) 2F1(-n, n+L+1-1/lam; L+3/2; -lam*s) with lam = P/Q the float
+    Lambda taken exactly, term ratio 2(k-n)(Q-(n+L+1+k)P) / (Q(2L+3+2k)(k+1))."""
+    n, L = state.qn.n, state.qn.L
+    P, Q = state.Lambda.as_integer_ratio()
+    # C(n+L+1/2, n) = (2L+3)(2L+5)..(2L+1+2n) / (2^n n!)
+    num0, den0 = math.prod(range(2 * L + 3, 2 * L + 2 + 2 * n, 2)), 2**n * math.factorial(n)
+    return _ratio_series(num0, den0, [(2 * (k - n) * (Q - (n + L + 1 + k) * P), Q * (2 * L + 3 + 2 * k) * (k + 1))
+                                      for k in range(n)])
 
 
 def jacobi_piece_derivatives_exact(state, ys):
     """Rows Q, dQ/ds and d2Q/ds2 of the state's Jacobi piece at s = y**2 for
     each float y, exactly: the coefficients in s differentiated term by term
     and summed in integers, rounded once per value."""
-    c = jacobi_piece_s_coeffs(state)
+    c, den = jacobi_piece_s_coeffs(state)
+    points = [float(y).as_integer_ratio() for y in ys]
     rows = []
     for j in range(3):
         cj = [math.perm(k, j) * c[k] for k in range(j, len(c))]
-        den = math.lcm(1, *(v.denominator for v in cj))
-        ints = [int(v * den) for v in cj]
-        rows.append([float(_at(ints, den, Fraction(y) ** 2)) for y in ys])
+        rows.append([_at(cj, den, p * p, q * q) for p, q in points])
     return np.array(rows)
 
 
@@ -112,34 +134,32 @@ def state_exact(state, ys):
     for y, q in zip(ys, jacobi_piece_exact(state, ys)):
         w = state.Lambda * y * y + 1.0
         pref = math.exp(state.L_power * math.log(y) + state.prefactor_exponent * math.log(w))
-        out.append(state.norm_const * pref * float(q))
+        out.append(state.norm_const * pref * q)
     return np.array(out)
 
 
-def laguerre_exact(n, a):
-    """L_n^(a) as (integer coefficients ascending in x, common denominator),
-    from the explicit sum sum_k (-1)^k C(n+a, n-k) x^k / k!; a a Fraction.
-    n < 0 gives the zero polynomial, as the derivative identities need."""
-    coeffs = []
-    for k in range(n + 1):
-        binom = Fraction(1)
-        for j in range(1, n - k + 1):  # C(n+a, n-k) = prod (a+k+j)/j
-            binom *= (a + k + j) / j
-        coeffs.append((-1) ** k * binom / math.factorial(k))
-    den = math.lcm(1, *(c.denominator for c in coeffs))
-    return [int(c * den) for c in coeffs], den
+def laguerre_exact(n, a2):
+    """L_n^(a), a = a2/2 for an integer a2, as (integer coefficients ascending in x,
+    common denominator), from the explicit sum sum_k (-1)^k C(n+a, n-k) x^k / k!:
+    C(n+a, n) and the term ratio -(n-k)/((a+k+1)(k+1)).  n < 0 gives the zero
+    polynomial, as the derivative identities need."""
+    if n < 0:
+        return [], 1
+    # C(n+a, n) = (a2+2)(a2+4)..(a2+2n) / (2^n n!)
+    num0, den0 = math.prod(range(a2 + 2, a2 + 2 * n + 1, 2)), 2**n * math.factorial(n)
+    return _ratio_series(num0, den0, [(-2 * (n - k), (a2 + 2 * k + 2) * (k + 1)) for k in range(n)])
 
 
 def ho_exact(n, L, ys):
     """(R, R', R'') of y^L exp(-y^2/2) L_n^(L+1/2)(y^2) at the points ys, with
     the Laguerre values exact: dL_n^(a)/dx = -L_(n-1)^(a+1) and
     d2L_n^(a)/dx2 = L_(n-2)^(a+2)."""
-    a = Fraction(2 * L + 1, 2)
-    polys = [laguerre_exact(n - j, a + j) for j in range(3)]
+    polys = [laguerre_exact(n - j, 2 * L + 1 + 2 * j) for j in range(3)]
     rows = []
     for y in ys:
-        x = Fraction(y) ** 2
-        Q, dQ, d2Q = (float((-1) ** j * _at(*polys[j], x)) for j in range(3))
+        p, q = float(y).as_integer_ratio()
+        Q, minus_dQ, d2Q = (_at(*poly, p * p, q * q) for poly in polys)
+        dQ = -minus_dQ
         A = y**L * math.exp(-0.5 * y * y)
         la = L / y - y
         dla = -L / (y * y) - 1.0

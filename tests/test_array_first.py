@@ -215,7 +215,8 @@ class TestSolveHelper:
             classical.integrate_planar(0.5, -2.0, 0.0, make_model(1.0, 1.0, 1.0), 5.0)
 
 
-# the per-point float formulas, kept as the references for the array paths
+# the per-point float formulas, kept as the references for the array paths; their
+# prefactors are math.exp and math.log, where the package calls numpy's
 def _jacobi_piece(state, s):
     """(Q, dQ/ds, d2Q/ds2) of P_n^(L+1/2, -1/Lambda-1/2)(1 + 2*Lambda*s) at one float s;
     the j-th derivative is P_(n-j) at parameters shifted by j, times a factor
@@ -251,6 +252,23 @@ def _reference_derivatives(state, y):
     R2 = A * ((la * la + dla) * Q + 2.0 * la * dQ * sp + d2Q * sp * sp + dQ * 2.0)
     c = state.norm_const
     return c * R, c * R1, c * R2
+
+
+def _exponent_terms(state, y):
+    """|L log y| + |p log w| of the prefactor exp(L log y + p log w), and 0 where
+    that is not finite (y = 0, the Lambda < 0 endpoint, NaN), where R is exact."""
+    w = state.Lambda * y * y + 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = state.L_power * np.abs(np.log(y)) + np.abs(state.prefactor_exponent * np.log(w))
+    return np.where(np.isfinite(t), t, 0.0)
+
+
+def _assert_within_exp_log_ulps(got, ref, terms):
+    """|got - ref| <= 4 eps (1 + terms) |ref|, NaN where ref is NaN: one ulp each of
+    exp and log, carried through the exponent whose terms add up to ``terms``."""
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    bound = 4.0 * np.finfo(float).eps * (1.0 + terms) * np.abs(ref)
+    assert np.all(np.isnan(ref) | (np.abs(got - ref) <= bound)), np.nanmax(np.abs(got - ref) - bound)
 
 
 def _reference_u_residual(state, y_samples):
@@ -296,10 +314,17 @@ class TestEigenfunctionArrays:
         st, y = _state(lam, L), _with_ends(lam, 11)
         got = radial.eval_state(st, y)
         assert got.tobytes() == _loop(lambda yi: radial.eval_state(st, yi), y).tobytes()
-        assert got.tobytes() == _loop(lambda yi: _reference_R(st, yi), y).tobytes()
+        _assert_within_exp_log_ulps(got, _loop(lambda yi: _reference_R(st, yi), y), _exponent_terms(st, y))
         assert np.count_nonzero(np.isnan(got)) == 1  # NaN flows through, as on floats
         assert got[3] == (0.0 if L else st.norm_const * _jacobi_piece(st, 0.0)[0])  # y = 0
         assert lam > 0 or got[-1] == 0.0  # inside the slack past the lam < 0 endpoint
+        zeros = ([got[3]] if L else []) + ([got[-1]] if lam < 0 else [])
+        assert not np.any(np.signbit(zeros))  # +0.0, never -0.0
+        # at n = 1 the Jacobi piece is negative past the lam < 0 endpoint and far out for lam > 0,
+        # where the prefactor is an exact 0 (lam < 0) or underflows to it (lam > 0)
+        odd, far = radial.normalize(radial.build_state(1, L, lam)), y[-1] if lam < 0 else 1e100
+        assert _jacobi_piece(odd, far * far)[0] < 0.0
+        assert radial.eval_state(odd, far) == 0.0 and not np.signbit(radial.eval_state(odd, far))
         assert radial.eval_state(st, y[:256].reshape(16, 16)).tobytes() == got[:256].tobytes()
 
     def test_float_in_float_out(self, lam, L):
@@ -312,7 +337,8 @@ class TestEigenfunctionArrays:
         got = radial.eval_state_with_derivatives(st, y)
         for k in range(3):
             assert got[k].tobytes() == _loop(lambda yi: radial.eval_state_with_derivatives(st, yi)[k], y).tobytes()
-            assert got[k].tobytes() == _loop(lambda yi: _reference_derivatives(st, yi)[k], y).tobytes()
+            ref = _loop(lambda yi: _reference_derivatives(st, yi)[k], y)
+            _assert_within_exp_log_ulps(got[k], ref, _exponent_terms(st, y))
 
     def test_u_transform_residual(self, lam, L):
         st, y = _state(lam, L), _interior(lam, 13)
@@ -356,11 +382,12 @@ class TestEigenfunctionErrors:
 @pytest.mark.parametrize("L", range(7))
 class TestHarmonicArrays:
     def test_wavefunction(self, L):
-        # float_power is libm pow, as Python's ** on floats
+        # float_power is libm pow, as Python's ** on floats; the exp is numpy's, not math.exp
         f = oracle.ho_wavefunction(2, L)
         y = np.concatenate([_grid(1.0, 20 + L, signed=True), [0.0, np.nan]])
         ref = _loop(lambda yi: yi**L * math.exp(-0.5 * yi * yi) * float(laguerre(2, L + 0.5, yi * yi)), y)
-        assert f(y).tobytes() == ref.tobytes() == _loop(f, y).tobytes()
+        assert f(y).tobytes() == _loop(f, y).tobytes()
+        _assert_within_exp_log_ulps(f(y), ref, np.nan_to_num(0.5 * y * y))
         assert type(f(0.5)) is float
 
     def test_wavefunction_with_derivatives(self, L):

@@ -83,6 +83,16 @@ class TestStatesCommand:
         assert err.startswith("error: OutsideDomain: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("lam", ["-1e-9", "1e-9", "0"])
+    def test_ho_branch_default_grid_is_the_half_line_grid(self, capture, lam):
+        # the half-line grid, not the lam < 0 ball's: at lam = -1e-9 that one runs to y = 31,623,
+        # and R underflows to 0 on every row past the first
+        code, out, _ = capture(["states", f"--lambda={lam}", "--n", "0"])
+        assert code == 0
+        ys, rs, _ = np.array([list(map(float, line.split(","))) for line in out.strip().split("\n")[1:]]).T
+        assert ys.tolist() == np.linspace(0.01, 10.0, 200).tolist()
+        assert np.all(rs > 0.0)  # the ground state has no node; R(10) is 2.9e-22
+
     def test_ho_branch_weight_is_y_squared(self, capture):
         code, out, _ = capture(["states", "--lambda", "1e-9", "--L", "1", "--n", "2", "--grid", "0.1:4:7"])
         assert code == 0
