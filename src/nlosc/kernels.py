@@ -74,8 +74,7 @@ def _step(f, t, u, h, k1):
 def integrate_adaptive(f, t0, u0, t_eval, rtol, atol, max_steps):
     """Integrate u' = f(t, u) from t0, sampling at the points t_eval.
 
-    t_eval must be strictly increasing with t_eval[0] > t0 (or decreasing for
-    backward integration; internally handled by the sign of the sweep).
+    t_eval must be strictly increasing with t_eval[0] > t0.
     Returns (U, status, nsteps) with U[i] the state at t_eval[i].
 
     Plain floats raise where float64 arrays give inf or NaN: a division by zero
@@ -86,19 +85,18 @@ def integrate_adaptive(f, t0, u0, t_eval, rtol, atol, max_steps):
     u = [float(y) for y in u0]
     out = np.empty((len(targets), len(u)))
     t = float(t0)
-    direction = -1.0 if targets[-1] < t else 1.0
-    h_abs = min(1e-3, abs(targets[-1] - t) / 100.0)
+    h = min(1e-3, (targets[-1] - t) / 100.0)
     nsteps = 0
     try:
         k1 = f(t, u)
     except ZeroDivisionError:
         k1 = [math.nan] * len(u)
     for i, target in enumerate(targets):
-        while direction * (target - t) > 1e-15 * max(1.0, abs(t)):
-            if nsteps >= max_steps or h_abs < _H_MIN:
+        while target - t > 1e-15 * max(1.0, abs(t)):
+            if nsteps >= max_steps or h < _H_MIN:
                 return out, STATUS_UNDERFLOW, nsteps
-            clipped = direction * (t + direction * h_abs - target) > 0.0
-            h_try = target - t if clipped else direction * h_abs
+            clipped = t + h - target > 0.0
+            h_try = target - t if clipped else h
             try:
                 u_new, ks = _step(f, t, u, h_try, k1)
             except ZeroDivisionError:
@@ -123,8 +121,8 @@ def integrate_adaptive(f, t0, u0, t_eval, rtol, atol, max_steps):
                 k1 = k7
                 # a clipped (output-aligned) step leaves the controller size alone
                 if not clipped:
-                    h_abs = abs(h_try) * (5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2)))
+                    h = h_try * (5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2)))
             else:
-                h_abs = abs(h_try) * max(0.2, 0.9 * enorm ** -0.2)
+                h = h_try * max(0.2, 0.9 * enorm ** -0.2)
         out[i] = u
     return out, STATUS_OK, nsteps

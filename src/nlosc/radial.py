@@ -16,13 +16,18 @@ y^2 (Lambda < 0), or DLMF 18.5.8 in u = Lambda*y^2/(1+Lambda*y^2) = t/2
 (Lambda > 0).  With Lambda = P/Q exactly, its coefficients and the moment
 ratios come from integer term-ratio recurrences as integers over one common
 denominator, and the rational total is rounded once by a single division.
-All constant prefactors are carried in log space to survive the huge exponents
-that appear at small |Lambda|.
+A single inner product convolves the two states' coefficients.  A Gram matrix
+at Lambda < 0, whose weight is the same for every degree, instead sums each
+pair against one row of modified moments per state, O(n**3) products in all;
+at Lambda > 0 the weight changes with the total degree and each pair is
+convolved.  All constant prefactors are carried in log space to survive the
+huge exponents that appear at small |Lambda|.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -262,6 +267,22 @@ def _moments(Lambda: float, L: int, degree: int) -> tuple:
     return (log_m0, *_running_products(1, 1, steps))
 
 
+def _rounded(total: int, s_abs: int, den: int, log_m0: float):
+    """(value, error estimate) of exp(log_m0) * total / den, with ``s_abs`` / den
+    an upper bound on the sum of |c_k| * M_k / M_0 behind ``total``.
+
+    The rational is rounded once by ``int / int``; only exp(log_m0) is floating
+    point.  An overflow in either raises :class:`QuadratureFailure`.
+    """
+    try:  # exp, or an int / int beyond the float range
+        value = math.exp(log_m0) * (total / den)
+        # lgamma carries a few ulp on logs of size O(1/|Lambda|); fold that in
+        est = abs(value) * (1e-15 + 5e-16 * abs(log_m0)) + 1e-300 * (s_abs / den)
+    except OverflowError:
+        raise QuadratureFailure(f"non-finite norm or inner product: exp({log_m0!r}) times the moment sum overflows") from None
+    return value, est
+
+
 def _raw_inner(qa: tuple, qb: tuple, moments: tuple):
     """(value, error estimate) of exp(log_k) * int_{-1}^{1} (1-x)^a (1+x)^b qa qb dx
     for two folded polynomials in t = 1-x and ``moments`` from :func:`_moments`,
@@ -278,20 +299,49 @@ def _raw_inner(qa: tuple, qb: tuple, moments: tuple):
     for i, ai in enumerate(ca):
         for j, bj in enumerate(cb):
             prod[i + j] += ai * bj
-    den = da * db * r_den
     pos = neg = 0  # the sums of c*r over c > 0 and over c < 0
     for c, r in zip(prod, ratios, strict=True):
         if c > 0:
             pos += c * r
         else:
             neg += c * r
-    try:  # exp, or an int / int beyond the float range
-        value = math.exp(log_m0) * ((pos + neg) / den)
-        # lgamma carries a few ulp on logs of size O(1/|Lambda|); fold that in
-        est = abs(value) * (1e-15 + 5e-16 * abs(log_m0)) + 1e-300 * ((pos - neg) / den)
-    except OverflowError:
-        raise QuadratureFailure(f"non-finite norm or inner product: exp({log_m0!r}) times the moment sum overflows") from None
-    return value, est
+    return _rounded(pos + neg, pos - neg, da * db * r_den, log_m0)
+
+
+def _modified_moment_rows(folds: list, moments: tuple):
+    """raw(i, j) for i <= j: :func:`_raw_inner` of ``folds[i]`` and ``folds[j]``
+    when every pair shares the one moment table ``moments`` (Lambda < 0, whose
+    weight does not depend on the degree), in O(n**3) integer products.
+
+    State j gets one row of modified moments B_j[m] = sum_a c_ja r_(a+m),
+    m <= j (Gautschi, Orthogonal Polynomials, 2004, 2.1), and its twin
+    |B|_j[m] = sum_a |c_ja| r_(a+m) from the same products; the pair is then
+    sum_m c_im B_j[m] over one denominator.  B_j[m] is an exact 0 for m < j
+    when state j is orthogonal to every lower one.  The twin's sum bounds
+    _raw_inner's sum of |c_k| r_k from above, and equals it when each state's
+    coefficients alternate in sign, as the Lambda < 0 fold's do.
+    """
+    log_m0, ratios, r_den = moments
+    rows = []
+    for c, _ in folds:
+        pos, neg = [max(a, 0) for a in c], [max(-a, 0) for a in c]
+        row, row_abs = [], []
+        for m in range(len(c)):
+            shifted = ratios[m:]
+            p = sum(map(operator.mul, pos, shifted))
+            q = sum(map(operator.mul, neg, shifted))
+            row.append(p - q)
+            row_abs.append(p + q)
+        rows.append((row, row_abs))
+
+    def raw(i, j):
+        (ci, di), (_, dj) = folds[i], folds[j]
+        row, row_abs = rows[j]
+        total = sum(map(operator.mul, ci, row))
+        s_abs = sum(map(operator.mul, map(abs, ci), row_abs))
+        return _rounded(total, s_abs, di * dj * r_den, log_m0)
+
+    return raw
 
 
 def _scaled(raw: tuple, scale: float, tol: float) -> WeightedInnerProductResult:
@@ -335,8 +385,11 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
     admissible set when Lambda > 0).
 
     Equal, bit for bit, to ``inner_product`` of ``normalize``d states: each
-    state is folded once, the moments are shared by every pair of equal total
-    degree, and each raw integral of the upper triangle is summed once.
+    state is folded once and every raw integral is the same rational, rounded
+    once.  For Lambda < 0 one moment table serves every pair and each state
+    carries one row of modified moments (:func:`_modified_moment_rows`);
+    for Lambda > 0 the weight depends on the total degree, so the pairs of
+    equal total degree share a table and each pair is convolved once.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0 (the highest state index), got {n_max}")
@@ -348,15 +401,19 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
     else:
         n_top = n_max
     size = n_top + 1
-    folds, norms, diag, moments = [], [], [], {}
+    folds = [_folded_t_poly_exact(build_state(n, L, Lambda)) for n in range(size)]
+    if Lambda < 0:
+        raw = _modified_moment_rows(folds, _moments(Lambda, L, 2 * n_top))
+    else:
+        moments = {}
 
-    def raw(i, j):
-        if i + j not in moments:  # the weight depends on the total degree only
-            moments[i + j] = _moments(Lambda, L, i + j)
-        return _raw_inner(folds[i], folds[j], moments[i + j])
+        def raw(i, j):
+            if i + j not in moments:  # the weight depends on the total degree only
+                moments[i + j] = _moments(Lambda, L, i + j)
+            return _raw_inner(folds[i], folds[j], moments[i + j])
 
+    diag, norms = [], []
     for n in range(size):
-        folds.append(_folded_t_poly_exact(build_state(n, L, Lambda)))
         diag.append(raw(n, n))
         # what normalize() does to a fresh state, whose norm constant is 1
         norms.append(_unit_norm_const(1.0, _scaled(diag[n], 1.0, _TOL).value))

@@ -197,3 +197,17 @@ class TestHighDegree:
     def test_moments_up_to_degree_80(self, Lambda, L):
         for degree in range(0, 81, 10):
             _assert_same_moments(Lambda, L, degree)
+
+
+class TestModifiedMomentRows:
+    """The Lambda < 0 row sums against the pairwise convolution, entry by entry."""
+
+    @pytest.mark.parametrize("L,Lambda,n_max", [(0, -0.01, 30), (2, -1e-7, 20), (1, -0.3, 25), (4, -5.0, 17), (3, -1e-3, 22)])
+    def test_value_and_estimate_equal_raw_inner(self, L, Lambda, n_max):
+        folds = [radial._folded_t_poly_exact(radial.build_state(n, L, Lambda)) for n in range(n_max + 1)]
+        raw = radial._modified_moment_rows(folds, radial._moments(Lambda, L, 2 * n_max))
+        for j in range(n_max + 1):
+            for i in range(j + 1):
+                row = raw(i, j)
+                pair = radial._raw_inner(folds[i], folds[j], radial._moments(Lambda, L, i + j))
+                assert [x.hex() for x in row] == [x.hex() for x in pair], (i, j)

@@ -240,14 +240,18 @@ class TestGramMatrix:
         with pytest.raises(ValueError, match="n_max must be >= 0"):
             radial.gram_matrix(0, -1.0, -1)
 
-    @pytest.mark.parametrize("Lambda", [-2.5, -0.7, 0.02, 0.1])
-    @pytest.mark.parametrize("L", range(4))
-    def test_bit_identical_to_pairwise_reference(self, Lambda, L):
+    @pytest.mark.parametrize(
+        "L,Lambda,n_max",
+        [pytest.param(L, Lambda, 8, id=f"{L}-{Lambda}") for Lambda in (-2.5, -0.7, 0.02, 0.1) for L in range(4)]
+        # beyond the n_max 17 of the Fraction-reference grids, on the modified-moment rows
+        + [(0, -0.01, 30), (2, -1.5, 24)],
+    )
+    def test_bit_identical_to_pairwise_reference(self, L, Lambda, n_max):
         # 0.1 truncates: 5 states at L = 0, 3 at L = 3
-        g = radial.gram_matrix(L, Lambda, 8)
+        g = radial.gram_matrix(L, Lambda, n_max)
         states = [
             radial.normalize(radial.build_state(n, L, Lambda))
-            for n in range(9)
+            for n in range(n_max + 1)
             if is_admissible(n, L, Lambda)
         ]
         ref = np.eye(len(states))
@@ -257,21 +261,24 @@ class TestGramMatrix:
         assert g.shape == ref.shape
         assert g.tobytes() == ref.tobytes()
 
+    # -1.0 sums the modified-moment rows, 0.1 convolves each pair in _raw_inner;
+    # both round every entry through _rounded
+    @pytest.mark.parametrize("Lambda", [-1.0, 0.1])
     @pytest.mark.parametrize("forced_from", [0, 4])
-    def test_error_gate_on_every_entry(self, monkeypatch, forced_from):
+    def test_error_gate_on_every_entry(self, monkeypatch, forced_from, Lambda):
         # the first 4 moment sums of a 4-state matrix are the diagonal norms;
         # forcing from 4 on leaves them alone and reaches the off-diagonal gate
         calls = []
-        exact = radial._raw_inner
+        exact = radial._rounded
 
-        def forced(qa, qb, moments):
-            value, est = exact(qa, qb, moments)
+        def forced(total, s_abs, den, log_m0):
+            value, est = exact(total, s_abs, den, log_m0)
             calls.append(value)
             return value, (1.0 if len(calls) > forced_from else est)
 
-        monkeypatch.setattr(radial, "_raw_inner", forced)
+        monkeypatch.setattr(radial, "_rounded", forced)
         with pytest.raises(QuadratureFailure, match="exceeds tolerance"):
-            radial.gram_matrix(0, -1.0, 3)
+            radial.gram_matrix(0, Lambda, 3)
         assert len(calls) == forced_from + 1
 
 
