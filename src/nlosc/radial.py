@@ -16,6 +16,12 @@ y^2 (Lambda < 0), or DLMF 18.5.8 in u = Lambda*y^2/(1+Lambda*y^2) = t/2
 (Lambda > 0).  With Lambda = P/Q exactly, its coefficients and the moment
 ratios come from integer term-ratio recurrences as integers over one common
 denominator, and the rational total is rounded once by a single division.
+Both recurrences run in tau = t/|P|.  In t every product of a fold
+coefficient and a moment ratio carried the same power of |P| (|P|**n at
+Lambda < 0), which only the final division removed; in tau neither integer
+carries it.  At Lambda > 0 each state's fold also leaves out a factor P**n,
+and a pair's integer sum is multiplied by P**(n_a+n_b) once, so the rational
+rounded is the one the t form gives.
 A single inner product convolves the two states' coefficients.  A Gram matrix
 at Lambda < 0, whose weight is the same for every degree, instead sums each
 pair against one row of modified moments per state, O(n**3) products in all;
@@ -210,50 +216,58 @@ def _running_products(num0: int, den0: int, steps: list) -> tuple:
 
 
 def _folded_t_poly_exact(state: RadialEigenstate) -> tuple:
-    """Exact polynomial factor of the state in the substituted variable t = 1-x,
-    as (integer coefficients, common denominator).
+    """Exact polynomial factor of the state in tau = t/|P|, t = 1-x, as
+    (integer coefficients, common denominator).
 
     The state's polynomial piece is P_n^(L+1/2, -1/lam-1/2)(1 + 2*lam*s),
-    s = y**2, lam = P/Q exactly; both signs give one sum in t:
+    s = y**2, lam = P/Q exactly; both signs give one sum in tau.  Measuring t
+    in units of |P| keeps out of the integers the powers of P that cancel
+    against the moments: the coefficient of t**k is this one's over |P|**k
+    (times P**n at Lambda > 0).
 
-    - Lambda < 0 (s = t/(2|Lambda|)): C(n+L+1/2, n) 2F1(-n, n+L+1-1/lam; L+3/2; -lam*s),
-      term ratio (k-n)((n+L+1+k)P - Q) / ((2L+3+2k)(k+1)P) in t;
-    - Lambda > 0 (u = lam*s/(1+lam*s) = t/2): (2*lam)^n times
-      C(n+L+1/2, n) (1+lam*s)^n 2F1(-n, -n+1/lam+1/2; L+3/2; u) (DLMF 18.5.8),
-      first term C(n+L+1/2, n) (2P/Q)^n, term ratio
-      (n-k)((2n-2k-1)P - 2Q) / (2(2L+3+2k)(k+1)P).  The caller compensates
-      with Lambda^-n and n extra powers of (1+x) in the weight.
+    - Lambda < 0 (tau = 2s/Q): C(n+L+1/2, n) 2F1(-n, n+L+1-1/lam; L+3/2; -lam*s),
+      term ratio (n-k)((n+L+1+k)P - Q) / ((2L+3+2k)(k+1)) in tau;
+    - Lambda > 0 (tau = 2s/(Q+P*s), u = lam*s/(1+lam*s) = P*tau/2): the piece
+      is C(n+L+1/2, n) (1+lam*s)**n 2F1(-n, -n+1/lam+1/2; L+3/2; u)
+      (DLMF 18.5.8), and the fold is (2/Q)**n C(n+L+1/2, n) 2F1(...; u),
+      term ratio (n-k)((2n-2k-1)P - 2Q) / (2(2L+3+2k)(k+1)).  The caller
+      compensates with Lambda**-n, n extra powers of (1+x) in the weight and
+      the P**n that the fold leaves out (the ``lift`` of :func:`_moments`).
     """
     n, L = state.qn.n, state.qn.L
     P, Q = state.Lambda.as_integer_ratio()
     # C(n+L+1/2, n) = (2L+3)(2L+5)..(2L+1+2n) / (2^n n!)
     num0, den0 = math.prod(range(2 * L + 3, 2 * L + 2 + 2 * n, 2)), 2**n * math.factorial(n)
     if P < 0:
-        steps = [((k - n) * ((n + L + 1 + k) * P - Q), (2 * L + 3 + 2 * k) * (k + 1) * P) for k in range(n)]
+        steps = [((n - k) * ((n + L + 1 + k) * P - Q), (2 * L + 3 + 2 * k) * (k + 1)) for k in range(n)]
         return _running_products(num0, den0, steps)
-    steps = [((n - k) * ((2 * n - 2 * k - 1) * P - 2 * Q), 2 * (2 * L + 3 + 2 * k) * (k + 1) * P) for k in range(n)]
-    return _running_products(num0 * (2 * P) ** n, den0 * Q**n, steps)
+    steps = [((n - k) * ((2 * n - 2 * k - 1) * P - 2 * Q), 2 * (2 * L + 3 + 2 * k) * (k + 1)) for k in range(n)]
+    return _running_products(num0 * 2**n, den0 * Q**n, steps)
 
 
 def _moments(Lambda: float, L: int, degree: int) -> tuple:
     """Moments M_0..M_degree of the Jacobi weight (1-x)^a (1+x)^b against
-    powers of t = 1-x, for a product of two states of total degree ``degree``.
+    powers of tau = (1-x)/|P|, Lambda = P/Q, for a product of two states of
+    total degree ``degree``.
 
     a = L + 1/2, and b = 1/|Lambda| - 1/2 (Lambda < 0, x = 1 - 2|Lambda|y^2)
     or 1/Lambda - 2 - L - degree (Lambda > 0, y = sqrt((1-x)/(Lambda(1+x))),
     the (1+x)^-n poles folded into the weight), both integers over one
-    denominator d.  Returns (log_m0, ratios, den): log_m0 is the log of the
-    constant prefactor times M_0, in floating point, and
+    denominator d.  Returns (log_m0, ratios, den, lift): log_m0 is the log of
+    the constant prefactor times M_0, in floating point, and
     M_j / M_0 = ratios[j] / den exactly (successive moments differ by the
-    rational 2(a+j+1)/(a+b+j+2)).
+    rational 2(a+j+1)/((a+b+j+2)|P|) = 2(2L+3+2j)/(d(a+b+j+2)), d = 2|P|).
+    ``lift`` is P**degree at Lambda > 0, the power of P that the two folds
+    leave out (see :func:`_folded_t_poly_exact`), and 1 at Lambda < 0; a
+    pair's integer sum is multiplied by it once.
     """
     P, Q = Lambda.as_integer_ratio()
     d, pa = 2 * abs(P), (2 * L + 1) * abs(P)  # a = pa/d
     if P < 0:
-        pb = 2 * Q + P  # b = pb/d
+        pb, lift = 2 * Q + P, 1  # b = pb/d
         log_k = -math.log(-4.0 * Lambda) - (L + 0.5) * math.log(-2.0 * Lambda) - pb / d * math.log(2.0)
     else:
-        pb = 2 * (Q - (2 + L + degree) * P)
+        pb, lift = 2 * (Q - (2 + L + degree) * P), P**degree
         log_k = -(L + 1.5 + degree) * math.log(Lambda) - (1.0 / Lambda + 0.5) * math.log(2.0)
     # int / int rounds each rational once
     log_m0 = (
@@ -263,8 +277,8 @@ def _moments(Lambda: float, L: int, degree: int) -> tuple:
         + math.lgamma(pb / d + 1.0)
         - math.lgamma((pa + pb) / d + 2.0)
     )
-    steps = [(2 * (pa + (j + 1) * d), pa + pb + (j + 2) * d) for j in range(degree)]
-    return (log_m0, *_running_products(1, 1, steps))
+    steps = [(2 * (2 * L + 3 + 2 * j), pa + pb + (j + 2) * d) for j in range(degree)]
+    return (log_m0, *_running_products(1, 1, steps), lift)
 
 
 def _rounded(total: int, s_abs: int, den: int, log_m0: float):
@@ -285,7 +299,7 @@ def _rounded(total: int, s_abs: int, den: int, log_m0: float):
 
 def _raw_inner(qa: tuple, qb: tuple, moments: tuple):
     """(value, error estimate) of exp(log_k) * int_{-1}^{1} (1-x)^a (1+x)^b qa qb dx
-    for two folded polynomials in t = 1-x and ``moments`` from :func:`_moments`,
+    for two folded polynomials in tau and ``moments`` from :func:`_moments`,
     before the states' norm constants.
 
     The sum over Beta-function moments is one integer dot product, so the
@@ -294,7 +308,7 @@ def _raw_inner(qa: tuple, qb: tuple, moments: tuple):
     exp(log_k + log B(a+1, b+1) + (a+b+1) log 2) is floating point.
     """
     (ca, da), (cb, db) = qa, qb
-    log_m0, ratios, r_den = moments
+    log_m0, ratios, r_den, lift = moments
     prod = [0] * (len(ca) + len(cb) - 1)
     for i, ai in enumerate(ca):
         for j, bj in enumerate(cb):
@@ -305,7 +319,7 @@ def _raw_inner(qa: tuple, qb: tuple, moments: tuple):
             pos += c * r
         else:
             neg += c * r
-    return _rounded(pos + neg, pos - neg, da * db * r_den, log_m0)
+    return _rounded(lift * (pos + neg), lift * (pos - neg), da * db * r_den, log_m0)
 
 
 def _modified_moment_rows(folds: list, moments: tuple):
@@ -321,7 +335,7 @@ def _modified_moment_rows(folds: list, moments: tuple):
     _raw_inner's sum of |c_k| r_k from above, and equals it when each state's
     coefficients alternate in sign, as the Lambda < 0 fold's do.
     """
-    log_m0, ratios, r_den = moments
+    log_m0, ratios, r_den, _ = moments  # the lift is 1 at Lambda < 0
     rows = []
     for c, _ in folds:
         pos, neg = [max(a, 0) for a in c], [max(-a, 0) for a in c]

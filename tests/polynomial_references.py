@@ -93,12 +93,12 @@ def jacobi_piece_exact(state, ys):
     for y in ys:
         p, q = float(y).as_integer_ratio()
         p2, q2 = p * p, q * q
-        if P < 0:  # t = 2|Lambda| s
-            out.append(_at(coeffs, den, -2 * P * p2, Q * q2))
-        else:  # t = 2 Lambda s / (1 + Lambda s) = tn/td, and the fold carries (Lambda (2 - t))**n
-            # = (2 P q2 / td)**n, whose td**n cancels the one Horner leaves
-            tn, td = 2 * P * p2, Q * q2 + P * p2
-            out.append(_horner(coeffs, tn, td) / (den * (2 * P * q2) ** state.qn.n))
+        if P < 0:  # tau = t/|P| = 2 s / Q
+            out.append(_at(coeffs, den, 2 * p2, Q * q2))
+        else:  # tau = 2 s / (Q + P s) = tn/td, and the piece is the fold times ((Q + P s)/2)**n
+            # = (td / (2 q2))**n, whose td**n cancels the one Horner leaves
+            tn, td = 2 * p2, Q * q2 + P * p2
+            out.append(_horner(coeffs, tn, td) / (den * (2 * q2) ** state.qn.n))
     return out
 
 

@@ -1,4 +1,5 @@
-"""Eigenfunctions against exact rational evaluation, up to degree 40.
+"""Eigenfunctions against exact rational evaluation, up to degree 40, and up to
+160 at Lambda < 0.
 
 The Jacobi piece of ``eval_state`` with its two derivatives in s = y**2, and
 the Laguerre piece of the harmonic-oscillator closures, are compared with
@@ -7,7 +8,8 @@ rational evaluation of the same polynomials (see ``polynomial_references``) on
 (0.05, min(0.999 y_end, 6)), by max|R - R_exact| / max|R_exact|.  The range is
 both signs of Lambda, L = 0..4 and n <= 40, with the top admissible state where
 Lambda > 0 leaves fewer than 41: the ten of Lambda = 0.013 (n = 35..37) and
-Lambda = 0.1 (n = 2..4).
+Lambda = 0.1 (n = 2..4).  Above n = 40 (Lambda < 0, L = 0) the error grows
+about linearly in n, and the bound with it: 1e-12 * n/40.
 """
 
 import math
@@ -51,6 +53,14 @@ def test_eval_state_is_exact_to_1e_12(lam):
         state = radial.normalize(radial.build_state(n, L, lam))
         worst.append((_rel_err(radial.eval_state(state, ys), state_exact(state, ys)), n, L))
     assert max(worst)[0] <= ACCURACY, max(worst)
+
+
+@pytest.mark.parametrize("lam", [-1e-3, -0.1])
+@pytest.mark.parametrize("n", [80, 160])
+def test_eval_state_above_degree_40(lam, n):
+    ys = _points(lam)
+    state = radial.normalize(radial.build_state(n, 0, lam))
+    assert _rel_err(radial.eval_state(state, ys), state_exact(state, ys)) <= ACCURACY * max(1.0, n / 40)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)

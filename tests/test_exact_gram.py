@@ -1,11 +1,14 @@
 """The integer-only exact Gram path against a Fraction reference.
 
-The reference below is the per-coefficient ``Fraction`` fold (for
+The reference below is the per-coefficient ``Fraction`` fold in t = 1-x (for
 Lambda > 0 a series in y**2 re-expanded through the binomial theorem), weight
 and Beta-moment recurrence that the integer recurrences of ``nlosc.radial``
-replaced.  Both give the same rationals, and every float is one correctly
-rounded ``int / int`` division of a rational, so the outputs must agree byte
-for byte, errors included.
+replaced, restated in tau = t/|P| (Lambda = P/Q) by exact scaling: the
+coefficient of t**k times |P|**k, the k-th moment ratio over |P|**k, and at
+Lambda > 0 the fold over P**n with the moments' lift P**degree putting it back.
+Both give the same rationals, and every float is one correctly rounded
+``int / int`` division of a rational, so the outputs must agree byte for byte,
+errors included.
 """
 
 import math
@@ -42,19 +45,28 @@ def _ref_over_common_denominator(values):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _ref_folded(state):
+def _ref_folded_t(state):
+    """The fold's coefficients in t = 1-x, as Fractions."""
     lam = Fraction(state.Lambda)
     n = state.qn.n
     h = _ref_series_coeffs(n, state.qn.L, lam)
     if lam < 0:
         scale = 1 / (-2 * lam)
-        return _ref_over_common_denominator([h[k] * scale**k for k in range(n + 1)])
-    base, den = _ref_over_common_denominator([h[k] * lam ** (n - k) for k in range(n + 1)])
-    total = [0] * (n + 1)
+        return [h[k] * scale**k for k in range(n + 1)]
+    base = [h[k] * lam ** (n - k) for k in range(n + 1)]
+    total = [Fraction(0)] * (n + 1)
     for k, bk in enumerate(base):
         for i in range(n - k + 1):
             total[k + i] += bk * math.comb(n - k, i) * (-1) ** i * 2 ** (n - k - i)
-    return total, den
+    return total
+
+
+def _ref_folded(state):
+    """The fold in tau = t/|P|: the coefficient of t**k times |P|**k, and at
+    Lambda > 0 over the P**n that the lift of the moments puts back."""
+    P = Fraction(state.Lambda).numerator
+    lift = P ** state.qn.n if P > 0 else 1
+    return _ref_over_common_denominator([c * abs(P) ** k / lift for k, c in enumerate(_ref_folded_t(state))])
 
 
 def _ref_weight(Lambda, L, degree):
@@ -90,7 +102,12 @@ def _ref_beta_moments(a, b, log_k, count):
 
 
 def _ref_moments(Lambda, L, degree):
-    return _ref_beta_moments(*_ref_weight(Lambda, L, degree), degree + 1)
+    """The moments of tau**k = (t/|P|)**k: the t form's ratio k over |P|**k, with
+    the lift P**degree at Lambda > 0 and 1 at Lambda < 0."""
+    log_m0, ratios, den = _ref_beta_moments(*_ref_weight(Lambda, L, degree), degree + 1)
+    P = Fraction(Lambda).numerator
+    tau_ratios, tau_den = _ref_over_common_denominator([Fraction(r, den) / abs(P) ** k for k, r in enumerate(ratios)])
+    return log_m0, tau_ratios, tau_den, P**degree if P > 0 else 1
 
 
 @pytest.fixture
@@ -136,9 +153,10 @@ def _assert_same_fold(st):
 
 
 def _assert_same_moments(Lambda, L, degree):
-    log_m0, ratios, den = radial._moments(Lambda, L, degree)
-    ref_log_m0, ref_ratios, ref_den = _ref_moments(Lambda, L, degree)
+    log_m0, ratios, den, lift = radial._moments(Lambda, L, degree)
+    ref_log_m0, ref_ratios, ref_den, ref_lift = _ref_moments(Lambda, L, degree)
     assert log_m0.hex() == ref_log_m0.hex()
+    assert lift == ref_lift
     assert den > 0
     assert [Fraction(r, den) for r in ratios] == [Fraction(r, ref_den) for r in ref_ratios]
 
@@ -197,6 +215,24 @@ class TestHighDegree:
     def test_moments_up_to_degree_80(self, Lambda, L):
         for degree in range(0, 81, 10):
             _assert_same_moments(Lambda, L, degree)
+
+
+class TestNoCancelledPower:
+    """In tau = t/|P| no integer of the exact layer carries the power of |P|
+    that cancels in every product of a fold coefficient and a moment ratio:
+    at Lambda < 0 the t form's coefficients carried |P|**(n-k) and its ratios
+    |P|**k."""
+
+    @pytest.mark.parametrize("Lambda", [-0.0123, 0.0123])
+    def test_no_integer_is_divisible_by_P(self, Lambda):
+        P = abs(Lambda.as_integer_ratio()[0])
+        assert P.bit_length() >= 40
+        for n in range(41):  # 40 is the top state at Lambda = 0.0123, L = 0
+            coeffs, den = radial._folded_t_poly_exact(radial.build_state(n, 0, Lambda))
+            assert den % P and all(c % P for c in coeffs if c), n
+        for degree in range(81):
+            _, ratios, den, _ = radial._moments(Lambda, 0, degree)
+            assert den % P and all(r % P for r in ratios), degree
 
 
 class TestModifiedMomentRows:
