@@ -43,15 +43,15 @@ def _cells(column: list) -> list:
 def serialize(command: str, params: dict, columns: Columns, fmt: str) -> str:
     """Render named columns as CSV (header + one line per row) or a JSON document."""
     keys = list(columns)
-    rows = list(zip(*columns.values()))
-    for row in rows:
-        for key, val in zip(keys, row):
-            if isinstance(val, float) and not math.isfinite(val):
+    bad = [k for k, col in columns.items() if isinstance(col[0], float) and not all(map(math.isfinite, col))]
+    for row in zip(*(columns[k] for k in bad)):  # the first non-finite cell in row order
+        for key, val in zip(bad, row):
+            if not math.isfinite(val):
                 raise NonFiniteValue(f"non-finite value in column '{key}'")
     if fmt == "csv":
         lines = map(",".join, zip(*map(_cells, columns.values())))
         return "\n".join([",".join(keys), *lines]) + "\n"
-    doc = {"command": command, "params": params, "data": [dict(zip(keys, row)) for row in rows]}
+    doc = {"command": command, "params": params, "data": [dict(zip(keys, row)) for row in zip(*columns.values())]}
     return json.dumps(doc, indent=2) + "\n"
 
 

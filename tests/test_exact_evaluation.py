@@ -1,5 +1,5 @@
 """Eigenfunctions against exact rational evaluation, up to degree 40, and up to
-160 at Lambda < 0.
+160 (Lambda < 0) or 200 (Lambda > 0) at L = 0.
 
 The Jacobi piece of ``eval_state`` with its two derivatives in s = y**2, and
 the Laguerre piece of the harmonic-oscillator closures, are compared with
@@ -8,8 +8,9 @@ rational evaluation of the same polynomials (see ``polynomial_references``) on
 (0.05, min(0.999 y_end, 6)), by max|R - R_exact| / max|R_exact|.  The range is
 both signs of Lambda, L = 0..4 and n <= 40, with the top admissible state where
 Lambda > 0 leaves fewer than 41: the ten of Lambda = 0.013 (n = 35..37) and
-Lambda = 0.1 (n = 2..4).  Above n = 40 (Lambda < 0, L = 0) the error grows
-about linearly in n, and the bound with it: 1e-12 * n/40.
+Lambda = 0.1 (n = 2..4).  Above n = 40 (L = 0; Lambda = -1e-3 and -0.1 up to
+n = 160, Lambda = 1e-3 up to n = 200) the error grows about linearly in n, and
+the bound with it: 1e-12 * n/40.
 """
 
 import math
@@ -55,8 +56,9 @@ def test_eval_state_is_exact_to_1e_12(lam):
     assert max(worst)[0] <= ACCURACY, max(worst)
 
 
-@pytest.mark.parametrize("lam", [-1e-3, -0.1])
-@pytest.mark.parametrize("n", [80, 160])
+@pytest.mark.parametrize(
+    "n,lam", [(n, lam) for lam in (-1e-3, -0.1) for n in (80, 160)] + [(n, 1e-3) for n in (60, 100, 200)]
+)
 def test_eval_state_above_degree_40(lam, n):
     ys = _points(lam)
     state = radial.normalize(radial.build_state(n, 0, lam))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,12 +195,12 @@ class TestInnerProductAndNorm:
             radial.inner_product(st, st, tol=1e-30)
 
     def test_infinite_norm_refused(self):
-        # the squared norm rounds to inf, which the error gate alone lets
-        # through (inf > tol*inf is false); normalize would give the norm constant 0.0
+        # the squared norm is e**714.6, past the float range; normalize would
+        # give the norm constant 0.0
         st = radial.build_state(5, 170, -0.001)
-        with pytest.raises(QuadratureFailure, match="^non-finite norm or inner product inf"):
+        with pytest.raises(QuadratureFailure, match=r"^non-finite norm or inner product: exp\(714\.6"):
             radial.inner_product(st, st)
-        with pytest.raises(QuadratureFailure, match="^non-finite norm or inner product inf"):
+        with pytest.raises(QuadratureFailure, match=r"^non-finite norm or inner product: exp\(714\.6"):
             radial.normalize(st)
 
     @pytest.mark.parametrize("n,L,Lambda", [(0, 400, -0.001), (0, 300, 0.001)])
@@ -209,6 +210,19 @@ class TestInnerProductAndNorm:
             radial.normalize(radial.build_state(n, L, Lambda))
         with pytest.raises(QuadratureFailure, match="overflows$"):
             radial.gram_matrix(L, Lambda, 2)
+
+    @pytest.mark.parametrize("a,b", [((0, 1, -1.0), (2, 1, -1.0)), ((1, 0, 0.05), (3, 0, 0.05))])
+    def test_exact_zero_has_zero_estimate(self, a, b):
+        # an orthogonal pair's integer sum is exactly 0: nothing is rounded, nothing estimated
+        res = radial.inner_product(*(radial.normalize(radial.build_state(*qn)) for qn in (a, b)))
+        assert (res.value, res.est_abs_error) == (0.0, 0.0)
+        assert math.copysign(1.0, res.value) == 1.0
+
+    def test_non_finite_product_of_norm_constants_refused(self):
+        # the raw integral is finite; the norm constants carry it past the float range
+        st = replace(radial.normalize(radial.build_state(1, 0, -0.5)), norm_const=1e200)
+        with pytest.raises(QuadratureFailure, match="^non-finite norm or inner product inf"):
+            radial.inner_product(st, st)
 
     def test_mismatched_states_rejected(self):
         a = radial.build_state(0, 0, -1.0)
@@ -271,8 +285,8 @@ class TestGramMatrix:
         calls = []
         exact = radial._rounded
 
-        def forced(total, s_abs, den, log_m0):
-            value, est = exact(total, s_abs, den, log_m0)
+        def forced(total, den, log_m0):
+            value, est = exact(total, den, log_m0)
             calls.append(value)
             return value, (1.0 if len(calls) > forced_from else est)
 
@@ -280,6 +294,40 @@ class TestGramMatrix:
         with pytest.raises(QuadratureFailure, match="exceeds tolerance"):
             radial.gram_matrix(0, Lambda, 3)
         assert len(calls) == forced_from + 1
+
+
+class TestPositiveLambdaHighDegree:
+    """Lambda > 0 states whose log prefactor passes 709.8 while the norm is O(1):
+    the prefactor once overflowed before the rational brought it back, and
+    these were refused from the listed n on."""
+
+    @pytest.mark.parametrize(
+        "Lambda,n",
+        [(1e-6, 28), (1e-4, 42), (1e-3, 58), (3e-3, 70), (1e-4, 100), (1e-3, 100)],
+    )
+    def test_normalize_is_unit_by_trapezoid(self, Lambda, n):
+        st = radial.normalize(radial.build_state(n, 0, Lambda))
+        assert math.isfinite(st.norm_const) and st.norm_const > 0
+        y = np.linspace(1e-4, 40.0, 200_001)
+        f = radial.eval_state(st, y) ** 2 * radial.weight(y, Lambda)
+        assert abs(float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(y))) - 1.0) <= 1e-8
+
+    def test_normalize_is_unit_by_log_trapezoid_with_a_long_tail(self):
+        # at Lambda = 5e-3, n = 77 the density decays like a power of y and is
+        # not small by y = 40; the trapezoid runs in log y out to y = 500
+        st = radial.normalize(radial.build_state(77, 0, 5e-3))
+        u = np.linspace(math.log(1e-4), math.log(500.0), 400_001)
+        y = np.exp(u)
+        f = radial.eval_state(st, y) ** 2 * radial.weight(y, 5e-3) * y
+        assert abs(float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(u))) - 1.0) <= 1e-8
+
+    # at 2e-8 the norm itself is good to about 1e-7 only (see WeightedInnerProductResult),
+    # so the check there is the Gram gate
+    @pytest.mark.parametrize("L,Lambda,n_max", [(0, 2e-8, 24), (0, 1e-6, 30)])
+    def test_gram_identity(self, L, Lambda, n_max):
+        g = radial.gram_matrix(L, Lambda, n_max)
+        assert g.shape == (n_max + 1, n_max + 1)
+        assert np.max(np.abs(g - np.eye(n_max + 1))) <= 1e-8
 
 
 class TestEffectivePotential:
