@@ -24,25 +24,35 @@ def _check_degree(n: int) -> int:
     return int(n)
 
 
-def _recurrence(n: int, x, step) -> np.ndarray:
-    """p_n at the points x, an array of their shape, from p_0 = 1 and p_(-1) = 0; ``step(k)``
-    gives (A_k, B_k, C_k, D_k) for degree k -> k+1.  A negative or fractional n raises."""
+def _recurrence(n: int, x, step) -> tuple:
+    """(m, e) with p_n = m * 2**e at the points x, from p_0 = 1 and p_(-1) = 0;
+    ``step(k)`` gives (A_k, B_k, C_k, D_k) for degree k -> k+1.  A negative or
+    fractional n raises.  When a bound on max|p_k| passes 2**960, each point's
+    pair (p_(k-1), p_k) is scaled by a power of two, which is exact; e is the
+    integer 0 until then, and m * 2**e is the unscaled value wherever finite."""
     x = np.asarray(x, dtype=float)
-    prev, cur = np.zeros(x.shape), np.ones(x.shape)
+    prev, cur, e = np.zeros(x.shape), np.ones(x.shape), 0
+    x_bound = float(np.fmax.reduce(np.abs(x), axis=None, initial=0.0))  # NaN points left out
+    bound_prev, bound = 0.0, 1.0
     for k in range(_check_degree(n)):
         A, B, C, D = step(k)
         prev, cur = cur, ((A * x + B) * cur - C * prev) / D
-    return cur
+        bound_prev, bound = bound, ((abs(A) * x_bound + abs(B)) * bound + abs(C) * bound_prev) / abs(D)
+        if bound > 2.0**960:
+            s = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1]
+            prev, cur, e = np.ldexp(prev, -s), np.ldexp(cur, -s), e + s
+            bound_prev = bound = 1.0
+    return cur, e
 
 
-def jacobi(n: int, a: float, b: float, x) -> np.ndarray:
-    """P_n^(a,b) with P_n^(a,b)(1) = C(n+a, n) at the points x, an array of their shape.
+def _value(m, e) -> np.ndarray:
+    return np.ldexp(m, e) if np.any(e) else m
 
-    b may be any real.  A recurrence denominator 2m(m+a+b)(2m+a+b-2) that is
-    zero up to rounding (a+b a negative integer reached by an intermediate
-    degree m) raises :class:`PoleInDenominator`; no admissible state of
-    :mod:`nlosc.radial` reaches one, nor do its shifted parameters.
-    """
+
+def jacobi_scaled(n: int, a: float, b: float, x) -> tuple:
+    """P_n^(a,b) at the points x as (m, e) with P_n = m * 2**e, m finite where
+    P_n overflows; the split depends on the other points (np.frexp of m gives
+    one that does not).  Raises as :func:`jacobi`."""
 
     def step(k):
         if k == 0:
@@ -59,7 +69,18 @@ def jacobi(n: int, a: float, b: float, x) -> np.ndarray:
     return _recurrence(n, x, step)
 
 
+def jacobi(n: int, a: float, b: float, x) -> np.ndarray:
+    """P_n^(a,b) with P_n^(a,b)(1) = C(n+a, n) at the points x, an array of their shape.
+
+    b may be any real.  A recurrence denominator 2m(m+a+b)(2m+a+b-2) that is
+    zero up to rounding (a+b a negative integer reached by an intermediate
+    degree m) raises :class:`PoleInDenominator`; no admissible state of
+    :mod:`nlosc.radial` reaches one, nor do its shifted parameters.
+    """
+    return _value(*jacobi_scaled(n, a, b, x))
+
+
 def laguerre(n: int, a: float, x) -> np.ndarray:
     """Generalized Laguerre L_n^(a) with L_n^(a)(0) = C(n+a, n) at the points x, an array of their shape."""
-    return _recurrence(n, x, lambda k: (-1.0, 2.0 * k + a + 1.0, k + a, k + 1.0))
+    return _value(*_recurrence(n, x, lambda k: (-1.0, 2.0 * k + a + 1.0, k + a, k + 1.0)))
 

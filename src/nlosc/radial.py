@@ -8,27 +8,17 @@ serves both signs.
 
 Inner products are taken in L^2 with weight mu = y^2/sqrt(Lambda*y^2+1).  The
 change of variable x = 1-2*|Lambda|*y^2 (Lambda < 0) or
-y = sqrt((1-x)/(Lambda*(1+x))) (Lambda > 0) turns every integrand into a
-polynomial in t = 1-x times the Jacobi weight (1-x)^a*(1+x)^b, so the integral
-reduces to a short sum of Beta-function moments, exact up to roundoff.  For
-either sign a state is one terminating sum in t: its hypergeometric series in
-y^2 (Lambda < 0), or DLMF 18.5.8 in u = Lambda*y^2/(1+Lambda*y^2) = t/2
-(Lambda > 0).  With Lambda = P/Q exactly, its coefficients and the moment
-ratios come from integer term-ratio recurrences as integers over one common
-denominator, and the rational total is rounded once; its power of two joins
-the log prefactor (:func:`_rounded`).
-Both recurrences run in tau = t/|P|.  In t every product of a fold
-coefficient and a moment ratio carried the same power of |P| (|P|**n at
-Lambda < 0), which only the final division removed; in tau neither integer
-carries it.  At Lambda > 0 each state's fold also leaves out a factor P**n,
-and a pair's integer sum is multiplied by P**(n_a+n_b) once, so the rational
-rounded is the one the t form gives.
-A single inner product convolves the two states' coefficients.  A Gram matrix
-at Lambda < 0, whose weight is the same for every degree, instead sums each
-pair against one row of modified moments per state, O(n**3) products in all;
-at Lambda > 0 the weight changes with the total degree and each pair is
-convolved.  All constant prefactors are carried in log space to survive the
-huge exponents that appear at small |Lambda|.
+y = sqrt((1-x)/(Lambda*(1+x))) (Lambda > 0) turns every integrand into one
+weight (1-x)^a*(1+x)^b, the same for every degree, times two states'
+hypergeometric series in y^2, whose powers are Beta-function moments of that
+weight; the integral is a short sum, exact up to roundoff.  With Lambda = P/Q
+exactly, the series coefficients and the moment ratios come from integer
+term-ratio recurrences, one formula for both signs, and the rational total is
+rounded once; its power of two joins the log prefactor (:func:`_rounded`,
+:func:`_log_m0`).  A single inner product convolves the two states'
+coefficients; a Gram matrix sums each pair against one row of modified
+moments per state, O(n**3) products in all.  All constant prefactors are
+carried in log space to survive the huge exponents at small |Lambda|.
 """
 
 from __future__ import annotations
@@ -47,7 +37,7 @@ from .errors import (
     OutsideDomain,
     QuadratureFailure,
 )
-from .orthopoly import jacobi
+from .orthopoly import jacobi, jacobi_scaled
 from .params import ModelParams, domain, mass_at, mass_denominator
 from .spectrum import QuantumNumbers, energy_dimless, is_admissible
 
@@ -80,10 +70,8 @@ class RadialEigenstate:
 @dataclass(frozen=True)
 class WeightedInnerProductResult:
     """``est_abs_error`` bounds the floating point around an exact integer sum:
-    the one rounding of the rational and a few ulps of lgamma and exp on the
-    final log prefactor (0.0 for an exactly zero sum).  Cancellation among the
-    lgamma terms, each about log(1/|Lambda|)/|Lambda|, is not counted: it
-    leaves about 1e-10 relative at |Lambda| = 1e-6 and 1e-7 at 2e-8."""
+    the one rounding of the rational and a few ulps of lgamma, log and exp on
+    the final log prefactor (0.0 for an exactly zero sum)."""
 
     value: float
     est_abs_error: float
@@ -135,12 +123,12 @@ def _check_inside(state: RadialEigenstate, y: np.ndarray) -> np.ndarray:
     return np.where(w <= 0, 0.0, w)  # <= keeps NaN, as the scalar branches do
 
 
-def _prefactor(state: RadialEigenstate, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """y**L * w**(-1/(2*Lambda)) as exp(L*log(y) + p*log(w)), by numpy's exp and log
-    (the L*log(y) term left out for L = 0).  With log(0) = -inf it is 0 at y = 0
+def _log_prefactor(state: RadialEigenstate, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """log of y**L * w**(-1/(2*Lambda)), L*log(y) + p*log(w) by numpy's log (the
+    L*log(y) term left out for L = 0).  With log(0) = -inf its exp is 0 at y = 0
     for L > 0 and at the Lambda < 0 endpoint, and 1 at y = 0 for L = 0."""
     log_a = state.prefactor_exponent * np.log(w)
-    return np.exp(state.L_power * np.log(y) + log_a if state.L_power else log_a)
+    return state.L_power * np.log(y) + log_a if state.L_power else log_a
 
 
 def _jacobi_piece(state: RadialEigenstate, s: np.ndarray):
@@ -163,9 +151,18 @@ def eval_state(state: RadialEigenstate, y):
     ys = np.asarray(y, dtype=float)
     flat = ys.ravel()
     w = _check_inside(state, flat)
-    Q = next(_jacobi_piece(state, flat * flat))
-    with np.errstate(divide="ignore"):  # log(0) = -inf at y = 0 and at the Lambda < 0 endpoint
-        r = state.norm_const * _prefactor(state, flat, w) * Q + 0.0  # + 0.0: a zero is +0.0, never -0.0
+    s = flat * flat
+    # log(0) = -inf at y = 0 and at the Lambda < 0 endpoint; P_n may overflow to inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        Q = next(_jacobi_piece(state, s))
+        log_a = _log_prefactor(state, flat, w)
+        r = state.norm_const * np.exp(log_a) * Q + 0.0  # + 0.0: a zero is +0.0, never -0.0
+        far = np.flatnonzero(np.isinf(Q))
+        if far.size:  # where P_n overflowed, its power of two joins the log of the prefactor
+            lam = state.Lambda
+            m, e = jacobi_scaled(state.qn.n, state.L_power + 0.5, -1.0 / lam - 0.5, 1.0 + 2.0 * lam * s[far])
+            m, k = np.frexp(m)  # the split of each point, whatever the other points
+            r[far] = state.norm_const * np.exp(log_a[far] + (e + k) * math.log(2.0)) * m + 0.0
     return float(r[0]) if ys.ndim == 0 else r.reshape(ys.shape)
 
 
@@ -190,7 +187,7 @@ def eval_state_with_derivatives(state: RadialEigenstate, y):
     p = state.prefactor_exponent
     Q, dQ, d2Q = _jacobi_piece(state, s)
     sp = 2.0 * flat  # ds/dy
-    A = _prefactor(state, flat, w)
+    A = np.exp(_log_prefactor(state, flat, w))
     la = L / flat + 2.0 * lam * p * flat / w  # A'/A
     dla = -L / s + 2.0 * lam * p * (1.0 - lam * flat * flat) / (w * w)
     R = A * Q
@@ -223,69 +220,61 @@ def _running_products(num0: int, den0: int, steps: list) -> tuple:
 
 
 def _folded_t_poly_exact(state: RadialEigenstate) -> tuple:
-    """Exact polynomial factor of the state in tau = t/|P|, t = 1-x, as
-    (integer coefficients, common denominator).
-
-    The state's polynomial piece is P_n^(L+1/2, -1/lam-1/2)(1 + 2*lam*s),
-    s = y**2, lam = P/Q exactly; both signs give one sum in tau.  Measuring t
-    in units of |P| keeps out of the integers the powers of P that cancel
-    against the moments: the coefficient of t**k is this one's over |P|**k
-    (times P**n at Lambda > 0).
-
-    - Lambda < 0 (tau = 2s/Q): C(n+L+1/2, n) 2F1(-n, n+L+1-1/lam; L+3/2; -lam*s),
-      term ratio (n-k)((n+L+1+k)P - Q) / ((2L+3+2k)(k+1)) in tau;
-    - Lambda > 0 (tau = 2s/(Q+P*s), u = lam*s/(1+lam*s) = P*tau/2): the piece
-      is C(n+L+1/2, n) (1+lam*s)**n 2F1(-n, -n+1/lam+1/2; L+3/2; u)
-      (DLMF 18.5.8), and the fold is (2/Q)**n C(n+L+1/2, n) 2F1(...; u),
-      term ratio (n-k)((2n-2k-1)P - 2Q) / (2(2L+3+2k)(k+1)).  The caller
-      compensates with Lambda**-n, n extra powers of (1+x) in the weight and
-      the P**n that the fold leaves out (the ``lift`` of :func:`_moments`).
-    """
+    """The state's polynomial piece P_n^(L+1/2, -1/lam-1/2)(1 + 2*lam*s), s = y**2,
+    in tau = 2s/Q, lam = P/Q exactly, as (integer coefficients, common
+    denominator): C(n+L+1/2, n) 2F1(-n, n+L+1-1/lam; L+3/2; -lam*s) at either
+    sign, term ratio (n-k)((n+L+1+k)P - Q) / ((2L+3+2k)(k+1)).  Measuring s in
+    units of Q/2 keeps out of the integers the power of |P| that would cancel
+    against the moments (:func:`_moments`) in every product."""
     n, L = state.qn.n, state.qn.L
     P, Q = state.Lambda.as_integer_ratio()
     # C(n+L+1/2, n) = (2L+3)(2L+5)..(2L+1+2n) / (2^n n!)
     num0, den0 = math.prod(range(2 * L + 3, 2 * L + 2 + 2 * n, 2)), 2**n * math.factorial(n)
-    if P < 0:
-        steps = [((n - k) * ((n + L + 1 + k) * P - Q), (2 * L + 3 + 2 * k) * (k + 1)) for k in range(n)]
-        return _running_products(num0, den0, steps)
-    steps = [((n - k) * ((2 * n - 2 * k - 1) * P - 2 * Q), 2 * (2 * L + 3 + 2 * k) * (k + 1)) for k in range(n)]
-    return _running_products(num0 * 2**n, den0 * Q**n, steps)
+    steps = [((n - k) * ((n + L + 1 + k) * P - Q), (2 * L + 3 + 2 * k) * (k + 1)) for k in range(n)]
+    return _running_products(num0, den0, steps)
+
+
+# log Gamma(z+1/2) - log Gamma(z) - log(z)/2 = sum_i _HALF_SHIFT[i] / z**(2i+1) + O(z**-13):
+# DLMF 5.11.8 at shifts 1/2 and 0, (2**-k - 2) B_(k+1) / (k(k+1)) for odd k
+_HALF_SHIFT = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432, 691 / 180224)
+
+
+def _log_m0(Lambda: float, L: int) -> float:
+    """log of the constant prefactor times M_0 = int_{-1}^{1} (1-x)^a (1+x)^b dx,
+    |Lambda|**-(L+3/2) Gamma(L+3/2) Gamma(z) / (2 Gamma(z+L+3/2)) at either sign
+    with z = b+1 = zn/zd exactly, as a sum of terms that do not cancel:
+    log(|Lambda| z), the half shift log Gamma(z+1/2) - log Gamma(z) - log(z)/2
+    and log(1 + (m+1/2)/z) for m = 0..L.  (lgamma of z and of z+L+3/2, each
+    about log(1/|Lambda|)/|Lambda|, would cancel to O(1).)"""
+    P, Q = Lambda.as_integer_ratio()
+    zn, zd = (2 * Q - P, -2 * P) if P < 0 else (Q - (L + 1) * P, P)  # z = zn/zd
+    z = zn / zd
+    # below 16, Gamma(z+1) = z Gamma(z) moves the series to z + k >= 16
+    k = max(0, math.ceil(16.0 - z))
+    zk, series = z + k, 0.0
+    for c in reversed(_HALF_SHIFT):
+        series = series / (zk * zk) + c
+    half_shift = series / zk + 0.5 * math.log(zk / z) - math.fsum(math.log1p(0.5 / (z + i)) for i in range(k))
+    return (
+        math.lgamma(L + 1.5)
+        - math.log(2.0)
+        - (L + 1.5) * math.log(abs(P) * zn / (Q * zd))  # int / int rounds |Lambda| z once
+        - half_shift
+        - math.fsum(math.log1p((m + 0.5) / z) for m in range(L + 1))
+    )
 
 
 def _moments(Lambda: float, L: int, degree: int) -> tuple:
-    """Moments M_0..M_degree of the Jacobi weight (1-x)^a (1+x)^b against
-    powers of tau = (1-x)/|P|, Lambda = P/Q, for a product of two states of
-    total degree ``degree``.
-
-    a = L + 1/2, and b = 1/|Lambda| - 1/2 (Lambda < 0, x = 1 - 2|Lambda|y^2)
-    or 1/Lambda - 2 - L - degree (Lambda > 0, y = sqrt((1-x)/(Lambda(1+x))),
-    the (1+x)^-n poles folded into the weight), both integers over one
-    denominator d.  Returns (log_m0, ratios, den, lift): log_m0 is the log of
-    the constant prefactor times M_0, in floating point, and
-    M_j / M_0 = ratios[j] / den exactly (successive moments differ by the
-    rational 2(a+j+1)/((a+b+j+2)|P|) = 2(2L+3+2j)/(d(a+b+j+2)), d = 2|P|).
-    ``lift`` is P**degree at Lambda > 0, the power of P that the two folds
-    leave out (see :func:`_folded_t_poly_exact`), and 1 at Lambda < 0; a
-    pair's integer sum is multiplied by it once.
+    """(log_m0, ratios, den): :func:`_log_m0`, and M_j / M_0 = ratios[j] / den
+    exactly for the moments M_j of the weight (1-x)^a (1+x)^b against tau**j,
+    j <= degree, with a = L + 1/2, b = 1/|Lambda| - 1/2 (Lambda < 0,
+    tau = (1-x)/|P|) or 1/Lambda - L - 2 (Lambda > 0, tau = 2(1-x)/(P(1+x))).
+    At either sign the Beta-function step is (2L+3+2j) / (Q - (L+2+j)P):
+    2(a+j+1) / ((a+b+j+2)|P|) at Lambda < 0, 2(a+j+1) / ((b-j)P) at Lambda > 0.
     """
     P, Q = Lambda.as_integer_ratio()
-    d, pa = 2 * abs(P), (2 * L + 1) * abs(P)  # a = pa/d
-    if P < 0:
-        pb, lift = 2 * Q + P, 1  # b = pb/d
-        log_k = -math.log(-4.0 * Lambda) - (L + 0.5) * math.log(-2.0 * Lambda) - pb / d * math.log(2.0)
-    else:
-        pb, lift = 2 * (Q - (2 + L + degree) * P), P**degree
-        log_k = -(L + 1.5 + degree) * math.log(Lambda) - (1.0 / Lambda + 0.5) * math.log(2.0)
-    # int / int rounds each rational once
-    log_m0 = (
-        log_k
-        + (pa + pb + d) / d * math.log(2.0)
-        + math.lgamma(pa / d + 1.0)
-        + math.lgamma(pb / d + 1.0)
-        - math.lgamma((pa + pb) / d + 2.0)
-    )
-    steps = [(2 * (2 * L + 3 + 2 * j), pa + pb + (j + 2) * d) for j in range(degree)]
-    return (log_m0, *_running_products(1, 1, steps), lift)
+    steps = [(2 * L + 3 + 2 * j, Q - (L + 2 + j) * P) for j in range(degree)]
+    return (_log_m0(Lambda, L), *_running_products(1, 1, steps))
 
 
 def _rounded(total: int, den: int, log_m0: float):
@@ -312,28 +301,28 @@ def _rounded(total: int, den: int, log_m0: float):
 
 
 def _raw_inner(qa: tuple, qb: tuple, moments: tuple):
-    """(value, error estimate) of exp(log_k) * int_{-1}^{1} (1-x)^a (1+x)^b qa qb dx
-    for two folded polynomials in tau and ``moments`` from :func:`_moments`,
-    before the states' norm constants.
+    """(value, error estimate) of the constant prefactor times int_{-1}^{1} (1-x)^a (1+x)^b qa qb dx
+    for two folds from :func:`_folded_t_poly_exact` and ``moments`` from
+    :func:`_moments`, before the states' norm constants.
 
     The sum over Beta-function moments is one integer dot product, so the
     massive cancellation between orthogonal states is exact, and the rational
     is rounded once by :func:`_rounded`.
     """
     (ca, da), (cb, db) = qa, qb
-    log_m0, ratios, r_den, lift = moments
+    log_m0, ratios, r_den = moments
     prod = [0] * (len(ca) + len(cb) - 1)
     for i, ai in enumerate(ca):
         for j, bj in enumerate(cb):
             prod[i + j] += ai * bj
     total = sum(c * r for c, r in zip(prod, ratios, strict=True))
-    return _rounded(lift * total, da * db * r_den, log_m0)
+    return _rounded(total, da * db * r_den, log_m0)
 
 
 def _modified_moment_rows(folds: list, moments: tuple):
     """raw(i, j) for i <= j: :func:`_raw_inner` of ``folds[i]`` and ``folds[j]``
-    when every pair shares the one moment table ``moments`` (Lambda < 0, whose
-    weight does not depend on the degree), in O(n**3) integer products.
+    from the one moment table ``moments`` that every pair shares, in
+    O(n**3) integer products.
 
     State j gets one row of modified moments B_j[m] = sum_a c_ja r_(a+m),
     m <= j (Gautschi, Orthogonal Polynomials, 2004, 2.1); the pair is then
@@ -341,7 +330,7 @@ def _modified_moment_rows(folds: list, moments: tuple):
     convolution's.  B_j[m] is an exact 0 for m < j when state j is orthogonal
     to every lower one.
     """
-    log_m0, ratios, r_den, _ = moments  # the lift is 1 at Lambda < 0
+    log_m0, ratios, r_den = moments
     rows = [[sum(map(operator.mul, c, ratios[m:])) for m in range(len(c))] for c, _ in folds]
 
     def raw(i, j):
@@ -375,8 +364,7 @@ def inner_product(state_a: RadialEigenstate, state_b: RadialEigenstate, tol: flo
     """Weighted inner product (R_a, R_b) over the Lambda-dependent domain."""
     if state_a.qn.L != state_b.qn.L or state_a.Lambda != state_b.Lambda:
         raise ValueError("inner product requires states sharing (L, Lambda)")
-    degree = state_a.qn.n + state_b.qn.n
-    moments = _moments(state_a.Lambda, state_a.qn.L, degree)
+    moments = _moments(state_a.Lambda, state_a.qn.L, state_a.qn.n + state_b.qn.n)
     raw = _raw_inner(_folded_t_poly_exact(state_a), _folded_t_poly_exact(state_b), moments)
     return _scaled(raw, state_a.norm_const * state_b.norm_const, tol)
 
@@ -393,10 +381,8 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
 
     Equal, bit for bit, to ``inner_product`` of ``normalize``d states: each
     state is folded once and every raw integral is the same rational, rounded
-    once.  For Lambda < 0 one moment table serves every pair and each state
-    carries one row of modified moments (:func:`_modified_moment_rows`);
-    for Lambda > 0 the weight depends on the total degree, so the pairs of
-    equal total degree share a table and each pair is convolved once.
+    once.  At either sign one moment table serves every pair and each state
+    carries one row of modified moments (:func:`_modified_moment_rows`).
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0 (the highest state index), got {n_max}")
@@ -409,16 +395,7 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
         n_top = n_max
     size = n_top + 1
     folds = [_folded_t_poly_exact(build_state(n, L, Lambda)) for n in range(size)]
-    if Lambda < 0:
-        raw = _modified_moment_rows(folds, _moments(Lambda, L, 2 * n_top))
-    else:
-        moments = {}
-
-        def raw(i, j):
-            if i + j not in moments:  # the weight depends on the total degree only
-                moments[i + j] = _moments(Lambda, L, i + j)
-            return _raw_inner(folds[i], folds[j], moments[i + j])
-
+    raw = _modified_moment_rows(folds, _moments(Lambda, L, 2 * n_top))
     diag, norms = [], []
     for n in range(size):
         diag.append(raw(n, n))

@@ -88,17 +88,19 @@ def _at(coeffs, den, p, q):
 def jacobi_piece_exact(state, ys):
     """The state's Jacobi piece P_n(1 + 2*Lambda*y**2) at each float y, exact and rounded once."""
     coeffs, den = radial._folded_t_poly_exact(state)
-    P, Q = state.Lambda.as_integer_ratio()  # Lambda = P/Q and y = p/q, so s = p**2/q**2
+    Q = state.Lambda.as_integer_ratio()[1]  # Lambda = P/Q and y = p/q, so tau = 2 s / Q = 2 p**2 / (Q q**2)
+    return [_at(coeffs, den, 2 * p * p, Q * q * q) for p, q in (float(y).as_integer_ratio() for y in ys)]
+
+
+def jacobi_piece_sign_log(state, ys):
+    """(sign, log |value|) of the state's Jacobi piece at each float y, from the
+    exact rational, for values past the float range."""
+    coeffs, den = radial._folded_t_poly_exact(state)
+    Q = state.Lambda.as_integer_ratio()[1]
     out = []
-    for y in ys:
-        p, q = float(y).as_integer_ratio()
-        p2, q2 = p * p, q * q
-        if P < 0:  # tau = t/|P| = 2 s / Q
-            out.append(_at(coeffs, den, 2 * p2, Q * q2))
-        else:  # tau = 2 s / (Q + P s) = tn/td, and the piece is the fold times ((Q + P s)/2)**n
-            # = (td / (2 q2))**n, whose td**n cancels the one Horner leaves
-            tn, td = 2 * p2, Q * q2 + P * p2
-            out.append(_horner(coeffs, tn, td) / (den * (2 * q2) ** state.qn.n))
+    for p, q in (float(y).as_integer_ratio() for y in ys):
+        num = _horner(coeffs, 2 * p * p, Q * q * q)
+        out.append((1 if num > 0 else -1, math.log(abs(num)) - math.log(den) - state.qn.n * math.log(Q * q * q)))
     return out
 
 

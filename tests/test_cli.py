@@ -8,7 +8,7 @@ import pytest
 from nlosc import oracle, radial
 from nlosc.cli import run, serialize
 from nlosc.errors import NonFiniteValue
-from polynomial_references import ho_exact, state_exact
+from polynomial_references import ho_exact, jacobi_piece_sign_log, state_exact
 
 
 @pytest.fixture
@@ -112,6 +112,17 @@ class TestStatesCommand:
         else:
             exact = state_exact(radial.normalize(radial.build_state(n, 0, float(lam))), ys)
         assert np.max(np.abs(rs - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    def test_far_tail_of_a_high_state(self, capture):
+        # P_77 overflows a float from y = 858 on while the prefactor underflows;
+        # R is finite there and the command once failed on it with NonFiniteValue
+        code, out, err = capture(["states", "--lambda", "0.005", "--L", "0", "--n", "77", "--grid", "1:3000:4"])
+        assert (code, err) == (0, "")
+        ys, rs, _ = np.array([list(map(float, line.split(","))) for line in out.strip().split("\n")[1:]]).T
+        state = radial.normalize(radial.build_state(77, 0, 0.005))
+        for y, r, (sign, log_abs) in zip(ys, rs, jacobi_piece_sign_log(state, ys)):
+            log_pref = state.prefactor_exponent * math.log(0.005 * y * y + 1.0)
+            assert r == pytest.approx(sign * state.norm_const * math.exp(log_pref + log_abs), rel=1e-12)
 
 
 class TestGramCommand:

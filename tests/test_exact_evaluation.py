@@ -21,7 +21,8 @@ import pytest
 from nlosc import oracle, radial
 from nlosc.params import domain
 from nlosc.spectrum import bound_state_count
-from polynomial_references import ho_exact, jacobi_piece_derivatives_exact, state_exact
+from nlosc.orthopoly import jacobi, jacobi_scaled
+from polynomial_references import ho_exact, jacobi_piece_derivatives_exact, jacobi_piece_sign_log, state_exact
 
 LAMBDAS = [-3.0, -0.5, -0.1, -0.01, 0.005, 0.013, 0.1]
 DEGREES = (0, 1, 10, 20, 30, 40)
@@ -63,6 +64,29 @@ def test_eval_state_above_degree_40(lam, n):
     ys = _points(lam)
     state = radial.normalize(radial.build_state(n, 0, lam))
     assert _rel_err(radial.eval_state(state, ys), state_exact(state, ys)) <= ACCURACY * max(1.0, n / 40)
+
+
+def test_far_tail_past_the_float_range():
+    # at Lambda = 5e-3, n = 77, P_n overflows a float from y = 858 on, while
+    # w**p underflows; |R| is about 1e-15 at y = 150 and 1e-74 at y = 3000
+    state = radial.normalize(radial.build_state(77, 0, 5e-3))
+    ys = np.array([1.0, 150.0, 300.0, 1000.0, 2000.0, 3000.0])
+    x = 1.0 + 2.0 * state.Lambda * ys * ys
+    m, e = jacobi_scaled(77, 0.5, -1.0 / state.Lambda - 0.5, x)
+    assert np.all(np.isfinite(m))
+    with np.errstate(over="ignore"):
+        plain = jacobi(77, 0.5, -1.0 / state.Lambda - 0.5, x)
+    assert np.isinf(plain[3:]).all()
+    # scaling by powers of two is exact: where P_n is finite the values are those of
+    # a run that never scaled (x[:3] alone, whose bound stays below 2**960)
+    assert np.ldexp(m[:3], e[:3]).tobytes() == plain[:3].tobytes() == jacobi(77, 0.5, -200.5, x[:3]).tobytes()
+    assert jacobi_scaled(77, 0.5, -200.5, x[:3])[1] == 0
+    R = radial.eval_state(state, ys)
+    for k, (sign, log_abs) in enumerate(jacobi_piece_sign_log(state, ys)):
+        assert np.sign(m[k]) == sign and abs(math.log(abs(m[k])) + e[k] * math.log(2.0) - log_abs) <= 1e-12 + 1e-14 * abs(log_abs)
+        log_pref = state.prefactor_exponent * math.log(state.Lambda * ys[k] ** 2 + 1.0)
+        assert R[k] == pytest.approx(sign * state.norm_const * math.exp(log_pref + log_abs), rel=1e-12)
+    assert R.tobytes() == np.array([radial.eval_state(state, float(y)) for y in ys]).tobytes()
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)

@@ -1,14 +1,27 @@
-"""The integer-only exact Gram path against a Fraction reference.
+"""The integer-only exact Gram path against Fraction references.
 
-The reference below is the per-coefficient ``Fraction`` fold in t = 1-x (for
-Lambda > 0 a series in y**2 re-expanded through the binomial theorem), weight
-and Beta-moment recurrence that the integer recurrences of ``nlosc.radial``
-replaced, restated in tau = t/|P| (Lambda = P/Q) by exact scaling: the
-coefficient of t**k times |P|**k, the k-th moment ratio over |P|**k, and at
-Lambda > 0 the fold over P**n with the moments' lift P**degree putting it back.
-Both give the same rationals, and every float is one correctly rounded
-``int / int`` division of a rational, so the outputs must agree byte for byte,
-errors included.
+Each reference builds a state from its hypergeometric series in s = y**2 as
+``Fraction`` coefficients, with Lambda = P/Q.  ``nlosc.radial`` folds it in
+tau = 2s/Q at either sign, which is t/|P| (t = 1-x) at Lambda < 0 and
+2*zeta/P (zeta = (1-x)/(1+x)) at Lambda > 0, against one moment table per
+(L, Lambda).
+
+- Lambda < 0: the per-coefficient fold in t, weight and Beta-moment
+  recurrence that the integer recurrences replaced, restated in tau by exact
+  scaling: the coefficient of t**k times |P|**k and the k-th moment ratio over
+  |P|**k.
+- Lambda > 0: the series re-expanded through the binomial theorem in
+  z = 1 + Lambda*s = 2/(1+x), and the moments of z**m as Beta-function ratios
+  of the weight's Fraction parameters: another variable than radial's, so
+  only whole integrals can agree.  Coefficient by coefficient radial is
+  checked against the series scaled to tau and the Beta ratios of zeta**m.
+
+The same integrals are the same rationals, and every float is one correctly
+rounded ``int / int`` division of a rational, so the outputs must agree byte
+for byte, errors included.  The float log prefactor is nlosc.radial's on both
+sides and is checked on its own (TestLogPrefactor).  The Lambda > 0 fold in t
+that the tau fold replaced, whose weight changed with the total degree, stays
+as a cross-check of the integral itself (TestTFormCrossCheck).
 """
 
 import math
@@ -46,7 +59,10 @@ def _ref_over_common_denominator(values):
 
 
 def _ref_folded_t(state):
-    """The fold's coefficients in t = 1-x, as Fractions."""
+    """The fold's coefficients in t = 1-x, as Fractions: at Lambda < 0 the series
+    in s = t/(2|Lambda|); at Lambda > 0 the fold that the tau fold replaced, lam**n (1+x)**n
+    times the piece, re-expanded through the binomial theorem (its weight is
+    (1-x)^a (1+x)^(b-n) per state, see ``_ref_weight``)."""
     lam = Fraction(state.Lambda)
     n = state.qn.n
     h = _ref_series_coeffs(n, state.qn.L, lam)
@@ -61,53 +77,106 @@ def _ref_folded_t(state):
     return total
 
 
+def _ref_folded_z(state):
+    """The Lambda > 0 fold's coefficients in z = 1 + Lambda*s, as Fractions: the
+    series in s with s = (z-1)/Lambda, re-expanded through the binomial theorem."""
+    lam = Fraction(state.Lambda)
+    n = state.qn.n
+    total = [Fraction(0)] * (n + 1)
+    for k, hk in enumerate(_ref_series_coeffs(n, state.qn.L, lam)):
+        for i in range(k + 1):
+            total[i] += hk / lam**k * math.comb(k, i) * (-1) ** (k - i)
+    return total
+
+
 def _ref_folded(state):
-    """The fold in tau = t/|P|: the coefficient of t**k times |P|**k, and at
-    Lambda > 0 over the P**n that the lift of the moments puts back."""
+    """The fold as (integers, common denominator): at Lambda < 0 in tau = t/|P|,
+    the coefficient of t**k times |P|**k; at Lambda > 0 in z."""
     P = Fraction(state.Lambda).numerator
-    lift = P ** state.qn.n if P > 0 else 1
-    return _ref_over_common_denominator([c * abs(P) ** k / lift for k, c in enumerate(_ref_folded_t(state))])
+    if P > 0:
+        return _ref_over_common_denominator(_ref_folded_z(state))
+    return _ref_over_common_denominator([c * abs(P) ** k for k, c in enumerate(_ref_folded_t(state))])
 
 
-def _ref_weight(Lambda, L, degree):
-    a_w = L + Fraction(1, 2)
-    lam_f = Fraction(Lambda)
-    if Lambda < 0:
-        babs = -Lambda
-        b_w = 1 / (-lam_f) - Fraction(1, 2)
-        log_k = -math.log(4.0 * babs) - (L + 0.5) * math.log(2.0 * babs) - float(b_w) * math.log(2.0)
-    else:
-        b_w = 1 / lam_f - 2 - L - degree
-        log_k = -(L + 1.5 + degree) * math.log(Lambda) - (1.0 / Lambda + 0.5) * math.log(2.0)
-    return a_w, b_w, log_k
+def _ref_weight(Lambda, L, degree=0):
+    """a and b of the weight (1-x)^a (1+x)^b; at Lambda > 0 the t form's, whose
+    b drops by the total degree, or with degree 0 the z form's."""
+    lam = Fraction(Lambda)
+    b = 1 / (-lam) - Fraction(1, 2) if lam < 0 else 1 / lam - 2 - L - degree
+    return L + Fraction(1, 2), b
 
 
-def _ref_beta_moments(a, b, log_k, count):
-    log_m0 = (
-        log_k
-        + float(a + b + 1) * math.log(2.0)
-        + math.lgamma(float(a) + 1.0)
-        + math.lgamma(float(b) + 1.0)
-        - math.lgamma(float(a + b) + 2.0)
-    )
-    steps = [2 * (a + j + 1) / (a + b + j + 2) for j in range(count - 1)]
-    ratios = [1]
-    for r in steps:
-        ratios.append(ratios[-1] * r.numerator)
-    den = 1
-    for j in reversed(range(count - 1)):
-        den *= steps[j].denominator
-        ratios[j] *= den
-    return log_m0, ratios, den
+def _ref_t_ratios(a, b, count):
+    """M_j / M_0 for the moments M_j of (1-x)^a (1+x)^b against t**j, j < count:
+    2**(a+b+1) B(a+1, b+1) steps by 2(a+j+1)/(a+b+j+2)."""
+    out = [Fraction(1)]
+    for j in range(count - 1):
+        out.append(out[-1] * 2 * (a + j + 1) / (a + b + j + 2))
+    return out
+
+
+def _ref_z_ratios(a, b, count):
+    """M_m / M_0 against z**m = (2/(1+x))**m, m < count: 2**m times the ratio of
+    2**(a+b-m+1) B(a+1, b-m+1) to 2**(a+b+1) B(a+1, b+1), which is
+    Gamma(b-m+1) Gamma(a+b+2) / (Gamma(b+1) Gamma(a+b-m+2)), each m one more
+    factor (a+b+2-m) / (b+1-m)."""
+    out = [Fraction(1)]
+    for m in range(1, count):
+        out.append(out[-1] * (a + b + 2 - m) / (b + 1 - m))
+    return out
+
+
+def _ref_zeta_ratios(a, b, count):
+    """M_m / M_0 against zeta**m = ((1-x)/(1+x))**m, m < count: the ratio of
+    2**(a+b+1) B(a+m+1, b-m+1) to 2**(a+b+1) B(a+1, b+1), each m one more
+    factor (a+m) / (b+1-m)."""
+    out = [Fraction(1)]
+    for m in range(1, count):
+        out.append(out[-1] * (a + m) / (b + 1 - m))
+    return out
 
 
 def _ref_moments(Lambda, L, degree):
-    """The moments of tau**k = (t/|P|)**k: the t form's ratio k over |P|**k, with
-    the lift P**degree at Lambda > 0 and 1 at Lambda < 0."""
-    log_m0, ratios, den = _ref_beta_moments(*_ref_weight(Lambda, L, degree), degree + 1)
+    """The moments of tau**k = (t/|P|)**k (the t form's ratio k over |P|**k) at
+    Lambda < 0 and of z**k at Lambda > 0, with the log prefactor of nlosc.radial
+    (checked on its own in TestLogPrefactor)."""
     P = Fraction(Lambda).numerator
-    tau_ratios, tau_den = _ref_over_common_denominator([Fraction(r, den) / abs(P) ** k for k, r in enumerate(ratios)])
-    return log_m0, tau_ratios, tau_den, P**degree if P > 0 else 1
+    if P > 0:
+        ratios = _ref_z_ratios(*_ref_weight(Lambda, L), degree + 1)
+    else:
+        ratios = [r / abs(P) ** k for k, r in enumerate(_ref_t_ratios(*_ref_weight(Lambda, L), degree + 1))]
+    return (radial._log_m0(Lambda, L), *_ref_over_common_denominator(ratios))
+
+
+def _ref_tau_fold(state):
+    """The fold coefficient by coefficient in radial's tau: the Lambda < 0
+    reference as it is, and at Lambda > 0 the series in s scaled to
+    tau = 2s/Q, the coefficient of s**k times (Q/2)**k."""
+    lam = Fraction(state.Lambda)
+    if lam < 0:
+        return _ref_folded(state)
+    h = _ref_series_coeffs(state.qn.n, state.qn.L, lam)
+    return _ref_over_common_denominator([c * Fraction(lam.denominator, 2) ** k for k, c in enumerate(h)])
+
+
+def _ref_tau_moments(Lambda, L, degree):
+    """The moment table coefficient by coefficient in radial's tau: the
+    Lambda < 0 reference as it is, and at Lambda > 0 the moments of
+    tau**m = (2 zeta / P)**m."""
+    lam = Fraction(Lambda)
+    if lam < 0:
+        return _ref_moments(Lambda, L, degree)
+    ratios = [r * Fraction(2, lam.numerator) ** m for m, r in enumerate(_ref_zeta_ratios(*_ref_weight(Lambda, L), degree + 1))]
+    return (radial._log_m0(Lambda, L), *_ref_over_common_denominator(ratios))
+
+
+def _ref_log_m0_lgamma(Lambda, L):
+    """The log prefactor as the sum of lgamma terms that ``_log_m0`` replaced, at
+    either sign: the Lambda**-(L+3/2) and 2**(a+b+1) B(a+1, b+1) of the z form's
+    weight, with the powers of two combined exactly."""
+    a, b = _ref_weight(Lambda, L)
+    return (-(L + 1.5) * math.log(abs(Lambda)) - math.log(2.0) + math.lgamma(float(a) + 1.0)
+            + math.lgamma(float(b) + 1.0) - math.lgamma(float(a + b) + 2.0))
 
 
 @pytest.fixture
@@ -147,16 +216,15 @@ def _inner(n_a, n_b, L, Lambda):
 
 
 def _assert_same_fold(st):
-    (c, d), (rc, rd) = radial._folded_t_poly_exact(st), _ref_folded(st)
+    (c, d), (rc, rd) = radial._folded_t_poly_exact(st), _ref_tau_fold(st)
     assert d > 0
     assert [Fraction(x, d) for x in c] == [Fraction(x, rd) for x in rc]
 
 
 def _assert_same_moments(Lambda, L, degree):
-    log_m0, ratios, den, lift = radial._moments(Lambda, L, degree)
-    ref_log_m0, ref_ratios, ref_den, ref_lift = _ref_moments(Lambda, L, degree)
+    log_m0, ratios, den = radial._moments(Lambda, L, degree)
+    ref_log_m0, ref_ratios, ref_den = _ref_tau_moments(Lambda, L, degree)
     assert log_m0.hex() == ref_log_m0.hex()
-    assert lift == ref_lift
     assert den > 0
     assert [Fraction(r, den) for r in ratios] == [Fraction(r, ref_den) for r in ref_ratios]
 
@@ -218,10 +286,10 @@ class TestHighDegree:
 
 
 class TestNoCancelledPower:
-    """In tau = t/|P| no integer of the exact layer carries the power of |P|
-    that cancels in every product of a fold coefficient and a moment ratio:
-    at Lambda < 0 the t form's coefficients carried |P|**(n-k) and its ratios
-    |P|**k."""
+    """In tau no integer of the exact layer carries the power of |P| that
+    cancels in every product of a fold coefficient and a moment ratio: in t,
+    the Lambda < 0 coefficients carried |P|**(n-k) and the ratios |P|**k; in
+    zeta the Lambda > 0 coefficients carry P**-k and the ratios P**k."""
 
     @pytest.mark.parametrize("Lambda", [-0.0123, 0.0123])
     def test_no_integer_is_divisible_by_P(self, Lambda):
@@ -231,14 +299,18 @@ class TestNoCancelledPower:
             coeffs, den = radial._folded_t_poly_exact(radial.build_state(n, 0, Lambda))
             assert den % P and all(c % P for c in coeffs if c), n
         for degree in range(81):
-            _, ratios, den, _ = radial._moments(Lambda, 0, degree)
+            _, ratios, den = radial._moments(Lambda, 0, degree)
             assert den % P and all(r % P for r in ratios), degree
 
 
 class TestModifiedMomentRows:
-    """The Lambda < 0 row sums against the pairwise convolution, entry by entry."""
+    """The row sums against the pairwise convolution, entry by entry, at both signs."""
 
-    @pytest.mark.parametrize("L,Lambda,n_max", [(0, -0.01, 30), (2, -1e-7, 20), (1, -0.3, 25), (4, -5.0, 17), (3, -1e-3, 22)])
+    @pytest.mark.parametrize(
+        "L,Lambda,n_max",
+        [(0, -0.01, 30), (2, -1e-7, 20), (1, -0.3, 25), (4, -5.0, 17), (3, -1e-3, 22),
+         (0, 0.01, 24), (2, 1e-7, 16), (1, 0.0123, 20), (4, 0.05, 7), (0, 0.45, 0)],
+    )
     def test_value_and_estimate_equal_raw_inner(self, L, Lambda, n_max):
         folds = [radial._folded_t_poly_exact(radial.build_state(n, L, Lambda)) for n in range(n_max + 1)]
         raw = radial._modified_moment_rows(folds, radial._moments(Lambda, L, 2 * n_max))
@@ -247,3 +319,71 @@ class TestModifiedMomentRows:
                 row = raw(i, j)
                 pair = radial._raw_inner(folds[i], folds[j], radial._moments(Lambda, L, i + j))
                 assert [x.hex() for x in row] == [x.hex() for x in pair], (i, j)
+                assert i == j or row == (0.0, 0.0), (i, j)
+
+
+def _convolved(fa, fb, ratios):
+    """sum_k (a * b)_k ratios[k] for (integers, denominator) pairs, as a Fraction."""
+    (ca, da), (cb, db), (r, dr) = fa, fb, ratios
+    return Fraction(sum(x * y * r[i + j] for i, x in enumerate(ca) for j, y in enumerate(cb)), da * db * dr)
+
+
+class TestTFormCrossCheck:
+    """The Lambda > 0 integral three ways, as rationals R with the integral
+    exp(log_m0) R: radial's tau form, the z form, and the t form that tau replaced.
+    The t form folds lam**n (1+x)**n times state n, so a pair of total degree D
+    takes the weight (1-x)^a (1+x)^(b-D) and the prefactor lam**-D; since
+    (1+x)**-D = (z/2)**D, its M_0 is 2**-D times the common M_0 times the z
+    table's ratio D, and R = R_t rho_D / (2 lam)**D exactly.  With one log
+    prefactor the floats agree too.  (The t form's own lgamma prefactor
+    cancelled terms of size log(1/Lambda)/Lambda; over these draws it was
+    1.7e-12 off at Lambda = 1.1e-3.)"""
+
+    @pytest.mark.parametrize(
+        "L,Lambda,n_max", [d for seed in (14, 15, 16) for d in _grid(seed, 40) if d[1] > 0 and bound_state_count(d[1], d[0]).count]
+    )
+    def test_same_integral(self, L, Lambda, n_max):
+        lam = Fraction(Lambda)
+        n_top = min(n_max, bound_state_count(Lambda, L).count - 1)
+        states = [radial.build_state(n, L, Lambda) for n in range(n_top + 1)]
+        t_folds = [_ref_over_common_denominator(_ref_folded_t(st)) for st in states]
+        z_folds = [_ref_over_common_denominator(_ref_folded_z(st)) for st in states]
+        rho = _ref_z_ratios(*_ref_weight(Lambda, L), 2 * n_top + 1)
+        z_ratios = _ref_over_common_denominator(rho)
+        t_ratios = [_ref_over_common_denominator(_ref_t_ratios(*_ref_weight(Lambda, L, D), D + 1))
+                    for D in range(2 * n_top + 1)]
+        folds = [radial._folded_t_poly_exact(st) for st in states]
+        _, *tau_ratios = radial._moments(Lambda, L, 2 * n_top)
+        for j in range(n_top + 1):
+            for i in range(j + 1):
+                D = i + j
+                r_t = _convolved(t_folds[i], t_folds[j], t_ratios[D]) * rho[D] / (2 * lam) ** D
+                assert _convolved(folds[i], folds[j], tau_ratios) == _convolved(z_folds[i], z_folds[j], z_ratios) == r_t
+                value, _ = radial._raw_inner(folds[i], folds[j], radial._moments(Lambda, L, D))
+                t_value = math.exp(radial._log_m0(Lambda, L)) * float(r_t)
+                assert abs(value - t_value) <= 1e-13 * abs(t_value), (i, j)
+
+
+class TestLogPrefactor:
+    """``radial._log_m0`` sums terms that do not cancel; the lgamma form it
+    replaced cancelled terms of size log(1/|Lambda|)/|Lambda| down to O(1)."""
+
+    @pytest.mark.parametrize("L,Lambda,n_max", list(_grid(17, 40)))
+    def test_equals_the_lgamma_form_where_it_does_not_cancel(self, L, Lambda, n_max):
+        if bound_state_count(Lambda, L).count == 0:
+            return
+        a, b = _ref_weight(Lambda, L)
+        big = abs(math.lgamma(float(b) + 1.0)) + abs(math.lgamma(float(a + b) + 2.0))
+        assert abs(radial._log_m0(Lambda, L) - _ref_log_m0_lgamma(Lambda, L)) <= 2e-16 * big + 4e-15
+
+    @pytest.mark.parametrize("Lambda", [-2e-8, 2e-8, -1e-6, 1e-6, -1e-3, 1e-3, -0.0625, 0.0625, -0.3, 0.3, -5.0])
+    @pytest.mark.parametrize("L", [0, 1, 4])
+    def test_against_mpmath(self, Lambda, L):
+        mp = pytest.importorskip("mpmath")
+        if bound_state_count(Lambda, L).count == 0:
+            return
+        with mp.workdps(40):
+            a, b = (mp.mpf(v.numerator) / v.denominator for v in _ref_weight(Lambda, L))
+            exact = (-(a + 1) * mp.log(abs(mp.mpf(Lambda))) - mp.log(2)
+                     + mp.loggamma(a + 1) + mp.loggamma(b + 1) - mp.loggamma(a + b + 2))
+            assert abs(radial._log_m0(Lambda, L) - float(exact)) <= 4e-15

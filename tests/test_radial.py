@@ -258,7 +258,7 @@ class TestGramMatrix:
         "L,Lambda,n_max",
         [pytest.param(L, Lambda, 8, id=f"{L}-{Lambda}") for Lambda in (-2.5, -0.7, 0.02, 0.1) for L in range(4)]
         # beyond the n_max 17 of the Fraction-reference grids, on the modified-moment rows
-        + [(0, -0.01, 30), (2, -1.5, 24)],
+        + [(0, -0.01, 30), (2, -1.5, 24), (0, 0.01, 30), (2, 0.0123, 24)],
     )
     def test_bit_identical_to_pairwise_reference(self, L, Lambda, n_max):
         # 0.1 truncates: 5 states at L = 0, 3 at L = 3
@@ -275,8 +275,7 @@ class TestGramMatrix:
         assert g.shape == ref.shape
         assert g.tobytes() == ref.tobytes()
 
-    # -1.0 sums the modified-moment rows, 0.1 convolves each pair in _raw_inner;
-    # both round every entry through _rounded
+    # both signs sum the modified-moment rows and round every entry through _rounded
     @pytest.mark.parametrize("Lambda", [-1.0, 0.1])
     @pytest.mark.parametrize("forced_from", [0, 4])
     def test_error_gate_on_every_entry(self, monkeypatch, forced_from, Lambda):
@@ -321,13 +320,27 @@ class TestPositiveLambdaHighDegree:
         f = radial.eval_state(st, y) ** 2 * radial.weight(y, 5e-3) * y
         assert abs(float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(u))) - 1.0) <= 1e-8
 
-    # at 2e-8 the norm itself is good to about 1e-7 only (see WeightedInnerProductResult),
-    # so the check there is the Gram gate
     @pytest.mark.parametrize("L,Lambda,n_max", [(0, 2e-8, 24), (0, 1e-6, 30)])
     def test_gram_identity(self, L, Lambda, n_max):
         g = radial.gram_matrix(L, Lambda, n_max)
         assert g.shape == (n_max + 1, n_max + 1)
         assert np.max(np.abs(g - np.eye(n_max + 1))) <= 1e-8
+
+
+class TestSmallLambdaNorms:
+    """Near the harmonic switch the log prefactor once summed lgamma terms of
+    about log(1/|Lambda|)/|Lambda| that cancel to O(1); the squared norms came
+    out 1.2e-7 (Lambda = -2e-8) and 7.6e-8 (2e-8) relative off.  The trapezoid
+    of R**2 mu over y in (1e-4, 40) on 200,001 points is good to about 1e-10
+    here: the integrand is even in y, and eval_state's w**p loses about
+    |p| ulp in log w (p = -1/(2 Lambda))."""
+
+    @pytest.mark.parametrize("Lambda,n", [(2e-8, 0), (-2e-8, 0), (2e-8, 21), (-2e-8, 21)])
+    def test_normalize_is_unit_by_trapezoid(self, Lambda, n):
+        st = radial.normalize(radial.build_state(n, 0, Lambda))
+        y = np.linspace(1e-4, 40.0, 200_001)
+        f = radial.eval_state(st, y) ** 2 * radial.weight(y, Lambda)
+        assert abs(float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(y))) - 1.0) <= 1e-9
 
 
 class TestEffectivePotential:
