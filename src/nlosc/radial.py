@@ -15,10 +15,11 @@ weight; the integral is a short sum, exact up to roundoff.  With Lambda = P/Q
 exactly, the series coefficients and the moment ratios come from integer
 term-ratio recurrences, one formula for both signs, and the rational total is
 rounded once; its power of two joins the log prefactor (:func:`_rounded`,
-:func:`_log_m0`).  A single inner product convolves the two states'
-coefficients; a Gram matrix sums each pair against one row of modified
-moments per state, O(n**3) products in all.  All constant prefactors are
-carried in log space to survive the huge exponents at small |Lambda|.
+:func:`_log_m0`).  Every integral sums one state's modified moments, its
+integrals against the powers of y^2, which vanish below its degree: a norm
+or an inner product takes them from the lower state's degree up, a Gram
+matrix one row per state, O(n**3) products in all.  All constant prefactors
+are carried in log space to survive the huge exponents at small |Lambda|.
 """
 
 from __future__ import annotations
@@ -108,10 +109,9 @@ def build_state(n: int, L: int, Lambda: float) -> RadialEigenstate:
     )
 
 
-def _check_inside(state: RadialEigenstate, y: np.ndarray) -> np.ndarray:
-    """w = Lambda*y**2 + 1 on a 1-D float array, clamped to 0 at the finite
-    endpoint.  Raises what a loop of scalar checks raises first: y < 0, or y
-    beyond the endpoint by more than _ENDPOINT_SLACK."""
+def _check_inside(state: RadialEigenstate, y: np.ndarray) -> None:
+    """Raise what a loop of scalar checks raises first on a 1-D float array:
+    y < 0, or y beyond the finite endpoint by more than _ENDPOINT_SLACK."""
     w = state.Lambda * y * y + 1.0
     y_end = domain(state.Lambda).upper
     bad = np.flatnonzero((y < 0) | ((w <= 0) & (y > y_end * (1.0 + _ENDPOINT_SLACK))))
@@ -120,14 +120,14 @@ def _check_inside(state: RadialEigenstate, y: np.ndarray) -> np.ndarray:
         if y_bad < 0:
             raise OutsideDomain(f"y must be nonnegative, got {y_bad}")
         raise OutsideDomain(f"y = {y_bad} beyond endpoint {y_end}")
-    return np.where(w <= 0, 0.0, w)  # <= keeps NaN, as the scalar branches do
 
 
-def _log_prefactor(state: RadialEigenstate, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """log of y**L * w**(-1/(2*Lambda)), L*log(y) + p*log(w) by numpy's log (the
-    L*log(y) term left out for L = 0).  With log(0) = -inf its exp is 0 at y = 0
-    for L > 0 and at the Lambda < 0 endpoint, and 1 at y = 0 for L = 0."""
-    log_a = state.prefactor_exponent * np.log(w)
+def _log_prefactor(state: RadialEigenstate, y: np.ndarray) -> np.ndarray:
+    """log of y**L * (Lambda*y**2 + 1)**p, L*log(y) + p*log1p(Lambda*y**2) by numpy
+    (L*log(y) left out for L = 0); log1p keeps out the |p| ulp, 5.6e-17/|Lambda|,
+    of a rounded Lambda*y**2 + 1.  Clamped at -1, its exp is 0 at the Lambda < 0
+    endpoint, at y = 0 for L > 0 too, and 1 at y = 0 for L = 0."""
+    log_a = state.prefactor_exponent * np.log1p(np.maximum(state.Lambda * y * y, -1.0))
     return state.L_power * np.log(y) + log_a if state.L_power else log_a
 
 
@@ -150,12 +150,12 @@ def eval_state(state: RadialEigenstate, y):
     """
     ys = np.asarray(y, dtype=float)
     flat = ys.ravel()
-    w = _check_inside(state, flat)
+    _check_inside(state, flat)
     s = flat * flat
-    # log(0) = -inf at y = 0 and at the Lambda < 0 endpoint; P_n may overflow to inf
+    # log(0) = -inf at y = 0 and log1p(-1) = -inf at the Lambda < 0 endpoint; P_n may overflow to inf
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         Q = next(_jacobi_piece(state, s))
-        log_a = _log_prefactor(state, flat, w)
+        log_a = _log_prefactor(state, flat)
         r = state.norm_const * np.exp(log_a) * Q + 0.0  # + 0.0: a zero is +0.0, never -0.0
         far = np.flatnonzero(np.isinf(Q))
         if far.size:  # where P_n overflowed, its power of two joins the log of the prefactor
@@ -187,7 +187,7 @@ def eval_state_with_derivatives(state: RadialEigenstate, y):
     p = state.prefactor_exponent
     Q, dQ, d2Q = _jacobi_piece(state, s)
     sp = 2.0 * flat  # ds/dy
-    A = np.exp(_log_prefactor(state, flat, w))
+    A = np.exp(_log_prefactor(state, flat))
     la = L / flat + 2.0 * lam * p * flat / w  # A'/A
     dla = -L / s + 2.0 * lam * p * (1.0 - lam * flat * flat) / (w * w)
     R = A * Q
@@ -239,13 +239,14 @@ def _folded_t_poly_exact(state: RadialEigenstate) -> tuple:
 _HALF_SHIFT = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432, 691 / 180224)
 
 
-def _log_m0(Lambda: float, L: int) -> float:
-    """log of the constant prefactor times M_0 = int_{-1}^{1} (1-x)^a (1+x)^b dx,
+def _log_m0(Lambda: float, L: int) -> tuple:
+    """(log_m0, size): log of the constant prefactor times M_0 = int_{-1}^{1} (1-x)^a (1+x)^b dx,
     |Lambda|**-(L+3/2) Gamma(L+3/2) Gamma(z) / (2 Gamma(z+L+3/2)) at either sign
     with z = b+1 = zn/zd exactly, as a sum of terms that do not cancel:
     log(|Lambda| z), the half shift log Gamma(z+1/2) - log Gamma(z) - log(z)/2
     and log(1 + (m+1/2)/z) for m = 0..L.  (lgamma of z and of z+L+3/2, each
-    about log(1/|Lambda|)/|Lambda|, would cancel to O(1).)"""
+    about log(1/|Lambda|)/|Lambda|, would cancel to O(1).)  ``size``, the sum of
+    the terms' magnitudes, scales the error: at L = 170 they reach about 700."""
     P, Q = Lambda.as_integer_ratio()
     zn, zd = (2 * Q - P, -2 * P) if P < 0 else (Q - (L + 1) * P, P)  # z = zn/zd
     z = zn / zd
@@ -255,17 +256,18 @@ def _log_m0(Lambda: float, L: int) -> float:
     for c in reversed(_HALF_SHIFT):
         series = series / (zk * zk) + c
     half_shift = series / zk + 0.5 * math.log(zk / z) - math.fsum(math.log1p(0.5 / (z + i)) for i in range(k))
-    return (
-        math.lgamma(L + 1.5)
-        - math.log(2.0)
-        - (L + 1.5) * math.log(abs(P) * zn / (Q * zd))  # int / int rounds |Lambda| z once
-        - half_shift
-        - math.fsum(math.log1p((m + 0.5) / z) for m in range(L + 1))
+    terms = (
+        math.lgamma(L + 1.5),
+        math.log(2.0),
+        (L + 1.5) * math.log(abs(P) * zn / (Q * zd)),  # int / int rounds |Lambda| z once
+        half_shift,
+        math.fsum(math.log1p((m + 0.5) / z) for m in range(L + 1)),
     )
+    return terms[0] - terms[1] - terms[2] - terms[3] - terms[4], math.fsum(map(abs, terms))
 
 
 def _moments(Lambda: float, L: int, degree: int) -> tuple:
-    """(log_m0, ratios, den): :func:`_log_m0`, and M_j / M_0 = ratios[j] / den
+    """(prefactor, ratios, den): :func:`_log_m0`, and M_j / M_0 = ratios[j] / den
     exactly for the moments M_j of the weight (1-x)^a (1+x)^b against tau**j,
     j <= degree, with a = L + 1/2, b = 1/|Lambda| - 1/2 (Lambda < 0,
     tau = (1-x)/|P|) or 1/Lambda - L - 2 (Lambda > 0, tau = 2(1-x)/(P(1+x))).
@@ -277,16 +279,17 @@ def _moments(Lambda: float, L: int, degree: int) -> tuple:
     return (_log_m0(Lambda, L), *_running_products(1, 1, steps))
 
 
-def _rounded(total: int, den: int, log_m0: float):
-    """(value, error estimate) of exp(log_m0) * total / den, den > 0: the one
-    place a float is formed.  The rational's binary exponent
-    s = floor(log2 |total / den|) joins the log, value = q * exp(log_m0 + s log 2),
-    with q = (total / den) * 2**-s in [1, 2) rounded once by ``int / int``, so
-    an O(1) value never passes through exp(+-700).  An exp beyond the float
-    range raises :class:`QuadratureFailure`.
+def _rounded(total: int, den: int, prefactor: tuple):
+    """(value, error estimate) of exp(log_m0) * total / den, den > 0, for the
+    ``prefactor`` (log_m0, size) of :func:`_log_m0`: the one place a float is
+    formed.  The rational's binary exponent s = floor(log2 |total / den|) joins the
+    log, value = q * exp(log_m0 + s log 2), with q = (total / den) * 2**-s in [1, 2)
+    rounded once by ``int / int``, so an O(1) value never passes through
+    exp(+-700).  An exp beyond the float range raises :class:`QuadratureFailure`.
     """
     if not total:
         return 0.0, 0.0
+    log_m0, size = prefactor
     s = abs(total).bit_length() - den.bit_length()
     num, dn = (total, den << s) if s >= 0 else (total << -s, den)
     if abs(num) < dn:  # |total| / den lies in [2**(s-1), 2**(s+1))
@@ -296,48 +299,27 @@ def _rounded(total: int, den: int, log_m0: float):
         value = num / dn * math.exp(log_p)
     except OverflowError:
         raise QuadratureFailure(f"non-finite norm or inner product: exp({log_p!r}) times the moment sum overflows") from None
-    # a few ulps of lgamma and exp on a log of this size
-    return value, abs(value) * (1e-15 + 5e-16 * (abs(log_m0) + abs(s) * math.log(2.0)))
+    # a few ulps of each term of the log, whose sum may be far smaller, and of exp
+    return value, abs(value) * (1e-15 + 5e-16 * (size + abs(s) * math.log(2.0)))
 
 
-def _raw_inner(qa: tuple, qb: tuple, moments: tuple):
-    """(value, error estimate) of the constant prefactor times int_{-1}^{1} (1-x)^a (1+x)^b qa qb dx
-    for two folds from :func:`_folded_t_poly_exact` and ``moments`` from
-    :func:`_moments`, before the states' norm constants.
-
-    The sum over Beta-function moments is one integer dot product, so the
-    massive cancellation between orthogonal states is exact, and the rational
-    is rounded once by :func:`_rounded`.
-    """
-    (ca, da), (cb, db) = qa, qb
-    log_m0, ratios, r_den = moments
-    prod = [0] * (len(ca) + len(cb) - 1)
-    for i, ai in enumerate(ca):
-        for j, bj in enumerate(cb):
-            prod[i + j] += ai * bj
-    total = sum(c * r for c, r in zip(prod, ratios, strict=True))
-    return _rounded(total, da * db * r_den, log_m0)
+def _modified_moments(coeffs: list, ratios: list, ms: range) -> list:
+    """Modified moments B[m] = sum_a c_a r_(a+m), m in ``ms``, of a fold's integers
+    against the :func:`_moments` table (Gautschi, Orthogonal Polynomials, 2004,
+    2.1).  A state of degree n is orthogonal to tau**m, so B[m] = 0 for m < n."""
+    return [sum(map(operator.mul, coeffs, ratios[m:])) for m in ms]
 
 
-def _modified_moment_rows(folds: list, moments: tuple):
-    """raw(i, j) for i <= j: :func:`_raw_inner` of ``folds[i]`` and ``folds[j]``
-    from the one moment table ``moments`` that every pair shares, in
-    O(n**3) integer products.
-
-    State j gets one row of modified moments B_j[m] = sum_a c_ja r_(a+m),
-    m <= j (Gautschi, Orthogonal Polynomials, 2004, 2.1); the pair is then
-    sum_m c_im B_j[m] over one denominator, the same rational as the
-    convolution's.  B_j[m] is an exact 0 for m < j when state j is orthogonal
-    to every lower one.
-    """
-    log_m0, ratios, r_den = moments
-    rows = [[sum(map(operator.mul, c, ratios[m:])) for m in range(len(c))] for c, _ in folds]
-
-    def raw(i, j):
-        (ci, di), (_, dj) = folds[i], folds[j]
-        return _rounded(sum(map(operator.mul, ci, rows[j])), di * dj * r_den, log_m0)
-
-    return raw
+def _raw_product(lower: tuple, higher: tuple, moments: tuple):
+    """(value, error estimate) of the integral of two folds, ``lower`` of degree
+    n <= that of ``higher``, before the norm constants: the exact sum
+    sum_(a,b) c_a c'_b r_(a+b) = sum_m c'_m B[m] over the lower fold's (shorter)
+    modified moments, whose B[m] = 0 for m < n, so O(n (n' - n + 1)) products;
+    a squared norm is c_n B[n] alone.  The rational is rounded once."""
+    (c_lo, d_lo), (c_hi, d_hi), (prefactor, ratios, r_den) = lower, higher, moments
+    n = len(c_lo) - 1
+    row = _modified_moments(c_lo, ratios, range(n, len(c_hi)))
+    return _rounded(sum(map(operator.mul, c_hi[n:], row)), d_lo * d_hi * r_den, prefactor)
 
 
 def _scaled(raw: tuple, scale: float, tol: float) -> WeightedInnerProductResult:
@@ -351,8 +333,10 @@ def _scaled(raw: tuple, scale: float, tol: float) -> WeightedInnerProductResult:
     return WeightedInnerProductResult(value=value, est_abs_error=est)
 
 
-def _unit_norm_const(norm_const: float, sq: float) -> float:
-    """Norm constant that scales a state of squared norm ``sq`` to unit norm."""
+def _unit_norm_const(norm_const: float, raw: tuple) -> float:
+    """Norm constant that scales a state with ``norm_const`` and raw squared norm
+    ``raw`` (:func:`_raw_product` of its fold with itself) to unit norm."""
+    sq = _scaled(raw, norm_const * norm_const, _TOL).value
     if sq <= 0:
         raise QuadratureFailure(f"nonpositive norm {sq}")
     # Jacobi polynomials are positive at argument 1, so a positive norm
@@ -364,15 +348,17 @@ def inner_product(state_a: RadialEigenstate, state_b: RadialEigenstate, tol: flo
     """Weighted inner product (R_a, R_b) over the Lambda-dependent domain."""
     if state_a.qn.L != state_b.qn.L or state_a.Lambda != state_b.Lambda:
         raise ValueError("inner product requires states sharing (L, Lambda)")
+    lower, higher = sorted((state_a, state_b), key=lambda st: st.qn.n)
     moments = _moments(state_a.Lambda, state_a.qn.L, state_a.qn.n + state_b.qn.n)
-    raw = _raw_inner(_folded_t_poly_exact(state_a), _folded_t_poly_exact(state_b), moments)
+    raw = _raw_product(_folded_t_poly_exact(lower), _folded_t_poly_exact(higher), moments)
     return _scaled(raw, state_a.norm_const * state_b.norm_const, tol)
 
 
 def normalize(state: RadialEigenstate) -> RadialEigenstate:
     """Return the state scaled to unit weighted norm, positive near y = 0."""
-    sq = inner_product(state, state)
-    return replace(state, norm_const=_unit_norm_const(state.norm_const, sq.value))
+    fold = _folded_t_poly_exact(state)
+    raw = _raw_product(fold, fold, _moments(state.Lambda, state.qn.L, 2 * state.qn.n))
+    return replace(state, norm_const=_unit_norm_const(state.norm_const, raw))
 
 
 def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
@@ -381,8 +367,9 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
 
     Equal, bit for bit, to ``inner_product`` of ``normalize``d states: each
     state is folded once and every raw integral is the same rational, rounded
-    once.  At either sign one moment table serves every pair and each state
-    carries one row of modified moments (:func:`_modified_moment_rows`).
+    once.  One moment table serves every pair, state j carries the row of its
+    modified moments B_j[m], m <= j, and entry (i <= j) is sum_m c_im B_j[m]:
+    O(n**3) products in all.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0 (the highest state index), got {n_max}")
@@ -395,16 +382,16 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
         n_top = n_max
     size = n_top + 1
     folds = [_folded_t_poly_exact(build_state(n, L, Lambda)) for n in range(size)]
-    raw = _modified_moment_rows(folds, _moments(Lambda, L, 2 * n_top))
+    prefactor, ratios, r_den = moments = _moments(Lambda, L, 2 * n_top)
+    rows = [_modified_moments(c, ratios, range(len(c))) for c, _ in folds]
     diag, norms = [], []
-    for n in range(size):
-        diag.append(raw(n, n))
-        # what normalize() does to a fresh state, whose norm constant is 1
-        norms.append(_unit_norm_const(1.0, _scaled(diag[n], 1.0, _TOL).value))
+    for fold in folds:  # each norm gated before the next is formed
+        diag.append(_raw_product(fold, fold, moments))
+        norms.append(_unit_norm_const(1.0, diag[-1]))  # normalize() of a fresh state
     g = np.eye(size)
-    for i in range(size):
+    for i, (ci, di) in enumerate(folds):
         for j in range(i, size):
-            r = diag[i] if i == j else raw(i, j)
+            r = diag[i] if i == j else _rounded(sum(map(operator.mul, ci, rows[j])), di * folds[j][1] * r_den, prefactor)
             g[i, j] = g[j, i] = _scaled(r, norms[i] * norms[j], _TOL).value
     return g
 

@@ -222,9 +222,9 @@ def _assert_same_fold(st):
 
 
 def _assert_same_moments(Lambda, L, degree):
-    log_m0, ratios, den = radial._moments(Lambda, L, degree)
-    ref_log_m0, ref_ratios, ref_den = _ref_tau_moments(Lambda, L, degree)
-    assert log_m0.hex() == ref_log_m0.hex()
+    prefactor, ratios, den = radial._moments(Lambda, L, degree)
+    ref_prefactor, ref_ratios, ref_den = _ref_tau_moments(Lambda, L, degree)
+    assert [x.hex() for x in prefactor] == [x.hex() for x in ref_prefactor]
     assert den > 0
     assert [Fraction(r, den) for r in ratios] == [Fraction(r, ref_den) for r in ref_ratios]
 
@@ -303,8 +303,26 @@ class TestNoCancelledPower:
             assert den % P and all(r % P for r in ratios), degree
 
 
+def _convolved(fa, fb, ratios):
+    """sum_k (a * b)_k ratios[k] for (integers, denominator) pairs, as a Fraction."""
+    (ca, da), (cb, db), (r, dr) = fa, fb, ratios
+    prod = [0] * (len(ca) + len(cb) - 1)
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            prod[i + j] += x * y
+    return Fraction(sum(p * rk for p, rk in zip(prod, r)), da * db * dr)
+
+
+def _rounded_convolution(fa, fb, moments):
+    """The pairwise convolution as radial rounds an exact integral: (value, estimate) hex."""
+    prefactor, *ratios = moments
+    total = _convolved(fa, fb, ratios)
+    return [x.hex() for x in radial._rounded(total.numerator, total.denominator, prefactor)]
+
+
 class TestModifiedMomentRows:
-    """The row sums against the pairwise convolution, entry by entry, at both signs."""
+    """The modified-moment sums of gram_matrix, inner_product and normalize
+    against the pairwise convolution, entry by entry, at both signs."""
 
     @pytest.mark.parametrize(
         "L,Lambda,n_max",
@@ -312,20 +330,43 @@ class TestModifiedMomentRows:
          (0, 0.01, 24), (2, 1e-7, 16), (1, 0.0123, 20), (4, 0.05, 7), (0, 0.45, 0)],
     )
     def test_value_and_estimate_equal_raw_inner(self, L, Lambda, n_max):
-        folds = [radial._folded_t_poly_exact(radial.build_state(n, L, Lambda)) for n in range(n_max + 1)]
-        raw = radial._modified_moment_rows(folds, radial._moments(Lambda, L, 2 * n_max))
+        states = [radial.build_state(n, L, Lambda) for n in range(n_max + 1)]
+        folds = [radial._folded_t_poly_exact(st) for st in states]
+        moments = radial._moments(Lambda, L, 2 * n_max)
+        prefactor, ratios, r_den = moments
         for j in range(n_max + 1):
+            row = radial._modified_moments(folds[j][0], ratios, range(j + 1))  # gram_matrix's row of state j
             for i in range(j + 1):
-                row = raw(i, j)
-                pair = radial._raw_inner(folds[i], folds[j], radial._moments(Lambda, L, i + j))
-                assert [x.hex() for x in row] == [x.hex() for x in pair], (i, j)
-                assert i == j or row == (0.0, 0.0), (i, j)
+                pair = _rounded_convolution(folds[i], folds[j], radial._moments(Lambda, L, i + j))
+                ci, di = folds[i]
+                entry = radial._rounded(sum(c * b for c, b in zip(ci, row)), di * folds[j][1] * r_den, prefactor)
+                assert [x.hex() for x in entry] == pair, (i, j)
+                ip = radial.inner_product(states[i], states[j])  # norm constants 1.0
+                assert [ip.value.hex(), ip.est_abs_error.hex()] == pair, (i, j)
+                assert i == j or entry == (0.0, 0.0), (i, j)
+            assert [x.hex() for x in radial._raw_product(folds[j], folds[j], moments)] == _rounded_convolution(folds[j], folds[j], moments)
 
+    @pytest.mark.parametrize("Lambda", [-1e-3, 1e-3, -0.3, -5.0, 0.0123])
+    def test_lower_modified_moments_are_exact_zeros(self, Lambda):
+        # the identity inner_product and normalize rest on: state n is orthogonal to tau**m, m < n
+        L = 1
+        n_top = min(80, bound_state_count(Lambda, L).count - 1) if Lambda > 0 else 80
+        assert n_top >= 30
+        _, ratios, _ = radial._moments(Lambda, L, 2 * n_top)
+        for n in range(n_top + 1):
+            coeffs, _ = radial._folded_t_poly_exact(radial.build_state(n, L, Lambda))
+            row = radial._modified_moments(coeffs, ratios, range(n + 1))
+            assert row[:n] == [0] * n and row[n] != 0, n
 
-def _convolved(fa, fb, ratios):
-    """sum_k (a * b)_k ratios[k] for (integers, denominator) pairs, as a Fraction."""
-    (ca, da), (cb, db), (r, dr) = fa, fb, ratios
-    return Fraction(sum(x * y * r[i + j] for i, x in enumerate(ca) for j, y in enumerate(cb)), da * db * dr)
+    @pytest.mark.parametrize("Lambda", [-1e-3, 1e-3, -0.3])
+    @pytest.mark.parametrize("n", [80, 160])
+    def test_normalize_equals_the_full_hankel_sum(self, Lambda, n):
+        st = radial.build_state(n, 0, Lambda)
+        fold = radial._folded_t_poly_exact(st)
+        prefactor, *ratios = radial._moments(Lambda, 0, 2 * n)
+        total = _convolved(fold, fold, ratios)
+        sq, _ = radial._rounded(total.numerator, total.denominator, prefactor)
+        assert radial.normalize(st).norm_const.hex() == (1.0 / math.sqrt(sq)).hex()
 
 
 class TestTFormCrossCheck:
@@ -353,14 +394,14 @@ class TestTFormCrossCheck:
         t_ratios = [_ref_over_common_denominator(_ref_t_ratios(*_ref_weight(Lambda, L, D), D + 1))
                     for D in range(2 * n_top + 1)]
         folds = [radial._folded_t_poly_exact(st) for st in states]
-        _, *tau_ratios = radial._moments(Lambda, L, 2 * n_top)
+        prefactor, *tau_ratios = radial._moments(Lambda, L, 2 * n_top)
         for j in range(n_top + 1):
             for i in range(j + 1):
                 D = i + j
                 r_t = _convolved(t_folds[i], t_folds[j], t_ratios[D]) * rho[D] / (2 * lam) ** D
                 assert _convolved(folds[i], folds[j], tau_ratios) == _convolved(z_folds[i], z_folds[j], z_ratios) == r_t
-                value, _ = radial._raw_inner(folds[i], folds[j], radial._moments(Lambda, L, D))
-                t_value = math.exp(radial._log_m0(Lambda, L)) * float(r_t)
+                value, _ = radial._rounded(r_t.numerator, r_t.denominator, prefactor)
+                t_value = math.exp(prefactor[0]) * float(r_t)
                 assert abs(value - t_value) <= 1e-13 * abs(t_value), (i, j)
 
 
@@ -374,7 +415,7 @@ class TestLogPrefactor:
             return
         a, b = _ref_weight(Lambda, L)
         big = abs(math.lgamma(float(b) + 1.0)) + abs(math.lgamma(float(a + b) + 2.0))
-        assert abs(radial._log_m0(Lambda, L) - _ref_log_m0_lgamma(Lambda, L)) <= 2e-16 * big + 4e-15
+        assert abs(radial._log_m0(Lambda, L)[0] - _ref_log_m0_lgamma(Lambda, L)) <= 2e-16 * big + 4e-15
 
     @pytest.mark.parametrize("Lambda", [-2e-8, 2e-8, -1e-6, 1e-6, -1e-3, 1e-3, -0.0625, 0.0625, -0.3, 0.3, -5.0])
     @pytest.mark.parametrize("L", [0, 1, 4])
@@ -386,4 +427,4 @@ class TestLogPrefactor:
             a, b = (mp.mpf(v.numerator) / v.denominator for v in _ref_weight(Lambda, L))
             exact = (-(a + 1) * mp.log(abs(mp.mpf(Lambda))) - mp.log(2)
                      + mp.loggamma(a + 1) + mp.loggamma(b + 1) - mp.loggamma(a + b + 2))
-            assert abs(radial._log_m0(Lambda, L) - float(exact)) <= 4e-15
+            assert abs(radial._log_m0(Lambda, L)[0] - float(exact)) <= 4e-15

@@ -75,6 +75,19 @@ class TestEvalState:
         with pytest.raises(OutsideDomain):
             radial.eval_state(st, 1.5)
 
+    @pytest.mark.parametrize("Lambda", [2e-8, -2e-8, 1e-6, -1e-6, 1e-3])
+    def test_prefactor_against_mpmath(self, Lambda):
+        # (Lambda*y**2 + 1)**p with p = -1/(2*Lambda): the log of the rounded
+        # w = Lambda*y**2 + 1 once put |p| ulp, 2.5e-9 at Lambda = 2e-8, into every R
+        mp = pytest.importorskip("mpmath")
+        st = radial.build_state(0, 0, Lambda)
+        y = np.linspace(0.5, 6.0, 12)
+        with mp.workdps(50):
+            lam = mp.mpf(Lambda)
+            for got, yy in zip(radial.eval_state(st, y), y):
+                exact = (lam * mp.mpf(yy) ** 2 + 1) ** (-1 / (2 * lam))
+                assert abs(float((got - exact) / exact)) <= 1e-12, yy
+
     @pytest.mark.parametrize("n,L,Lambda", [(1, 0, 0.1), (2, 1, -0.5), (3, 0, -1.0)])
     def test_hypergeometric_cross_evaluation(self, n, L, Lambda):
         st = radial.build_state(n, L, Lambda)
@@ -224,6 +237,19 @@ class TestInnerProductAndNorm:
         with pytest.raises(QuadratureFailure, match="^non-finite norm or inner product inf"):
             radial.inner_product(st, st)
 
+    @pytest.mark.parametrize("Lambda", [-5.0, -2.0, -1.0, -0.5])
+    def test_estimate_covers_the_log_prefactor_at_L_170(self, Lambda):
+        # log M_0 sums terms of about 700 that cancel to a few units; their
+        # ulps, not those of the sum, are the error of the squared norm
+        mp = pytest.importorskip("mpmath")
+        L = 170
+        st = radial.build_state(0, L, Lambda)
+        res = radial.inner_product(st, st)
+        with mp.workdps(40):
+            a = mp.mpf(-Lambda)  # int_0^(1/sqrt a) y**(2L+2) (1 - a y**2)**(1/a - 1/2) dy
+            exact = a ** -(L + mp.mpf(1.5)) / 2 * mp.beta(L + mp.mpf(1.5), 1 / a + mp.mpf(0.5))
+            assert res.est_abs_error >= abs(float(res.value - exact))
+
     def test_mismatched_states_rejected(self):
         a = radial.build_state(0, 0, -1.0)
         b = radial.build_state(0, 1, -1.0)
@@ -332,8 +358,9 @@ class TestSmallLambdaNorms:
     about log(1/|Lambda|)/|Lambda| that cancel to O(1); the squared norms came
     out 1.2e-7 (Lambda = -2e-8) and 7.6e-8 (2e-8) relative off.  The trapezoid
     of R**2 mu over y in (1e-4, 40) on 200,001 points is good to about 1e-10
-    here: the integrand is even in y, and eval_state's w**p loses about
-    |p| ulp in log w (p = -1/(2 Lambda))."""
+    here: the integrand is even in y, and eval_state takes log1p of
+    Lambda*y**2 (the log of the rounded w = Lambda*y**2 + 1 lost about |p|
+    ulp, p = -1/(2 Lambda))."""
 
     @pytest.mark.parametrize("Lambda,n", [(2e-8, 0), (-2e-8, 0), (2e-8, 21), (-2e-8, 21)])
     def test_normalize_is_unit_by_trapezoid(self, Lambda, n):
