@@ -90,6 +90,14 @@ def _cmd_spectrum(args) -> Tuple[dict, Columns]:
     return {"Lambda": args.Lambda, "L": args.L, "n_max": args.n_max}, columns
 
 
+def _weight_column(ys: np.ndarray, Lambda: float) -> np.ndarray:
+    """``radial.weight`` on the grid, with its limit 0.0 at y = 0 (where R is defined)."""
+    inner = ys != 0
+    ws = np.zeros_like(ys)
+    ws[inner] = radial.weight(ys[inner], Lambda)
+    return ws
+
+
 def _cmd_states(args) -> Tuple[dict, Columns]:
     harmonic = abs(args.Lambda) <= radial.LAMBDA_SWITCH
     # the harmonic state lives on the half-line, not on a tiny Lambda < 0 ball of radius 1/sqrt(|Lambda|)
@@ -99,11 +107,11 @@ def _cmd_states(args) -> Tuple[dict, Columns]:
         f = oracle.ho_wavefunction(args.n, args.L)
         c = 1.0 / math.sqrt(oracle.ho_norm_sq(args.n, args.L))
         rs = c * f(ys)
-        ws = radial.weight(ys, 0.0)
+        ws = _weight_column(ys, 0.0)
     else:
         state = radial.normalize(radial.build_state(args.n, args.L, args.Lambda))
         rs = radial.eval_state(state, ys)
-        ws = radial.weight(ys, args.Lambda)
+        ws = _weight_column(ys, args.Lambda)
     params = {"Lambda": args.Lambda, "L": args.L, "n": args.n, "grid": list(grid)}
     return params, {"y": ys.tolist(), "R": rs.tolist(), "weight": ws.tolist()}
 

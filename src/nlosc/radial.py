@@ -17,9 +17,12 @@ term-ratio recurrences, one formula for both signs, and the rational total is
 rounded once; its power of two joins the log prefactor (:func:`_rounded`,
 :func:`_log_m0`).  Every integral sums one state's modified moments, its
 integrals against the powers of y^2, which vanish below its degree: a norm
-or an inner product takes them from the lower state's degree up, a Gram
-matrix one row per state, O(n**3) products in all.  All constant prefactors
-are carried in log space to survive the huge exponents at small |Lambda|.
+or an inner product takes them from the lower state's degree up.  A Gram
+matrix builds one row per state from the two before it by the states'
+three-term recurrence, O(n**2) exact steps in all, once every fold has been
+checked, coefficient by coefficient, to satisfy that recurrence exactly.
+All constant prefactors are carried in log space to survive the huge
+exponents at small |Lambda|.
 """
 
 from __future__ import annotations
@@ -310,6 +313,51 @@ def _modified_moments(coeffs: list, ratios: list, ms: range) -> list:
     return [sum(map(operator.mul, coeffs, ratios[m:])) for m in ms]
 
 
+def _three_term(c0: list, c1: list, c2: list) -> tuple:
+    """(X, Y, Z, W), coprime, with W C_(n+1) = (X tau + Y) C_n - Z C_(n-1) for the
+    integer polynomials c0, c1, c2 of degrees n-1, n, n+1 (n >= 1) of three
+    folds, whichever variable they are in.  The tau**(n+1) and tau**n terms fix
+    X : Y : W against c1's top two coefficients, the tau**(n-1) term Z against
+    c1's third and c0's top one, and every coefficient of c2 must then satisfy
+    the recurrence exactly: if one does not, raise :class:`QuadratureFailure`
+    naming state n+1."""
+    n = len(c1) - 1
+    a, b, e = c1[n], c1[n - 1], c1[n - 2] if n >= 2 else 0
+    X, Y, W = c2[n + 1] * a, c2[n] * a - c2[n + 1] * b, a * a
+    g = math.gcd(X, Y, W)  # each gcd before the next product keeps the integers short
+    X, Y, W = X // g, Y // g, W // g
+    Z = X * e + Y * b - W * c2[n - 1]  # Z times c0[n-1]
+    g = math.gcd(Z, c0[n - 1])
+    q = c0[n - 1] // g
+    X, Y, Z, W = X * q, Y * q, Z // g, W * q
+    for k, (lo, mid, hi) in enumerate(zip([*c0, 0, 0], [*c1, 0], [0, *c1])):
+        if W * c2[k] != X * hi + Y * mid - Z * lo:
+            raise QuadratureFailure(
+                f"state {n + 1}: fold coefficient {k} breaks the three-term recurrence of states {n - 1}..{n + 1}"
+            )
+    return X, Y, Z, W
+
+
+def _gram_rows(coeffs: list, ratios: list):
+    """Yield B_j[m] = sum_a c_ja r_(a+m), m = 0..len(ratios)-1-j, for the folds'
+    integers ``coeffs[j]`` against the :func:`_moments` table: rows 0 and 1 from
+    :func:`_modified_moments`, every later one by the modified Chebyshev
+    algorithm (Gautschi, Orthogonal Polynomials, 2004, 2.1.7),
+    W B_(n+1)[m] = X B_n[m+1] + Y B_n[m] - Z B_(n-1)[m], O(n) exact steps a row.
+    :func:`_three_term` checks the folds against the recurrence first, so every
+    row holds the folds' own sums and every division by W is exact."""
+    prev = _modified_moments(coeffs[0], ratios, range(len(ratios)))
+    yield prev
+    if len(coeffs) == 1:
+        return
+    row = _modified_moments(coeffs[1], ratios, range(len(ratios) - 1))
+    yield row
+    for n in range(1, len(coeffs) - 1):
+        X, Y, Z, W = _three_term(coeffs[n - 1], coeffs[n], coeffs[n + 1])
+        prev, row = row, [(X * up + Y * b - Z * p) // W for up, b, p in zip(row[1:], row, prev)]
+        yield row
+
+
 def _raw_product(lower: tuple, higher: tuple, moments: tuple):
     """(value, error estimate) of the integral of two folds, ``lower`` of degree
     n <= that of ``higher``, before the norm constants: the exact sum
@@ -322,21 +370,28 @@ def _raw_product(lower: tuple, higher: tuple, moments: tuple):
     return _rounded(sum(map(operator.mul, c_hi[n:], row)), d_lo * d_hi * r_den, prefactor)
 
 
-def _scaled(raw: tuple, scale: float, tol: float) -> WeightedInnerProductResult:
-    """Apply the product of norm constants and enforce the error gate."""
+def _gated(raw: tuple, scale: float, tol: float) -> float:
+    """``scale`` times the value of ``raw`` (value, error estimate), after the
+    error gate: raise :class:`QuadratureFailure` if either is non-finite or the
+    scaled estimate exceeds ``tol`` (relative above 1, absolute below)."""
     value = scale * raw[0]
     est = abs(scale) * raw[1]
     if not (math.isfinite(value) and math.isfinite(est)):
         raise QuadratureFailure(f"non-finite norm or inner product {value} (error estimate {est})")
     if est > tol * max(1.0, abs(value)):
         raise QuadratureFailure(f"quadrature error estimate {est} exceeds tolerance {tol}")
-    return WeightedInnerProductResult(value=value, est_abs_error=est)
+    return value
+
+
+def _scaled(raw: tuple, scale: float, tol: float) -> WeightedInnerProductResult:
+    """Apply the product of norm constants and enforce the error gate."""
+    return WeightedInnerProductResult(value=_gated(raw, scale, tol), est_abs_error=abs(scale) * raw[1])
 
 
 def _unit_norm_const(norm_const: float, raw: tuple) -> float:
     """Norm constant that scales a state with ``norm_const`` and raw squared norm
     ``raw`` (:func:`_raw_product` of its fold with itself) to unit norm."""
-    sq = _scaled(raw, norm_const * norm_const, _TOL).value
+    sq = _gated(raw, norm_const * norm_const, _TOL)
     if sq <= 0:
         raise QuadratureFailure(f"nonpositive norm {sq}")
     # Jacobi polynomials are positive at argument 1, so a positive norm
@@ -367,9 +422,11 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
 
     Equal, bit for bit, to ``inner_product`` of ``normalize``d states: each
     state is folded once and every raw integral is the same rational, rounded
-    once.  One moment table serves every pair, state j carries the row of its
-    modified moments B_j[m], m <= j, and entry (i <= j) is sum_m c_im B_j[m]:
-    O(n**3) products in all.
+    once.  One moment table serves every pair, and :func:`_gram_rows` gives
+    state j's modified moments B_j[m] by the three-term recurrence in O(n**2)
+    exact steps, after checking every fold against it.  The diagonal raw
+    integral is c_jj B_j[j] and entry (i < j) is sum_(m<=i) c_im B_j[m], whose
+    B_j[m] are the recurrence's exact zeros.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0 (the highest state index), got {n_max}")
@@ -382,18 +439,20 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
         n_top = n_max
     size = n_top + 1
     folds = [_folded_t_poly_exact(build_state(n, L, Lambda)) for n in range(size)]
-    prefactor, ratios, r_den = moments = _moments(Lambda, L, 2 * n_top)
-    rows = [_modified_moments(c, ratios, range(len(c))) for c, _ in folds]
+    prefactor, ratios, r_den = _moments(Lambda, L, 2 * n_top)
+    # row j cut to m <= j as it comes: the recurrence keeps only the last two whole rows
+    rows = [row[: j + 1] for j, row in enumerate(_gram_rows([c for c, _ in folds], ratios))]
+    dens = [d * r_den for _, d in folds]
     diag, norms = [], []
-    for fold in folds:  # each norm gated before the next is formed
-        diag.append(_raw_product(fold, fold, moments))
+    for (c, d), row, den in zip(folds, rows, dens):  # each norm gated before the next is formed
+        diag.append(_rounded(c[-1] * row[-1], d * den, prefactor))
         norms.append(_unit_norm_const(1.0, diag[-1]))  # normalize() of a fresh state
-    g = np.eye(size)
+    g = [[0.0] * size for _ in range(size)]
     for i, (ci, di) in enumerate(folds):
         for j in range(i, size):
-            r = diag[i] if i == j else _rounded(sum(map(operator.mul, ci, rows[j])), di * folds[j][1] * r_den, prefactor)
-            g[i, j] = g[j, i] = _scaled(r, norms[i] * norms[j], _TOL).value
-    return g
+            r = diag[i] if i == j else _rounded(sum(map(operator.mul, ci, rows[j])), di * dens[j], prefactor)
+            g[i][j] = g[j][i] = _gated(r, norms[i] * norms[j], _TOL)
+    return np.array(g)
 
 
 def effective_potential(r, params: ModelParams, L: int):

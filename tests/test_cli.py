@@ -83,6 +83,15 @@ class TestStatesCommand:
         assert err.startswith("error: OutsideDomain: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("lam", ["-0.5", "0"])
+    def test_grid_from_y_0(self, capture, lam):
+        # the weight is 0 at y = 0, where R is defined; the command once refused the grid there
+        code, out, err = capture(["states", f"--lambda={lam}", "--L", "3", "--n", "7", "--grid", "0:1.4:8"])
+        assert (code, err) == (0, "")
+        ys, rs, ws = np.array([list(map(float, line.split(","))) for line in out.strip().split("\n")[1:]]).T
+        assert (ys[0], rs[0], ws[0]) == (0.0, 0.0, 0.0)
+        assert ws[1:].tobytes() == radial.weight(ys[1:], float(lam)).tobytes()
+
     @pytest.mark.parametrize("lam", ["-1e-9", "1e-9", "0"])
     def test_ho_branch_default_grid_is_the_half_line_grid(self, capture, lam):
         # the half-line grid, not the lam < 0 ball's: at lam = -1e-9 that one runs to y = 31,623,

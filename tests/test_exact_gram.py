@@ -31,6 +31,7 @@ from fractions import Fraction
 import pytest
 
 from nlosc import radial
+from nlosc.errors import QuadratureFailure
 from nlosc.spectrum import bound_state_count
 
 
@@ -322,7 +323,8 @@ def _rounded_convolution(fa, fb, moments):
 
 class TestModifiedMomentRows:
     """The modified-moment sums of gram_matrix, inner_product and normalize
-    against the pairwise convolution, entry by entry, at both signs."""
+    against the pairwise convolution, entry by entry, at both signs, and
+    gram_matrix's rows by the three-term recurrence against the direct sums."""
 
     @pytest.mark.parametrize(
         "L,Lambda,n_max",
@@ -357,6 +359,42 @@ class TestModifiedMomentRows:
             coeffs, _ = radial._folded_t_poly_exact(radial.build_state(n, L, Lambda))
             row = radial._modified_moments(coeffs, ratios, range(n + 1))
             assert row[:n] == [0] * n and row[n] != 0, n
+
+    @pytest.mark.parametrize(
+        "L,Lambda,n_top",
+        [(L, Lambda, 40) for Lambda in (-1e-3, 1e-3, -0.01, 0.01) for L in range(5)]
+        + [(L, Lambda, 40) for Lambda in (-5.0, -2.0) for L in (0, 2, 4)]  # b = 1/|Lambda| - 1/2 is 0 at -2
+        + [(0, 1 / 128, 63)],  # the top state
+    )
+    def test_recurrence_rows_equal_the_modified_moments(self, L, Lambda, n_top):
+        # every m a row holds, not only the m <= j that gram_matrix keeps
+        if Lambda > 0:
+            n_top = min(n_top, bound_state_count(Lambda, L).count - 1)
+        assert n_top >= 30
+        coeffs = [radial._folded_t_poly_exact(radial.build_state(n, L, Lambda))[0] for n in range(n_top + 1)]
+        _, ratios, _ = radial._moments(Lambda, L, 2 * n_top)
+        rows = list(radial._gram_rows(coeffs, ratios))
+        assert len(rows) == n_top + 1
+        for j, row in enumerate(rows):
+            assert len(row) == 2 * n_top + 1 - j
+            assert row == radial._modified_moments(coeffs[j], ratios, range(len(row))), j
+
+    @pytest.mark.parametrize("Lambda", [-1.0, -0.01, 0.01, 0.1])
+    @pytest.mark.parametrize("corrupt", [1, 2, 3, 4])
+    def test_a_fold_off_the_recurrence_is_refused(self, monkeypatch, Lambda, corrupt):
+        # one low coefficient of one state off by one: gram_matrix raises, never returns a matrix
+        # (state 0 is a constant, whose scale the recurrence absorbs)
+        exact = radial._folded_t_poly_exact
+
+        def corrupted(state):
+            coeffs, den = exact(state)
+            if state.qn.n == corrupt:
+                coeffs = [coeffs[0] + 1, *coeffs[1:]]
+            return coeffs, den
+
+        monkeypatch.setattr(radial, "_folded_t_poly_exact", corrupted)
+        with pytest.raises(QuadratureFailure, match="three-term recurrence"):
+            radial.gram_matrix(0, Lambda, 4)
 
     @pytest.mark.parametrize("Lambda", [-1e-3, 1e-3, -0.3])
     @pytest.mark.parametrize("n", [80, 160])
