@@ -20,9 +20,10 @@ integrals against the powers of y^2, which vanish below its degree: a norm
 or an inner product takes them from the lower state's degree up.  A Gram
 matrix builds one row per state from the two before it by the states'
 three-term recurrence, O(n**2) exact steps in all, once every fold has been
-checked, coefficient by coefficient, to satisfy that recurrence exactly.
-All constant prefactors are carried in log space to survive the huge
-exponents at small |Lambda|.
+checked, coefficient by coefficient, to satisfy that recurrence exactly;
+every row's moments below its degree must then be exact zeros, the states'
+orthogonality, and a diagonal entry is c_jj B_j[j].  All constant prefactors
+are carried in log space to survive the huge exponents at small |Lambda|.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +53,7 @@ LAMBDA_SWITCH = 1e-8
 
 _ENDPOINT_SLACK = 1e-12
 
-# error-estimate gate of inner_product, and of every entry of gram_matrix
+# error-estimate gate of inner_product, and of every norm and diagonal entry of gram_matrix
 _TOL = 1e-8
 
 
@@ -134,15 +136,40 @@ def _log_prefactor(state: RadialEigenstate, y: np.ndarray) -> np.ndarray:
     return state.L_power * np.log(y) + log_a if state.L_power else log_a
 
 
-def _jacobi_piece(state: RadialEigenstate, s: np.ndarray):
+def _jacobi_piece(state: RadialEigenstate, s: np.ndarray, split: bool = False):
     """Q, dQ/ds and d2Q/ds2 of Q(s) = P_n^(L+1/2, -1/Lambda-1/2)(1 + 2*Lambda*s) in
     turn, each computed when drawn: the j-th is P_(n-j) at both parameters plus j
-    (0 for j > n), times Lambda*(n+L+k) - 1 for k = 1..j (dx/ds = 2*Lambda)."""
+    (0 for j > n), times Lambda*(n+L+k) - 1 for k = 1..j (dx/ds = 2*Lambda), or
+    with ``split`` (m, e), the piece m * 2**e split at each point alone."""
     lam, n, L = state.Lambda, state.qn.n, state.L_power
     x, c = 1.0 + 2.0 * lam * s, 1.0
     for j in range(3):
-        yield c * jacobi(n - j, L + 0.5 + j, -1.0 / lam - 0.5 + j, x) if j <= n else np.zeros_like(x)
+        if j > n:
+            yield np.frexp(np.zeros_like(x)) if split else np.zeros_like(x)
+        elif split:
+            m, e = jacobi_scaled(n - j, L + 0.5 + j, -1.0 / lam - 0.5 + j, x)
+            m, k = np.frexp(m)
+            yield c * m, e + k
+        else:
+            yield c * jacobi(n - j, L + 0.5 + j, -1.0 / lam - 0.5 + j, x)
         c *= lam * (n + L + 1 + j) - 1.0
+
+
+def _prefactor_and_pieces(state: RadialEigenstate, flat: np.ndarray, count: int) -> tuple:
+    """exp(:func:`_log_prefactor`) and the first ``count`` :func:`_jacobi_piece`s; where
+    one overflows, the largest power of two of the pieces joins the log of the prefactor."""
+    s = flat * flat
+    log_a = _log_prefactor(state, flat)
+    with np.errstate(over="ignore", invalid="ignore"):  # P_n may overflow to inf
+        pieces = list(islice(_jacobi_piece(state, s), count))
+    far = np.flatnonzero(np.any(np.isinf(pieces), axis=0))
+    if far.size:
+        split = list(islice(_jacobi_piece(state, s[far], split=True), count))
+        e = np.max([k for _, k in split], axis=0)
+        for piece, (m, k) in zip(pieces, split):
+            piece[far] = np.ldexp(m, k - e)
+        log_a[far] += e * math.log(2.0)
+    return np.exp(log_a), pieces
 
 
 def eval_state(state: RadialEigenstate, y):
@@ -154,18 +181,10 @@ def eval_state(state: RadialEigenstate, y):
     ys = np.asarray(y, dtype=float)
     flat = ys.ravel()
     _check_inside(state, flat)
-    s = flat * flat
-    # log(0) = -inf at y = 0 and log1p(-1) = -inf at the Lambda < 0 endpoint; P_n may overflow to inf
+    # log(0) = -inf at y = 0 and log1p(-1) = -inf at the Lambda < 0 endpoint
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        Q = next(_jacobi_piece(state, s))
-        log_a = _log_prefactor(state, flat)
-        r = state.norm_const * np.exp(log_a) * Q + 0.0  # + 0.0: a zero is +0.0, never -0.0
-        far = np.flatnonzero(np.isinf(Q))
-        if far.size:  # where P_n overflowed, its power of two joins the log of the prefactor
-            lam = state.Lambda
-            m, e = jacobi_scaled(state.qn.n, state.L_power + 0.5, -1.0 / lam - 0.5, 1.0 + 2.0 * lam * s[far])
-            m, k = np.frexp(m)  # the split of each point, whatever the other points
-            r[far] = state.norm_const * np.exp(log_a[far] + (e + k) * math.log(2.0)) * m + 0.0
+        A, (Q,) = _prefactor_and_pieces(state, flat, 1)
+        r = state.norm_const * A * Q + 0.0  # + 0.0: a zero is +0.0, never -0.0
     return float(r[0]) if ys.ndim == 0 else r.reshape(ys.shape)
 
 
@@ -188,9 +207,8 @@ def eval_state_with_derivatives(state: RadialEigenstate, y):
         raise OutsideDomain(f"derivatives need y*y > 0, got y = {y_bad}")  # -L / (y*y) would divide by zero
     L = state.L_power
     p = state.prefactor_exponent
-    Q, dQ, d2Q = _jacobi_piece(state, s)
+    A, (Q, dQ, d2Q) = _prefactor_and_pieces(state, flat, 3)
     sp = 2.0 * flat  # ds/dy
-    A = np.exp(_log_prefactor(state, flat))
     la = L / flat + 2.0 * lam * p * flat / w  # A'/A
     dla = -L / s + 2.0 * lam * p * (1.0 - lam * flat * flat) / (w * w)
     R = A * Q
@@ -383,11 +401,6 @@ def _gated(raw: tuple, scale: float, tol: float) -> float:
     return value
 
 
-def _scaled(raw: tuple, scale: float, tol: float) -> WeightedInnerProductResult:
-    """Apply the product of norm constants and enforce the error gate."""
-    return WeightedInnerProductResult(value=_gated(raw, scale, tol), est_abs_error=abs(scale) * raw[1])
-
-
 def _unit_norm_const(norm_const: float, raw: tuple) -> float:
     """Norm constant that scales a state with ``norm_const`` and raw squared norm
     ``raw`` (:func:`_raw_product` of its fold with itself) to unit norm."""
@@ -403,10 +416,13 @@ def inner_product(state_a: RadialEigenstate, state_b: RadialEigenstate, tol: flo
     """Weighted inner product (R_a, R_b) over the Lambda-dependent domain."""
     if state_a.qn.L != state_b.qn.L or state_a.Lambda != state_b.Lambda:
         raise ValueError("inner product requires states sharing (L, Lambda)")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     lower, higher = sorted((state_a, state_b), key=lambda st: st.qn.n)
     moments = _moments(state_a.Lambda, state_a.qn.L, state_a.qn.n + state_b.qn.n)
     raw = _raw_product(_folded_t_poly_exact(lower), _folded_t_poly_exact(higher), moments)
-    return _scaled(raw, state_a.norm_const * state_b.norm_const, tol)
+    scale = state_a.norm_const * state_b.norm_const
+    return WeightedInnerProductResult(value=_gated(raw, scale, tol), est_abs_error=abs(scale) * raw[1])
 
 
 def normalize(state: RadialEigenstate) -> RadialEigenstate:
@@ -420,13 +436,13 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
     """Matrix of normalized inner products for n = 0..n_max (truncated to the
     admissible set when Lambda > 0).
 
-    Equal, bit for bit, to ``inner_product`` of ``normalize``d states: each
-    state is folded once and every raw integral is the same rational, rounded
-    once.  One moment table serves every pair, and :func:`_gram_rows` gives
-    state j's modified moments B_j[m] by the three-term recurrence in O(n**2)
-    exact steps, after checking every fold against it.  The diagonal raw
-    integral is c_jj B_j[j] and entry (i < j) is sum_(m<=i) c_im B_j[m], whose
-    B_j[m] are the recurrence's exact zeros.
+    Equal, bit for bit, to ``inner_product`` of ``normalize``d states.  One
+    moment table serves every state, and :func:`_gram_rows` gives state j's
+    modified moments B_j[m] by the three-term recurrence in O(n**2) exact
+    steps, after checking every fold against it.  Every row's lower moments
+    B_j[m], m < j, must be exact zeros, or :class:`QuadratureFailure` is raised:
+    they are all an entry (i < j) multiplies, so the off-diagonal is 0.0.  The
+    diagonal is c_jj B_j[j], one rational a state, rounded once and gated.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0 (the highest state index), got {n_max}")
@@ -437,22 +453,16 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
         n_top = min(n_max, count - 1)
     else:
         n_top = n_max
-    size = n_top + 1
-    folds = [_folded_t_poly_exact(build_state(n, L, Lambda)) for n in range(size)]
+    folds = [_folded_t_poly_exact(build_state(n, L, Lambda)) for n in range(n_top + 1)]
     prefactor, ratios, r_den = _moments(Lambda, L, 2 * n_top)
-    # row j cut to m <= j as it comes: the recurrence keeps only the last two whole rows
-    rows = [row[: j + 1] for j, row in enumerate(_gram_rows([c for c, _ in folds], ratios))]
-    dens = [d * r_den for _, d in folds]
-    diag, norms = [], []
-    for (c, d), row, den in zip(folds, rows, dens):  # each norm gated before the next is formed
-        diag.append(_rounded(c[-1] * row[-1], d * den, prefactor))
-        norms.append(_unit_norm_const(1.0, diag[-1]))  # normalize() of a fresh state
-    g = [[0.0] * size for _ in range(size)]
-    for i, (ci, di) in enumerate(folds):
-        for j in range(i, size):
-            r = diag[i] if i == j else _rounded(sum(map(operator.mul, ci, rows[j])), di * dens[j], prefactor)
-            g[i][j] = g[j][i] = _gated(r, norms[i] * norms[j], _TOL)
-    return np.array(g)
+    diag = []
+    for j, ((c, d), row) in enumerate(zip(folds, _gram_rows([c for c, _ in folds], ratios))):
+        if any(row[:j]):
+            raise QuadratureFailure(f"state {j} is not orthogonal to tau**{next(m for m in range(j) if row[m])}")
+        raw = _rounded(c[j] * row[j], d * d * r_den, prefactor)
+        norm = _unit_norm_const(1.0, raw)  # normalize() of a fresh state, gated before the next row
+        diag.append(_gated(raw, norm * norm, _TOL))
+    return np.diag(diag)
 
 
 def effective_potential(r, params: ModelParams, L: int):

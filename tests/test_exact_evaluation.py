@@ -89,6 +89,17 @@ def test_far_tail_past_the_float_range():
     assert R.tobytes() == np.array([radial.eval_state(state, float(y)) for y in ys]).tobytes()
 
 
+def test_far_tail_derivatives_past_the_float_range():
+    # the same tail for R' and R'': each Jacobi piece's power of two joins the log prefactor,
+    # where jacobi's inf times the prefactor's underflowed 0 gave NaN from y = 875 on
+    state = radial.normalize(radial.build_state(77, 0, 5e-3))
+    ys = np.array([875.0, 1000.0, 2000.0, 3000.0])
+    R, R1, R2 = radial.eval_state_with_derivatives(state, ys)
+    assert np.isfinite([R, R1, R2]).all() and np.all(R != 0)
+    assert R == pytest.approx(radial.eval_state(state, ys), rel=1e-12)
+    assert radial.u_transform_residual(state, [1000.0, 3000.0]) < 1e-9
+
+
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_jacobi_piece_and_its_derivatives_are_exact_to_1e_12(lam):
     # Q, dQ/ds and d2Q/ds2 by the parameter shift, against the exact series in s

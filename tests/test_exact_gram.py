@@ -321,10 +321,24 @@ def _rounded_convolution(fa, fb, moments):
     return [x.hex() for x in radial._rounded(total.numerator, total.denominator, prefactor)]
 
 
+def _constant_term_plus_one(corrupt):
+    """radial._folded_t_poly_exact with 1 added to the constant term of state ``corrupt``."""
+    exact = radial._folded_t_poly_exact
+
+    def corrupted(state):
+        coeffs, den = exact(state)
+        if state.qn.n == corrupt:
+            coeffs = [coeffs[0] + 1, *coeffs[1:]]
+        return coeffs, den
+
+    return corrupted
+
+
 class TestModifiedMomentRows:
-    """The modified-moment sums of gram_matrix, inner_product and normalize
-    against the pairwise convolution, entry by entry, at both signs, and
-    gram_matrix's rows by the three-term recurrence against the direct sums."""
+    """The modified-moment sums behind gram_matrix, inner_product and normalize
+    against the pairwise convolution, entry by entry, at both signs (an entry
+    i < j sums only the lower moments that gram_matrix checks are zeros), and
+    the rows of _gram_rows by the three-term recurrence against the direct sums."""
 
     @pytest.mark.parametrize(
         "L,Lambda,n_max",
@@ -337,7 +351,7 @@ class TestModifiedMomentRows:
         moments = radial._moments(Lambda, L, 2 * n_max)
         prefactor, ratios, r_den = moments
         for j in range(n_max + 1):
-            row = radial._modified_moments(folds[j][0], ratios, range(j + 1))  # gram_matrix's row of state j
+            row = radial._modified_moments(folds[j][0], ratios, range(j + 1))  # moments m <= j of state j
             for i in range(j + 1):
                 pair = _rounded_convolution(folds[i], folds[j], radial._moments(Lambda, L, i + j))
                 ci, di = folds[i]
@@ -367,7 +381,7 @@ class TestModifiedMomentRows:
         + [(0, 1 / 128, 63)],  # the top state
     )
     def test_recurrence_rows_equal_the_modified_moments(self, L, Lambda, n_top):
-        # every m a row holds, not only the m <= j that gram_matrix keeps
+        # every m a row holds, not only the m <= j that gram_matrix reads
         if Lambda > 0:
             n_top = min(n_top, bound_state_count(Lambda, L).count - 1)
         assert n_top >= 30
@@ -380,21 +394,31 @@ class TestModifiedMomentRows:
             assert row == radial._modified_moments(coeffs[j], ratios, range(len(row))), j
 
     @pytest.mark.parametrize("Lambda", [-1.0, -0.01, 0.01, 0.1])
-    @pytest.mark.parametrize("corrupt", [1, 2, 3, 4])
-    def test_a_fold_off_the_recurrence_is_refused(self, monkeypatch, Lambda, corrupt):
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            # the recurrence of states 0..2 holds for any folds of degrees 0, 1 and 2 (n = 1 has
+            # no third coefficient to fix Z against), so rows 1 and 2 reach the orthogonality check
+            pytest.param(1, r"state 1 is not orthogonal to tau\*\*0", id="1"),
+            pytest.param(2, r"state 2 is not orthogonal to tau\*\*0", id="2"),
+            pytest.param(3, "state 3: fold coefficient 0 breaks the three-term recurrence", id="3"),
+            pytest.param(4, "state 4: fold coefficient 0 breaks the three-term recurrence", id="4"),
+        ],
+    )
+    def test_a_fold_off_the_recurrence_is_refused(self, monkeypatch, Lambda, corrupt, message):
         # one low coefficient of one state off by one: gram_matrix raises, never returns a matrix
         # (state 0 is a constant, whose scale the recurrence absorbs)
-        exact = radial._folded_t_poly_exact
-
-        def corrupted(state):
-            coeffs, den = exact(state)
-            if state.qn.n == corrupt:
-                coeffs = [coeffs[0] + 1, *coeffs[1:]]
-            return coeffs, den
-
-        monkeypatch.setattr(radial, "_folded_t_poly_exact", corrupted)
-        with pytest.raises(QuadratureFailure, match="three-term recurrence"):
+        monkeypatch.setattr(radial, "_folded_t_poly_exact", _constant_term_plus_one(corrupt))
+        with pytest.raises(QuadratureFailure, match=message):
             radial.gram_matrix(0, Lambda, 4)
+
+    @pytest.mark.parametrize("Lambda", [-0.5, 0.1, -0.01, 0.01])
+    def test_a_wrong_fold_at_n_max_2_is_refused(self, monkeypatch, Lambda):
+        # three folds always satisfy some recurrence; the lower moments of state 2 are not zeros
+        # (taken into the off-diagonal, the wrong constant term gave G[0, 2] = 0.129 at Lambda = -0.5)
+        monkeypatch.setattr(radial, "_folded_t_poly_exact", _constant_term_plus_one(2))
+        with pytest.raises(QuadratureFailure, match="not orthogonal"):
+            radial.gram_matrix(0, Lambda, 2)
 
     @pytest.mark.parametrize("Lambda", [-1e-3, 1e-3, -0.3])
     @pytest.mark.parametrize("n", [80, 160])

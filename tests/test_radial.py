@@ -207,6 +207,13 @@ class TestInnerProductAndNorm:
         with pytest.raises(QuadratureFailure, match="exceeds tolerance"):
             radial.inner_product(st, st, tol=1e-30)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # a NaN tol would switch the gate off, a nonpositive one refuse every estimate
+        st = radial.build_state(1, 0, -1.0)
+        with pytest.raises(ValueError, match="^tol must be finite and positive, got "):
+            radial.inner_product(st, st, tol=tol)
+
     def test_infinite_norm_refused(self):
         # the squared norm is e**714.6, past the float range; normalize would
         # give the norm constant 0.0
@@ -301,12 +308,12 @@ class TestGramMatrix:
         assert g.shape == ref.shape
         assert g.tobytes() == ref.tobytes()
 
-    # both signs sum the modified-moment rows and round every entry through _rounded
+    # both signs round one raw integral a state through _rounded, its squared norm
     @pytest.mark.parametrize("Lambda", [-1.0, 0.1])
-    @pytest.mark.parametrize("forced_from", [0, 4])
+    @pytest.mark.parametrize("forced_from", [0, 1, 2, 3])
     def test_error_gate_on_every_entry(self, monkeypatch, forced_from, Lambda):
-        # the first 4 moment sums of a 4-state matrix are the diagonal norms;
-        # forcing from 4 on leaves them alone and reaches the off-diagonal gate
+        # a 4-state matrix rounds 4 sums, one diagonal entry each, and gates each
+        # norm before the next row: the first forced estimate is the last call
         calls = []
         exact = radial._rounded
 
