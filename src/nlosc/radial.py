@@ -12,18 +12,20 @@ y = sqrt((1-x)/(Lambda*(1+x))) (Lambda > 0) turns every integrand into one
 weight (1-x)^a*(1+x)^b, the same for every degree, times two states'
 hypergeometric series in y^2, whose powers are Beta-function moments of that
 weight; the integral is a short sum, exact up to roundoff.  With Lambda = P/Q
-exactly, the series coefficients and the moment ratios come from integer
-term-ratio recurrences, one formula for both signs, and the rational total is
-rounded once; its power of two joins the log prefactor (:func:`_rounded`,
-:func:`_log_m0`).  Every integral sums one state's modified moments, its
-integrals against the powers of y^2, which vanish below its degree: a norm
-or an inner product takes them from the lower state's degree up.  A Gram
-matrix builds one row per state from the two before it by the states'
-three-term recurrence, O(n**2) exact steps in all, once every fold has been
-checked, coefficient by coefficient, to satisfy that recurrence exactly;
-every row's moments below its degree must then be exact zeros, the states'
-orthogonality, and a diagonal entry is c_jj B_j[j].  All constant prefactors
-are carried in log space to survive the huge exponents at small |Lambda|.
+exactly, the series coefficients are a closed form in integers and the moment
+ratios products of integer steps, one formula for both signs, and the rational
+total is rounded once; its power of two joins the log prefactor
+(:func:`_rounded`, :func:`_log_m0`).  Every integral sums one state's modified
+moments, its integrals against the powers of y^2, which vanish below its
+degree: a norm or an inner product takes them from the lower state's degree
+up.  A Gram matrix builds one row per state from the two before it by the
+states' three-term recurrence, O(n**2) exact steps in all, once every fold has
+been checked, coefficient by coefficient, to satisfy that recurrence exactly;
+its rows are scaled by the moment steps, so they never carry the common
+factor of the moment table.  Every row's moments below its degree must then
+be exact zeros, the states' orthogonality, and a diagonal entry is
+c_jj B_j[j].  All constant prefactors are carried in log space to survive the
+huge exponents at small |Lambda|.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ class WeightedInnerProductResult:
 
 def weight(y, Lambda: float):
     """Weight mu = y**2 / sqrt(Lambda*y**2 + 1) on the open domain; y a float or an array."""
-    nonpos = np.flatnonzero(np.ravel(y) <= 0)
+    nonpos = np.flatnonzero(~(np.ravel(y) > 0))  # "not > 0", so that NaN is refused too
     if nonpos.size:  # raise what a loop of scalar calls raises first
         mass_denominator(Lambda, np.ravel(y)[: nonpos[0]], "y")
         raise OutsideDomain(f"weight needs y > 0, got {np.ravel(y)[nonpos[0]]}")
@@ -116,13 +118,13 @@ def build_state(n: int, L: int, Lambda: float) -> RadialEigenstate:
 
 def _check_inside(state: RadialEigenstate, y: np.ndarray) -> None:
     """Raise what a loop of scalar checks raises first on a 1-D float array:
-    y < 0, or y beyond the finite endpoint by more than _ENDPOINT_SLACK."""
+    y < 0 or NaN, or y beyond the finite endpoint by more than _ENDPOINT_SLACK."""
     w = state.Lambda * y * y + 1.0
     y_end = domain(state.Lambda).upper
-    bad = np.flatnonzero((y < 0) | ((w <= 0) & (y > y_end * (1.0 + _ENDPOINT_SLACK))))
+    bad = np.flatnonzero(~(y >= 0) | ((w <= 0) & (y > y_end * (1.0 + _ENDPOINT_SLACK))))
     if bad.size:
         y_bad = float(y[bad[0]])
-        if y_bad < 0:
+        if not y_bad >= 0:
             raise OutsideDomain(f"y must be nonnegative, got {y_bad}")
         raise OutsideDomain(f"y = {y_bad} beyond endpoint {y_end}")
 
@@ -196,10 +198,10 @@ def eval_state_with_derivatives(state: RadialEigenstate, y):
     lam = state.Lambda
     s = flat * flat
     w = lam * flat * flat + 1.0
-    bad = np.flatnonzero((flat <= 0) | (w <= 0) | (s == 0))
+    bad = np.flatnonzero(~(flat > 0) | (w <= 0) | (s == 0))  # NaN is not > 0
     if bad.size:  # raise what a loop of scalar calls raises first
         y_bad = float(flat[bad[0]])
-        if y_bad <= 0:
+        if not y_bad > 0:
             raise OutsideDomain(f"derivatives need an interior point, got y = {y_bad}")
         if w[bad[0]] <= 0:
             _check_inside(state, flat[bad[0] : bad[0] + 1])  # raises beyond the endpoint
@@ -243,16 +245,26 @@ def _running_products(num0: int, den0: int, steps: list) -> tuple:
 def _folded_t_poly_exact(state: RadialEigenstate) -> tuple:
     """The state's polynomial piece P_n^(L+1/2, -1/lam-1/2)(1 + 2*lam*s), s = y**2,
     in tau = 2s/Q, lam = P/Q exactly, as (integer coefficients, common
-    denominator): C(n+L+1/2, n) 2F1(-n, n+L+1-1/lam; L+3/2; -lam*s) at either
-    sign, term ratio (n-k)((n+L+1+k)P - Q) / ((2L+3+2k)(k+1)).  Measuring s in
-    units of Q/2 keeps out of the integers the power of |P| that would cancel
-    against the moments (:func:`_moments`) in every product."""
+    denominator) in lowest terms: C(n+L+1/2, n) 2F1(-n, n+L+1-1/lam; L+3/2; -lam*s)
+    at either sign, whose term ratio (n-k)((n+L+1+k)P - Q) / ((2L+3+2k)(k+1))
+    multiplies out to the closed form
+    c_k = C(n,k) prod_(k<=i<n) (2L+3+2i) prod_(i<k) ((n+L+1+i)P - Q) / (2**n n!),
+    reduced by one gcd pass against the short 2**n n!.  Measuring s in units of
+    Q/2 keeps out of the integers the power of |P| that would cancel against
+    the moments (:func:`_moments`) in every product."""
     n, L = state.qn.n, state.qn.L
     P, Q = state.Lambda.as_integer_ratio()
-    # C(n+L+1/2, n) = (2L+3)(2L+5)..(2L+1+2n) / (2^n n!)
-    num0, den0 = math.prod(range(2 * L + 3, 2 * L + 2 + 2 * n, 2)), 2**n * math.factorial(n)
-    steps = [((n - k) * ((n + L + 1 + k) * P - Q), (2 * L + 3 + 2 * k) * (k + 1)) for k in range(n)]
-    return _running_products(num0, den0, steps)
+    odd, rising = [1] * (n + 1), [1]  # prod_(k<=i<n) (2L+3+2i) and prod_(i<k) ((n+L+1+i)P - Q)
+    for k in range(n):
+        odd[n - 1 - k] = odd[n - k] * (2 * L + 1 + 2 * n - 2 * k)
+        rising.append(rising[-1] * ((n + L + 1 + k) * P - Q))
+    coeffs = [math.comb(n, k) * o * r for k, (o, r) in enumerate(zip(odd, rising))]
+    den = g = 2**n * math.factorial(n)
+    for c in coeffs:  # pairwise: math.gcd(*many) raised peak RSS call after call
+        g = math.gcd(g, c)
+        if g == 1:
+            break
+    return [c // g for c in coeffs], den // g
 
 
 # log Gamma(z+1/2) - log Gamma(z) - log(z)/2 = sum_i _HALF_SHIFT[i] / z**(2i+1) + O(z**-13):
@@ -287,17 +299,26 @@ def _log_m0(Lambda: float, L: int) -> tuple:
     return terms[0] - terms[1] - terms[2] - terms[3] - terms[4], math.fsum(map(abs, terms))
 
 
-def _moments(Lambda: float, L: int, degree: int) -> tuple:
-    """(prefactor, ratios, den): :func:`_log_m0`, and M_j / M_0 = ratios[j] / den
-    exactly for the moments M_j of the weight (1-x)^a (1+x)^b against tau**j,
-    j <= degree, with a = L + 1/2, b = 1/|Lambda| - 1/2 (Lambda < 0,
-    tau = (1-x)/|P|) or 1/Lambda - L - 2 (Lambda > 0, tau = 2(1-x)/(P(1+x))).
-    At either sign the Beta-function step is (2L+3+2j) / (Q - (L+2+j)P):
-    2(a+j+1) / ((a+b+j+2)|P|) at Lambda < 0, 2(a+j+1) / ((b-j)P) at Lambda > 0.
+def _moment_steps(Lambda: float, L: int, degree: int) -> tuple:
+    """(prefactor, steps): :func:`_log_m0`, and the integer steps (o_j, phi_j),
+    j < degree, with M_(j+1) / M_j = o_j / phi_j for the moments M_j of the
+    weight (1-x)^a (1+x)^b against tau**j, a = L + 1/2, b = 1/|Lambda| - 1/2
+    (Lambda < 0, tau = (1-x)/|P|) or 1/Lambda - L - 2 (Lambda > 0,
+    tau = 2(1-x)/(P(1+x))).  At either sign o_j = 2L+3+2j and
+    phi_j = Q - (L+2+j)P: the Beta-function step is 2(a+j+1) / ((a+b+j+2)|P|)
+    at Lambda < 0 and 2(a+j+1) / ((b-j)P) at Lambda > 0.  Every phi_j is
+    positive while M_degree is finite, which every admissible state's norm needs.
     """
     P, Q = Lambda.as_integer_ratio()
-    steps = [(2 * L + 3 + 2 * j, Q - (L + 2 + j) * P) for j in range(degree)]
-    return (_log_m0(Lambda, L), *_running_products(1, 1, steps))
+    return _log_m0(Lambda, L), [(2 * L + 3 + 2 * j, Q - (L + 2 + j) * P) for j in range(degree)]
+
+
+def _moments(Lambda: float, L: int, degree: int) -> tuple:
+    """(prefactor, ratios, den): the prefactor of :func:`_moment_steps` and
+    M_j / M_0 = ratios[j] / den exactly, j <= degree, the running products of
+    its steps in lowest terms."""
+    prefactor, steps = _moment_steps(Lambda, L, degree)
+    return (prefactor, *_running_products(1, 1, steps))
 
 
 def _rounded(total: int, den: int, prefactor: tuple):
@@ -356,23 +377,38 @@ def _three_term(c0: list, c1: list, c2: list) -> tuple:
     return X, Y, Z, W
 
 
-def _gram_rows(coeffs: list, ratios: list):
-    """Yield B_j[m] = sum_a c_ja r_(a+m), m = 0..len(ratios)-1-j, for the folds'
-    integers ``coeffs[j]`` against the :func:`_moments` table: rows 0 and 1 from
-    :func:`_modified_moments`, every later one by the modified Chebyshev
-    algorithm (Gautschi, Orthogonal Polynomials, 2004, 2.1.7),
-    W B_(n+1)[m] = X B_n[m+1] + Y B_n[m] - Z B_(n-1)[m], O(n) exact steps a row.
-    :func:`_three_term` checks the folds against the recurrence first, so every
-    row holds the folds' own sums and every division by W is exact."""
-    prev = _modified_moments(coeffs[0], ratios, range(len(ratios)))
+def _scaled_rows(coeffs: list, steps: list):
+    """Yield b_j[m], m = 0..2n-j (n = len(coeffs) - 1), fold j's modified
+    moments B_j[m] = sum_a c_ja M_(a+m) / M_0 times prod_(i<j+m) phi_i, an
+    integer, for the 2n ``steps`` M_(i+1) / M_i = o_i / phi_i of
+    :func:`_moment_steps`.  So b_j[m] leaves out the common factor
+    prod_(j+m<=i<2n) phi_i that the :func:`_moments` table over
+    prod_(i<2n) phi_i puts in every B_j[m].  Rows 0 and 1 are
+    b_0[m] = c_00 O_m and b_1[m] = c_10 O_m phi_m + c_11 O_(m+1), O_m = prod_(i<m) o_i;
+    every later one comes by the modified Chebyshev algorithm (Gautschi,
+    Orthogonal Polynomials, 2004, 2.1.7),
+    W b_(n+1)[m] = X b_n[m+1] + Y phi_(n+m) b_n[m] - Z phi_(n+m-1) phi_(n+m) b_(n-1)[m],
+    O(n) exact steps a row.  :func:`_three_term` checks the folds against the
+    recurrence first, so every row holds the folds' own sums and every
+    division by W is exact."""
+    phi = [p for _, p in steps]
+    O = [1]
+    for o, _ in steps:
+        O.append(O[-1] * o)
+    prev = [coeffs[0][0] * o for o in O]
     yield prev
     if len(coeffs) == 1:
         return
-    row = _modified_moments(coeffs[1], ratios, range(len(ratios) - 1))
+    c10, c11 = coeffs[1]
+    row = [c10 * o * p + c11 * o1 for o, p, o1 in zip(O, phi, O[1:])]
     yield row
+    pairs = [p * p1 for p, p1 in zip(phi, phi[1:])]  # phi_i phi_(i+1)
     for n in range(1, len(coeffs) - 1):
         X, Y, Z, W = _three_term(coeffs[n - 1], coeffs[n], coeffs[n + 1])
-        prev, row = row, [(X * up + Y * b - Z * p) // W for up, b, p in zip(row[1:], row, prev)]
+        prev, row = row, [
+            (X * up + Y * p * b - Z * pp * lo) // W
+            for up, b, lo, p, pp in zip(row[1:], row, prev, phi[n:], pairs[n - 1 :])
+        ]
         yield row
 
 
@@ -436,13 +472,16 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
     """Matrix of normalized inner products for n = 0..n_max (truncated to the
     admissible set when Lambda > 0).
 
-    Equal, bit for bit, to ``inner_product`` of ``normalize``d states.  One
-    moment table serves every state, and :func:`_gram_rows` gives state j's
-    modified moments B_j[m] by the three-term recurrence in O(n**2) exact
-    steps, after checking every fold against it.  Every row's lower moments
-    B_j[m], m < j, must be exact zeros, or :class:`QuadratureFailure` is raised:
-    they are all an entry (i < j) multiplies, so the off-diagonal is 0.0.  The
-    diagonal is c_jj B_j[j], one rational a state, rounded once and gated.
+    Equal, bit for bit, to ``inner_product`` of ``normalize``d states.  The
+    moment steps of :func:`_moment_steps` serve every state, and
+    :func:`_scaled_rows` gives state j's modified moments, scaled by the
+    steps, by the three-term recurrence in O(n**2) exact steps, after checking
+    every fold against it; the moment table itself is never formed.  Every
+    row's lower moments, m < j, must be exact zeros (the phi_i are nonzero), or
+    :class:`QuadratureFailure` is raised: they are all an entry (i < j)
+    multiplies, so the off-diagonal is 0.0.  The diagonal is
+    c_jj b_j[j] / (d_j**2 prod_(i<2j) phi_i), one rational a state, rounded
+    once and gated.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0 (the highest state index), got {n_max}")
@@ -454,14 +493,15 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
     else:
         n_top = n_max
     folds = [_folded_t_poly_exact(build_state(n, L, Lambda)) for n in range(n_top + 1)]
-    prefactor, ratios, r_den = _moments(Lambda, L, 2 * n_top)
-    diag = []
-    for j, ((c, d), row) in enumerate(zip(folds, _gram_rows([c for c, _ in folds], ratios))):
+    prefactor, steps = _moment_steps(Lambda, L, 2 * n_top)
+    diag, scale = [], 1  # scale = prod_(i<2j) phi_i
+    for j, ((c, d), row) in enumerate(zip(folds, _scaled_rows([c for c, _ in folds], steps))):
         if any(row[:j]):
             raise QuadratureFailure(f"state {j} is not orthogonal to tau**{next(m for m in range(j) if row[m])}")
-        raw = _rounded(c[j] * row[j], d * d * r_den, prefactor)
+        raw = _rounded(c[j] * row[j], d * d * scale, prefactor)
         norm = _unit_norm_const(1.0, raw)  # normalize() of a fresh state, gated before the next row
         diag.append(_gated(raw, norm * norm, _TOL))
+        scale *= math.prod(p for _, p in steps[2 * j : 2 * j + 2])
     return np.diag(diag)
 
 

@@ -297,8 +297,8 @@ def _state(lam, L):
 
 
 def _interior(lam, seed):
-    """Seeded interior points plus the last float below a lam < 0 endpoint and NaN."""
-    y = np.concatenate([_grid(lam, seed), [1e-150, np.nan]])
+    """Seeded interior points plus the last float below a lam < 0 endpoint (NaN is refused, TestNaN)."""
+    y = np.concatenate([_grid(lam, seed), [1e-150]])
     return np.append(y, domain(lam).upper) if lam < 0 else y
 
 
@@ -315,7 +315,6 @@ class TestEigenfunctionArrays:
         got = radial.eval_state(st, y)
         assert got.tobytes() == _loop(lambda yi: radial.eval_state(st, yi), y).tobytes()
         _assert_within_exp_log_ulps(got, _loop(lambda yi: _reference_R(st, yi), y), _exponent_terms(st, y))
-        assert np.count_nonzero(np.isnan(got)) == 1  # NaN flows through, as on floats
         assert got[3] == (0.0 if L else st.norm_const * _jacobi_piece(st, 0.0)[0])  # y = 0
         assert lam > 0 or got[-1] == 0.0  # inside the slack past the lam < 0 endpoint
         zeros = ([got[3]] if L else []) + ([got[-1]] if lam < 0 else [])
@@ -376,6 +375,34 @@ class TestEigenfunctionErrors:
         assert _first_error(radial.u_transform_residual, self.STATE, [0.3, 1e-170]) == message
         f = lambda yi: radial.eval_state_with_derivatives(self.STATE, yi)  # noqa: E731
         y = [0.3, 2.0, 1e-170]
+        assert _first_error(f, np.array(y)) == _first_error_of_loop(f, y)
+
+
+class TestNaN:
+    # NaN passes every "<" and "<=" check, so it once came back as NaN (R, R', R'', the weight)
+    # or as a residual of 0.0; it is refused as a scalar and in loop order in an array
+    STATE = radial.build_state(3, 0, -0.5)
+    CALLS = {
+        "eval_state": lambda y: radial.eval_state(TestNaN.STATE, y),
+        "eval_state_with_derivatives": lambda y: radial.eval_state_with_derivatives(TestNaN.STATE, y),
+        "u_transform_residual": lambda y: radial.u_transform_residual(TestNaN.STATE, np.atleast_1d(y)),
+        "weight": lambda y: radial.weight(y, -0.5),
+    }
+    MESSAGES = {
+        "eval_state": "y must be nonnegative, got nan",
+        "eval_state_with_derivatives": "derivatives need an interior point, got y = nan",
+        "u_transform_residual": "derivatives need an interior point, got y = nan",
+        "weight": "weight needs y > 0, got nan",
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_scalar(self, name):
+        assert _first_error(self.CALLS[name], math.nan) == self.MESSAGES[name]
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("y", [[0.3, np.nan, -1.0], [0.3, -1.0, np.nan], [0.3, 2.0, np.nan], [np.nan, 2.0]])
+    def test_array_raises_what_the_loop_raises_first(self, name, y):
+        f = self.CALLS[name]
         assert _first_error(f, np.array(y)) == _first_error_of_loop(f, y)
 
 

@@ -149,6 +149,15 @@ def _ref_moments(Lambda, L, degree):
     return (radial._log_m0(Lambda, L), *_ref_over_common_denominator(ratios))
 
 
+def _ref_moment_steps(Lambda, L, degree):
+    """The steps of ``_ref_moments``, each ratio over the one before in lowest
+    terms as (o_j, phi_j), so that gram_matrix's scaled rows take the
+    reference's variable: tau at Lambda < 0, z at Lambda > 0."""
+    prefactor, ratios, _ = _ref_moments(Lambda, L, degree)
+    steps = [Fraction(r1, r0) for r0, r1 in zip(ratios, ratios[1:])]
+    return prefactor, [(s.numerator, s.denominator) for s in steps]
+
+
 def _ref_tau_fold(state):
     """The fold coefficient by coefficient in radial's tau: the Lambda < 0
     reference as it is, and at Lambda > 0 the series in s scaled to
@@ -188,6 +197,7 @@ def reference(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(radial, "_folded_t_poly_exact", _ref_folded)
             m.setattr(radial, "_moments", _ref_moments)
+            m.setattr(radial, "_moment_steps", _ref_moment_steps)
             return _outcome(fn, *args)
 
     return call
@@ -279,6 +289,12 @@ class TestHighDegree:
         for n in range(n_top + 1):
             _assert_same_fold(radial.build_state(n, 0, Lambda))
 
+    @pytest.mark.parametrize("Lambda", [-1e-3, 1e-3])
+    def test_fold_up_to_n_160(self, Lambda):
+        # the closed-form fold far past the Gram grids, up to the n_max 160 of CI's Gram runs
+        for n in range(161):
+            _assert_same_fold(radial.build_state(n, 0, Lambda))
+
     @pytest.mark.parametrize("Lambda", [-1e-3, 1e-3, -0.01, 0.01, 1 / 128])
     @pytest.mark.parametrize("L", range(5))
     def test_moments_up_to_degree_80(self, Lambda, L):
@@ -338,7 +354,8 @@ class TestModifiedMomentRows:
     """The modified-moment sums behind gram_matrix, inner_product and normalize
     against the pairwise convolution, entry by entry, at both signs (an entry
     i < j sums only the lower moments that gram_matrix checks are zeros), and
-    the rows of _gram_rows by the three-term recurrence against the direct sums."""
+    the scaled rows of _scaled_rows by the three-term recurrence against the
+    direct sums."""
 
     @pytest.mark.parametrize(
         "L,Lambda,n_max",
@@ -381,17 +398,25 @@ class TestModifiedMomentRows:
         + [(0, 1 / 128, 63)],  # the top state
     )
     def test_recurrence_rows_equal_the_modified_moments(self, L, Lambda, n_top):
-        # every m a row holds, not only the m <= j that gram_matrix reads
+        # every m a row holds, not only the m <= j that gram_matrix reads: the scaled
+        # row times prod_(j+m<=i<2n) phi_i over prod_(i<2n) phi_i is the moment sum
         if Lambda > 0:
             n_top = min(n_top, bound_state_count(Lambda, L).count - 1)
         assert n_top >= 30
         coeffs = [radial._folded_t_poly_exact(radial.build_state(n, L, Lambda))[0] for n in range(n_top + 1)]
-        _, ratios, _ = radial._moments(Lambda, L, 2 * n_top)
-        rows = list(radial._gram_rows(coeffs, ratios))
+        _, ratios, r_den = radial._moments(Lambda, L, 2 * n_top)
+        _, steps = radial._moment_steps(Lambda, L, 2 * n_top)
+        tail = [1]  # tail[k] = prod_(k<=i<2n) phi_i
+        for _, p in reversed(steps):
+            tail.append(tail[-1] * p)
+        tail.reverse()
+        rows = list(radial._scaled_rows(coeffs, steps))
         assert len(rows) == n_top + 1
         for j, row in enumerate(rows):
             assert len(row) == 2 * n_top + 1 - j
-            assert row == radial._modified_moments(coeffs[j], ratios, range(len(row))), j
+            full = radial._modified_moments(coeffs[j], ratios, range(len(row)))
+            for m, (b, B) in enumerate(zip(row, full)):
+                assert b * tail[j + m] * r_den == B * tail[0], (j, m)
 
     @pytest.mark.parametrize("Lambda", [-1.0, -0.01, 0.01, 0.1])
     @pytest.mark.parametrize(

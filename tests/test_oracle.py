@@ -445,6 +445,33 @@ class TestStackedMesh:
             assert not np.triu(K, 2).any()  # tridiagonal
 
 
+class TestGalerkinPotentialTerm:
+    """The Gauss rule of _galerkin's chain-rule q, (P q) P^T = S - K, is exactly
+    c0 I + c1 J on MESH_GRID (a = L + 1/2): q is a constant at Lambda < 0, and at
+    Lambda > 0 a polynomial of degree one in x at the tail exponent beta
+    (b = 2 beta - 2), so the Galerkin matrix is tridiagonal at both signs."""
+
+    @pytest.mark.parametrize("N,a,b", [(N, a, b) for N, a, b in MESH_GRID if b > -0.5])
+    def test_constant_at_negative_lambda(self, N, a, b):
+        L, Lambda = int(a - 0.5), -1.0 / (b + 0.5)  # b = 1/|Lambda| - 1/2
+        S, _ = oracle._galerkin(Lambda, L, N)
+        G = S - oracle._stiffness(Lambda, a, b, oracle._mesh(N, a, b)[2])
+        q = 2 * L + 3 - L * Lambda
+        assert np.max(np.abs(G - q * np.eye(N))) <= 1e-12 * q
+
+    @pytest.mark.parametrize("Lambda", [0.3, 1e-3])
+    @pytest.mark.parametrize("N,a,b", MESH_GRID)
+    def test_tridiagonal_at_positive_lambda(self, N, a, b, Lambda):
+        # c0 and c1 each carry (1 + 1/Lambda)/2, which cancels in the entries at small Lambda
+        L, beta = int(a - 0.5), 0.5 * b + 1.0
+        J = oracle._mesh(N, a, b)[2]
+        S, _ = oracle._galerkin(Lambda, L, N, beta)
+        G = S - oracle._stiffness(Lambda, a, b, J)
+        c0 = Lambda * (1.5 * L * L + 2 * L * beta + 1.5 * L - 2 * beta * beta + 5 * beta) + 0.5 * (1 + 1 / Lambda)
+        c1 = Lambda * (0.5 * L * L + 2 * L * beta + 0.5 * L + 2 * beta * beta + beta) - 0.5 * (1 + 1 / Lambda)
+        assert np.max(np.abs(G - (c0 * np.eye(N) + c1 * J))) <= 1e-12 * max(abs(c0), abs(c1))
+
+
 class TestRadialResidual:
     def test_closed_form_satisfies_equation(self):
         st = radial.build_state(2, 1, -0.5)
