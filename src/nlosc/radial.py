@@ -1,39 +1,33 @@
 """Exact radial eigenfunctions, weighted inner products and normalization.
 
 A state is R(y) = norm * y^L * (Lambda*y^2+1)^(-1/(2*Lambda)) * P(1+2*Lambda*y^2)
-with P a Jacobi polynomial of degree n and parameters (L+1/2, -1/Lambda-1/2).
-For Lambda < 0 this is identical to the |Lambda| form with argument
-1-2*|Lambda|*y^2 and parameters (L+1/2, 1/|Lambda|-1/2), so one representation
-serves both signs.
+with P a Jacobi polynomial of degree n and parameters (L+1/2, -1/Lambda-1/2),
+one representation for both signs.
 
 Inner products are taken in L^2 with weight mu = y^2/sqrt(Lambda*y^2+1).  The
 change of variable x = 1-2*|Lambda|*y^2 (Lambda < 0) or
 y = sqrt((1-x)/(Lambda*(1+x))) (Lambda > 0) turns every integrand into one
-weight (1-x)^a*(1+x)^b, the same for every degree, times two states'
-hypergeometric series in y^2, whose powers are Beta-function moments of that
-weight; the integral is a short sum, exact up to roundoff.  With Lambda = P/Q
-exactly, the series coefficients are a closed form in integers and the moment
-ratios products of integer steps, one formula for both signs, and the rational
-total is rounded once; its power of two joins the log prefactor
-(:func:`_rounded`, :func:`_log_m0`).  Every integral sums one state's modified
-moments, its integrals against the powers of y^2, which vanish below its
-degree: a norm or an inner product takes them from the lower state's degree
-up.  A Gram matrix builds one row per state from the two before it by the
-states' three-term recurrence, O(n**2) exact steps in all, once every fold has
-been checked, coefficient by coefficient, to satisfy that recurrence exactly;
-its rows are scaled by the moment steps, so they never carry the common
-factor of the moment table.  Every row's moments below its degree must then
-be exact zeros, the states' orthogonality, and a diagonal entry is
-c_jj B_j[j].  All constant prefactors are carried in log space to survive the
-huge exponents at small |Lambda|.
+weight (1-x)^a*(1+x)^b times two states' hypergeometric series in y^2, whose
+powers are Beta-function moments of that weight.  A norm is a closed form in
+floats (:func:`_log_norm_sq`).  Inner products and Gram matrices are exact:
+with Lambda = P/Q, the series coefficients and the moment ratios are integers,
+and the rational total is rounded once, its power of two joining the log
+prefactor (:func:`_rounded`).  A Gram matrix builds each state's modified
+moments from the two states before it by the three-term recurrence, O(n**2)
+exact steps in all; every row's moments below its degree must be exact zeros,
+and a diagonal entry, the exact squared norm over the closed form, must be 1
+to within the 1e-8 gate.  Constant prefactors are carried in log space to
+survive the huge exponents at small |Lambda|.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Sequence
 
 import numpy as np
@@ -55,7 +49,7 @@ LAMBDA_SWITCH = 1e-8
 
 _ENDPOINT_SLACK = 1e-12
 
-# error-estimate gate of inner_product, and of every norm and diagonal entry of gram_matrix
+# error-estimate gate of inner_product and of every diagonal entry of gram_matrix, and its distance from 1
 _TOL = 1e-8
 
 
@@ -221,29 +215,8 @@ def eval_state_with_derivatives(state: RadialEigenstate, y):
     return tuple(float(v[0]) for v in out) if ys.ndim == 0 else tuple(v.reshape(ys.shape) for v in out)
 
 
-def _running_products(num0: int, den0: int, steps: list) -> tuple:
-    """c_0 = num0/den0 and c_(k+1) = c_k * p_k/q_k for (p_k, q_k) in ``steps``,
-    all integers, as (integer numerators, one positive common denominator) in
-    lowest terms.  No rational is formed along the way: the numerator of c_k
-    is num0 * p_0..p_(k-1) * q_k..q_last, and one gcd reduces the lot."""
-    coeffs = [num0]
-    for p, _ in steps:
-        coeffs.append(coeffs[-1] * p)
-    suffix = 1
-    for k in reversed(range(len(steps))):
-        suffix *= steps[k][1]
-        coeffs[k] *= suffix
-    den = den0 * suffix
-    g = den
-    for c in coeffs:  # pairwise: math.gcd(*many) raised peak RSS call after call
-        g = math.gcd(g, c)
-    if den < 0:
-        g = -g  # a negative denominator would turn an exact 0 into -0.0
-    return [c // g for c in coeffs], den // g
-
-
-def _folded_t_poly_exact(state: RadialEigenstate) -> tuple:
-    """The state's polynomial piece P_n^(L+1/2, -1/lam-1/2)(1 + 2*lam*s), s = y**2,
+def _folded_t_poly_exact(n: int, L: int, Lambda: float) -> tuple:
+    """State (n, L)'s polynomial piece P_n^(L+1/2, -1/lam-1/2)(1 + 2*lam*s), s = y**2,
     in tau = 2s/Q, lam = P/Q exactly, as (integer coefficients, common
     denominator) in lowest terms: C(n+L+1/2, n) 2F1(-n, n+L+1-1/lam; L+3/2; -lam*s)
     at either sign, whose term ratio (n-k)((n+L+1+k)P - Q) / ((2L+3+2k)(k+1))
@@ -252,8 +225,7 @@ def _folded_t_poly_exact(state: RadialEigenstate) -> tuple:
     reduced by one gcd pass against the short 2**n n!.  Measuring s in units of
     Q/2 keeps out of the integers the power of |P| that would cancel against
     the moments (:func:`_moments`) in every product."""
-    n, L = state.qn.n, state.qn.L
-    P, Q = state.Lambda.as_integer_ratio()
+    P, Q = Lambda.as_integer_ratio()
     odd, rising = [1] * (n + 1), [1]  # prod_(k<=i<n) (2L+3+2i) and prod_(i<k) ((n+L+1+i)P - Q)
     for k in range(n):
         odd[n - 1 - k] = odd[n - k] * (2 * L + 1 + 2 * n - 2 * k)
@@ -272,31 +244,73 @@ def _folded_t_poly_exact(state: RadialEigenstate) -> tuple:
 _HALF_SHIFT = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432, 691 / 180224)
 
 
+@functools.lru_cache(maxsize=256)  # a gram_matrix's states share w0, and every call repeats n + 1 at small n
+def _log_gamma_shift(w: float, K: int) -> tuple:
+    """(half, rising): log Gamma(w+K+1/2) - log Gamma(w) - (K+1/2) log(w), w > 0, as two
+    terms that do not cancel, half = log Gamma(w+1/2) - log Gamma(w) - log(w)/2 and
+    rising = sum_(m<K) log(1 + (m+1/2)/w), both O(1/w) for large w.  (lgamma of w
+    and of w+K+1/2, each about w log(w), would cancel to O(K log(w)).)"""
+    # below 16, Gamma(w+1) = w Gamma(w) moves the series to w + k >= 16
+    k = max(0, math.ceil(16.0 - w))
+    wk, series = w + k, 0.0
+    for c in reversed(_HALF_SHIFT):
+        series = series / (wk * wk) + c
+    half = series / wk + 0.5 * math.log(wk / w) - math.fsum(math.log1p(0.5 / (w + i)) for i in range(k))
+    return half, math.fsum(math.log1p((m + 0.5) / w) for m in range(K))
+
+
 def _log_m0(Lambda: float, L: int) -> tuple:
     """(log_m0, size): log of the constant prefactor times M_0 = int_{-1}^{1} (1-x)^a (1+x)^b dx,
     |Lambda|**-(L+3/2) Gamma(L+3/2) Gamma(z) / (2 Gamma(z+L+3/2)) at either sign
-    with z = b+1 = zn/zd exactly, as a sum of terms that do not cancel:
-    log(|Lambda| z), the half shift log Gamma(z+1/2) - log Gamma(z) - log(z)/2
-    and log(1 + (m+1/2)/z) for m = 0..L.  (lgamma of z and of z+L+3/2, each
-    about log(1/|Lambda|)/|Lambda|, would cancel to O(1).)  ``size``, the sum of
-    the terms' magnitudes, scales the error: at L = 170 they reach about 700."""
+    with z = b+1 = zn/zd exactly, as terms that do not cancel: log(|Lambda| z)
+    and :func:`_log_gamma_shift` at z and K = L + 1.  ``size``, the sum of the
+    terms' magnitudes, scales the error: at L = 170 they reach about 700."""
     P, Q = Lambda.as_integer_ratio()
     zn, zd = (2 * Q - P, -2 * P) if P < 0 else (Q - (L + 1) * P, P)  # z = zn/zd
-    z = zn / zd
-    # below 16, Gamma(z+1) = z Gamma(z) moves the series to z + k >= 16
-    k = max(0, math.ceil(16.0 - z))
-    zk, series = z + k, 0.0
-    for c in reversed(_HALF_SHIFT):
-        series = series / (zk * zk) + c
-    half_shift = series / zk + 0.5 * math.log(zk / z) - math.fsum(math.log1p(0.5 / (z + i)) for i in range(k))
     terms = (
         math.lgamma(L + 1.5),
         math.log(2.0),
         (L + 1.5) * math.log(abs(P) * zn / (Q * zd)),  # int / int rounds |Lambda| z once
-        half_shift,
-        math.fsum(math.log1p((m + 0.5) / z) for m in range(L + 1)),
+        *_log_gamma_shift(zn / zd, L + 1),
     )
     return terms[0] - terms[1] - terms[2] - terms[3] - terms[4], math.fsum(map(abs, terms))
+
+
+def _log_norm_sq(n: int, L: int, Lambda: float, prefactor: tuple) -> tuple:
+    """(log_sq, size): log of state (n, L)'s squared norm exp(log_m0) s_n, for the
+    ``prefactor`` (log_m0, size) of :func:`_log_m0`, a = L + 1/2, b = -1/Lambda - 1/2
+    and s_n = (a+1)_n (b+1)_n (a+b+1) / (n! (a+b+1)_n (2n+a+b+1)): DLMF Table
+    18.3.1's h_n over M_0 at Lambda < 0, continued to b < -1 at Lambda > 0 (the
+    Romanovski polynomials' finite orthogonality, Raposo et al., Cent. Eur. J.
+    Phys. 5 (2007) 253) with (b+1)_n = (-1)^n Gamma(-b) / Gamma(-b-n) and
+    (a+b+1)_n alike.  (a+1)_n / n! = G(n+1) / Gamma(a+1) and
+    (b+1)_n / (a+b+1)_n = G(w0) / G(w1) for G(w) = Gamma(w+a) / Gamma(w), with
+    w0, w1 = b+1, b+1+n (Lambda < 0) or -a-b, -a-b-n (Lambda > 0), integers over
+    2|P|; log G(w) is (L+1/2) log(w) and :func:`_log_gamma_shift`.  So O(L) terms
+    at any n, none cancelling (lgamma at w0 and w1, near 9e8 at Lambda = 2e-8,
+    would); ``size`` adds their magnitudes to the prefactor's."""
+    P, Q = Lambda.as_integer_ratio()
+    w0n, w1n = (2 * Q - P, 2 * Q - (2 * n + 1) * P) if P < 0 else (2 * Q - 2 * L * P, 2 * Q - 2 * (L + n) * P)
+    h1, r1 = _log_gamma_shift(w1n / (2 * abs(P)), L)
+    terms = (
+        (L + 0.5) * math.log((n + 1) * w0n / w1n), *_log_gamma_shift(n + 1.0, L), -math.lgamma(L + 1.5),
+        *_log_gamma_shift(w0n / (2 * abs(P)), L), -h1, -r1,
+        -math.log((Q - (L + 1 + 2 * n) * P) / (Q - (L + 1) * P)),  # (a+b+1) / (2n+a+b+1); each int / int rounds once
+    )
+    return math.fsum((prefactor[0], *terms)), prefactor[1] + math.fsum(map(abs, terms))
+
+
+def _norm_const(n: int, L: int, Lambda: float, prefactor: tuple) -> float:
+    """exp(-log_sq / 2) for :func:`_log_norm_sq`: state (n, L)'s unit norm
+    constant, positive near y = 0 (Jacobi polynomials are positive at argument
+    1); :class:`QuadratureFailure` if not a normal float, log_sq past 1416 or below -1419."""
+    log_sq, _ = _log_norm_sq(n, L, Lambda, prefactor)
+    norm = math.exp(-0.5 * log_sq) if log_sq > -1419.0 else math.inf
+    if not sys.float_info.min <= norm < math.inf:
+        raise QuadratureFailure(
+            f"non-finite norm or inner product: exp({log_sq!r}), the squared norm, has no normal norm constant"
+        )
+    return norm
 
 
 def _moment_steps(Lambda: float, L: int, degree: int) -> tuple:
@@ -315,10 +329,16 @@ def _moment_steps(Lambda: float, L: int, degree: int) -> tuple:
 
 def _moments(Lambda: float, L: int, degree: int) -> tuple:
     """(prefactor, ratios, den): the prefactor of :func:`_moment_steps` and
-    M_j / M_0 = ratios[j] / den exactly, j <= degree, the running products of
-    its steps in lowest terms."""
+    M_j / M_0 = ratios[j] / den exactly, j <= degree, in lowest terms, den > 0:
+    ratios[j] is o_0..o_(j-1) phi_j..phi_last before one gcd reduces the lot."""
     prefactor, steps = _moment_steps(Lambda, L, degree)
-    return (prefactor, *_running_products(1, 1, steps))
+    heads = accumulate((o for o, _ in steps), operator.mul, initial=1)  # o_0..o_(j-1)
+    tails = list(accumulate((p for _, p in reversed(steps)), operator.mul, initial=1))  # phi_j..phi_last, reversed
+    ratios = [h * t for h, t in zip(heads, reversed(tails))]
+    g = den = tails[-1]
+    for r in ratios:  # pairwise: math.gcd(*many) raised peak RSS call after call
+        g = math.gcd(g, r)
+    return prefactor, [r // g for r in ratios], den // g
 
 
 def _rounded(total: int, den: int, prefactor: tuple):
@@ -392,9 +412,7 @@ def _scaled_rows(coeffs: list, steps: list):
     recurrence first, so every row holds the folds' own sums and every
     division by W is exact."""
     phi = [p for _, p in steps]
-    O = [1]
-    for o, _ in steps:
-        O.append(O[-1] * o)
+    O = list(accumulate((o for o, _ in steps), operator.mul, initial=1))
     prev = [coeffs[0][0] * o for o in O]
     yield prev
     if len(coeffs) == 1:
@@ -412,18 +430,6 @@ def _scaled_rows(coeffs: list, steps: list):
         yield row
 
 
-def _raw_product(lower: tuple, higher: tuple, moments: tuple):
-    """(value, error estimate) of the integral of two folds, ``lower`` of degree
-    n <= that of ``higher``, before the norm constants: the exact sum
-    sum_(a,b) c_a c'_b r_(a+b) = sum_m c'_m B[m] over the lower fold's (shorter)
-    modified moments, whose B[m] = 0 for m < n, so O(n (n' - n + 1)) products;
-    a squared norm is c_n B[n] alone.  The rational is rounded once."""
-    (c_lo, d_lo), (c_hi, d_hi), (prefactor, ratios, r_den) = lower, higher, moments
-    n = len(c_lo) - 1
-    row = _modified_moments(c_lo, ratios, range(n, len(c_hi)))
-    return _rounded(sum(map(operator.mul, c_hi[n:], row)), d_lo * d_hi * r_den, prefactor)
-
-
 def _gated(raw: tuple, scale: float, tol: float) -> float:
     """``scale`` times the value of ``raw`` (value, error estimate), after the
     error gate: raise :class:`QuadratureFailure` if either is non-finite or the
@@ -437,51 +443,42 @@ def _gated(raw: tuple, scale: float, tol: float) -> float:
     return value
 
 
-def _unit_norm_const(norm_const: float, raw: tuple) -> float:
-    """Norm constant that scales a state with ``norm_const`` and raw squared norm
-    ``raw`` (:func:`_raw_product` of its fold with itself) to unit norm."""
-    sq = _gated(raw, norm_const * norm_const, _TOL)
-    if sq <= 0:
-        raise QuadratureFailure(f"nonpositive norm {sq}")
-    # Jacobi polynomials are positive at argument 1, so a positive norm
-    # constant fixes R(y)/y^L > 0 as y -> 0
-    return norm_const / math.sqrt(sq)
-
-
 def inner_product(state_a: RadialEigenstate, state_b: RadialEigenstate, tol: float = _TOL) -> WeightedInnerProductResult:
-    """Weighted inner product (R_a, R_b) over the Lambda-dependent domain."""
+    """Weighted inner product (R_a, R_b) over the Lambda-dependent domain: the exact
+    sum_(a,b) c_a c'_b r_(a+b) = sum_m c'_m B[m] of folds of degrees n <= n' over the
+    lower one's modified moments, B[m] = 0 for m < n, O(n (n' - n + 1)) products."""
     if state_a.qn.L != state_b.qn.L or state_a.Lambda != state_b.Lambda:
         raise ValueError("inner product requires states sharing (L, Lambda)")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    lower, higher = sorted((state_a, state_b), key=lambda st: st.qn.n)
-    moments = _moments(state_a.Lambda, state_a.qn.L, state_a.qn.n + state_b.qn.n)
-    raw = _raw_product(_folded_t_poly_exact(lower), _folded_t_poly_exact(higher), moments)
+    L, Lambda = state_a.qn.L, state_a.Lambda
+    n, n_hi = sorted((state_a.qn.n, state_b.qn.n))
+    prefactor, ratios, r_den = _moments(Lambda, L, n + n_hi)
+    (c_lo, d_lo), (c_hi, d_hi) = _folded_t_poly_exact(n, L, Lambda), _folded_t_poly_exact(n_hi, L, Lambda)
+    row = _modified_moments(c_lo, ratios, range(n, n_hi + 1))
+    raw = _rounded(sum(map(operator.mul, c_hi[n:], row)), d_lo * d_hi * r_den, prefactor)
     scale = state_a.norm_const * state_b.norm_const
     return WeightedInnerProductResult(value=_gated(raw, scale, tol), est_abs_error=abs(scale) * raw[1])
 
 
 def normalize(state: RadialEigenstate) -> RadialEigenstate:
-    """Return the state scaled to unit weighted norm, positive near y = 0."""
-    fold = _folded_t_poly_exact(state)
-    raw = _raw_product(fold, fold, _moments(state.Lambda, state.qn.L, 2 * state.qn.n))
-    return replace(state, norm_const=_unit_norm_const(state.norm_const, raw))
+    """Return the state scaled to unit weighted norm, positive near y = 0, by the
+    closed form of :func:`_norm_const`: O(L) floats at any n, no exact sum."""
+    n, L, Lambda = state.qn.n, state.qn.L, state.Lambda
+    return replace(state, norm_const=_norm_const(n, L, Lambda, _log_m0(Lambda, L)))
 
 
 def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
     """Matrix of normalized inner products for n = 0..n_max (truncated to the
-    admissible set when Lambda > 0).
-
-    Equal, bit for bit, to ``inner_product`` of ``normalize``d states.  The
-    moment steps of :func:`_moment_steps` serve every state, and
-    :func:`_scaled_rows` gives state j's modified moments, scaled by the
-    steps, by the three-term recurrence in O(n**2) exact steps, after checking
-    every fold against it; the moment table itself is never formed.  Every
-    row's lower moments, m < j, must be exact zeros (the phi_i are nonzero), or
-    :class:`QuadratureFailure` is raised: they are all an entry (i < j)
-    multiplies, so the off-diagonal is 0.0.  The diagonal is
-    c_jj b_j[j] / (d_j**2 prod_(i<2j) phi_i), one rational a state, rounded
-    once and gated.
+    admissible set when Lambda > 0), equal, bit for bit, to ``inner_product``
+    of ``normalize``d states.  :func:`_scaled_rows` gives state j's modified
+    moments, scaled by the moment steps of :func:`_moment_steps`, by the
+    three-term recurrence in O(n**2) exact steps.  Every row's lower moments,
+    m < j, all that an entry i < j multiplies, must be exact zeros, so the
+    off-diagonal is 0.0, or :class:`QuadratureFailure` is raised.  A diagonal
+    entry is the exact squared norm c_jj b_j[j] / (d_j**2 prod_(i<2j) phi_i),
+    rounded once and gated, over the closed form of :func:`_log_norm_sq`: two
+    derivations of one integral, which must agree to within the 1e-8 gate.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0 (the highest state index), got {n_max}")
@@ -492,15 +489,18 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
         n_top = min(n_max, count - 1)
     else:
         n_top = n_max
-    folds = [_folded_t_poly_exact(build_state(n, L, Lambda)) for n in range(n_top + 1)]
+    build_state(n_top, L, Lambda)  # Lambda, L and the admissibility of every n <= n_top, checked once
+    folds = [_folded_t_poly_exact(n, L, Lambda) for n in range(n_top + 1)]
     prefactor, steps = _moment_steps(Lambda, L, 2 * n_top)
     diag, scale = [], 1  # scale = prod_(i<2j) phi_i
     for j, ((c, d), row) in enumerate(zip(folds, _scaled_rows([c for c, _ in folds], steps))):
         if any(row[:j]):
             raise QuadratureFailure(f"state {j} is not orthogonal to tau**{next(m for m in range(j) if row[m])}")
-        raw = _rounded(c[j] * row[j], d * d * scale, prefactor)
-        norm = _unit_norm_const(1.0, raw)  # normalize() of a fresh state, gated before the next row
-        diag.append(_gated(raw, norm * norm, _TOL))
+        raw, norm = _rounded(c[j] * row[j], d * d * scale, prefactor), _norm_const(j, L, Lambda, prefactor)
+        entry = _gated(raw, norm * norm, _TOL)  # before the next row
+        if abs(entry - 1.0) > _TOL:
+            raise QuadratureFailure(f"state {j}: the exact squared norm is {entry!r} times the closed form")
+        diag.append(entry)
         scale *= math.prod(p for _, p in steps[2 * j : 2 * j + 2])
     return np.diag(diag)
 

@@ -7,6 +7,7 @@ each value rounded once by a single division: the Jacobi piece of a state from
 the integer coefficients of ``radial._folded_t_poly_exact``, and the Laguerre
 polynomial from its explicit sum.  A transcendental prefactor
 (a power of Lambda*y**2 + 1, or exp(-y**2/2)) is the one float factor left.
+The unit norm constant of a state comes from mpmath at 50 digits.
 """
 
 import math
@@ -87,7 +88,7 @@ def _at(coeffs, den, p, q):
 
 def jacobi_piece_exact(state, ys):
     """The state's Jacobi piece P_n(1 + 2*Lambda*y**2) at each float y, exact and rounded once."""
-    coeffs, den = radial._folded_t_poly_exact(state)
+    coeffs, den = radial._folded_t_poly_exact(state.qn.n, state.qn.L, state.Lambda)
     Q = state.Lambda.as_integer_ratio()[1]  # Lambda = P/Q and y = p/q, so tau = 2 s / Q = 2 p**2 / (Q q**2)
     return [_at(coeffs, den, 2 * p * p, Q * q * q) for p, q in (float(y).as_integer_ratio() for y in ys)]
 
@@ -95,7 +96,7 @@ def jacobi_piece_exact(state, ys):
 def jacobi_piece_sign_log(state, ys):
     """(sign, log |value|) of the state's Jacobi piece at each float y, from the
     exact rational, for values past the float range."""
-    coeffs, den = radial._folded_t_poly_exact(state)
+    coeffs, den = radial._folded_t_poly_exact(state.qn.n, state.qn.L, state.Lambda)
     Q = state.Lambda.as_integer_ratio()[1]
     out = []
     for p, q in (float(y).as_integer_ratio() for y in ys):
@@ -168,3 +169,19 @@ def ho_exact(n, L, ys):
         rows.append((A * Q, A * (la * Q + 2.0 * y * dQ),
                      A * ((la * la + dla) * Q + 4.0 * y * la * dQ + 4.0 * y * y * d2Q + 2.0 * dQ)))
     return np.array(rows).T
+
+
+def norm_const_mpmath(n, L, Lambda):
+    """The unit norm constant of state (n, L) at Lambda by mpmath at 50 digits:
+    1/sqrt(M_0 s_n), M_0 = int y**(2L+2) (Lambda*y**2 + 1)**(-1/Lambda - 1/2) dy
+    over the domain as a Beta function and
+    s_n = (a+1)_n (b+1)_n (a+b+1) / (n! (a+b+1)_n (2n+a+b+1)), a = L + 1/2 and
+    b = -1/Lambda - 1/2, by mpmath's rising factorials (gamma functions at large n)."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        lam = mp.mpf(Lambda)
+        a, b = L + mp.mpf(1) / 2, -1 / lam - mp.mpf(1) / 2
+        m0 = abs(lam) ** -(a + 1) / 2 * mp.beta(a + 1, 1 / abs(lam) + mp.mpf(1) / 2 if Lambda < 0 else 1 / lam - L - 1)
+        s = mp.rf(a + 1, n) * mp.rf(b + 1, n) * (a + b + 1) / (mp.factorial(n) * mp.rf(a + b + 1, n) * (2 * n + a + b + 1))
+        return float(1 / mp.sqrt(m0 * s))

@@ -8,7 +8,7 @@ import pytest
 from nlosc import oracle, radial
 from nlosc.cli import run, serialize
 from nlosc.errors import NonFiniteValue
-from polynomial_references import ho_exact, jacobi_piece_sign_log, state_exact
+from polynomial_references import ho_exact, jacobi_piece_sign_log, norm_const_mpmath, state_exact
 
 
 @pytest.fixture
@@ -132,6 +132,18 @@ class TestStatesCommand:
         for y, r, (sign, log_abs) in zip(ys, rs, jacobi_piece_sign_log(state, ys)):
             log_pref = state.prefactor_exponent * math.log(0.005 * y * y + 1.0)
             assert r == pytest.approx(sign * state.norm_const * math.exp(log_pref + log_abs), rel=1e-12)
+
+    def test_squared_norm_past_the_float_range(self, capture):
+        # the squared norm is e**714.7; its closed-form log gives the constant
+        # 6.32e-156 (exit 1 while the squared norm was rounded to a float first)
+        pytest.importorskip("mpmath")
+        code, out, err = capture(["states", "--lambda", "-0.001", "--L", "170", "--n", "5", "--grid", "1:30:4"])
+        assert (code, err) == (0, "")
+        ys, rs, _ = np.array([list(map(float, line.split(","))) for line in out.strip().split("\n")[1:]]).T
+        state = radial.normalize(radial.build_state(5, 170, -0.001))
+        assert state.norm_const == pytest.approx(norm_const_mpmath(5, 170, -0.001), rel=1e-12)
+        assert np.all(np.isfinite(rs)) and rs[1] == pytest.approx(0.0565, rel=1e-3)
+        assert rs.tolist() == radial.eval_state(state, ys).tolist()
 
 
 class TestGramCommand:
@@ -453,12 +465,11 @@ class TestOneLineErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["states", "--lambda", "-0.001", "--L", "170", "--n", "5", "--grid", "1:30:4"],
             ["gram", "--lambda", "-0.001", "--L", "400", "--n-max", "2"],
             ["limit", "--lambda", "0.001", "--L", "300", "--n", "0"],
             ["states", "--lambda", "0", "--L", "300", "--n", "0", "--grid", "1:30:4"],
         ],
-        ids=["states-inf-norm", "gram-overflow", "limit-overflow", "states-harmonic-overflow"],
+        ids=["gram-overflow", "limit-overflow", "states-harmonic-overflow"],
     )
     def test_non_finite_norm(self, capture, argv):
         # a squared norm that rounds to inf would give R = 0 at every point

@@ -9,7 +9,7 @@ from nlosc.errors import LambdaTooSmall, NotAdmissible, OutsideDomain, Quadratur
 from nlosc.oracle import radial_residual
 from nlosc.params import make_model
 from nlosc.spectrum import bound_state_count, is_admissible
-from polynomial_references import hyp2f1_terminating
+from polynomial_references import hyp2f1_terminating, norm_const_mpmath
 
 
 class TestWeight:
@@ -215,13 +215,11 @@ class TestInnerProductAndNorm:
             radial.inner_product(st, st, tol=tol)
 
     def test_infinite_norm_refused(self):
-        # the squared norm is e**714.6, past the float range; normalize would
-        # give the norm constant 0.0
+        # the squared norm is e**714.6, past the float range (normalize's closed
+        # form takes its log, TestClosedFormNorm)
         st = radial.build_state(5, 170, -0.001)
         with pytest.raises(QuadratureFailure, match=r"^non-finite norm or inner product: exp\(714\.6"):
             radial.inner_product(st, st)
-        with pytest.raises(QuadratureFailure, match=r"^non-finite norm or inner product: exp\(714\.6"):
-            radial.normalize(st)
 
     @pytest.mark.parametrize("n,L,Lambda", [(0, 400, -0.001), (0, 300, 0.001)])
     def test_overflowing_prefactor_refused(self, n, L, Lambda):
@@ -326,6 +324,53 @@ class TestGramMatrix:
         with pytest.raises(QuadratureFailure, match="exceeds tolerance"):
             radial.gram_matrix(0, Lambda, 3)
         assert len(calls) == forced_from + 1
+
+
+class TestClosedFormNorm:
+    """normalize's closed form exp(log_m0) s_n in floats, against mpmath; its
+    identity with the exact squared norm is tests/test_exact_gram.py's."""
+
+    @pytest.mark.parametrize("Lambda", [2e-8, -2e-8])
+    @pytest.mark.parametrize("n,L", [(0, 0), (1, 3), (21, 0), (1000, 3), (10**6, 0), (24_999_998, 1), (24_999_999, 0)])
+    def test_small_lambda_up_to_the_top_state(self, Lambda, n, L):
+        # 24,999,999 is the top state at Lambda = 2e-8, L = 0; lgamma of the
+        # Pochhammer symbols' ends, each near 9e8 there, would cancel to O(1)
+        pytest.importorskip("mpmath")
+        assert is_admissible(n, L, Lambda)
+        _, size = radial._log_norm_sq(n, L, Lambda, radial._log_m0(Lambda, L))
+        c = radial.normalize(radial.build_state(n, L, Lambda)).norm_const
+        assert abs(c / norm_const_mpmath(n, L, Lambda) - 1.0) <= 1e-15 + 5e-16 * size
+
+    def test_squared_norm_past_the_float_range(self):
+        # the squared norm is e**714.7; its constant 6.32e-156 is an ordinary float
+        pytest.importorskip("mpmath")
+        _, size = radial._log_norm_sq(5, 170, -1e-3, radial._log_m0(-1e-3, 170))
+        c = radial.normalize(radial.build_state(5, 170, -1e-3)).norm_const
+        assert c == pytest.approx(6.3218e-156, rel=1e-4)
+        assert abs(c / norm_const_mpmath(5, 170, -1e-3) - 1.0) <= 1e-15 + 5e-16 * size
+
+    @pytest.mark.parametrize("n,L,Lambda", [(80, 0, -1e-3), (300, 0, 1e-3), (7, 3, 0.0123), (2, 1, -7.0)])
+    def test_no_exact_arithmetic(self, monkeypatch, n, L, Lambda):
+        expected = radial.normalize(radial.build_state(n, L, Lambda)).norm_const
+
+        def refuse(*args):
+            raise AssertionError("normalize reached the exact layer")
+
+        for name in ("_folded_t_poly_exact", "_moments", "_moment_steps", "_modified_moments", "_rounded"):
+            monkeypatch.setattr(radial, name, refuse)
+        assert radial.normalize(radial.build_state(n, L, Lambda)).norm_const == expected
+
+    @pytest.mark.parametrize("Lambda", [-0.5, 0.05])
+    def test_gram_diagonal_against_the_closed_form(self, monkeypatch, Lambda):
+        # a norm constant 1e-8 off for state 2 puts diagonal entry 2 at 1 + 2e-8, past the 1e-8 gate
+        exact = radial._norm_const
+
+        def off(n, L, Lam, prefactor):
+            return exact(n, L, Lam, prefactor) * (1.0 + 1e-8 if n == 2 else 1.0)
+
+        monkeypatch.setattr(radial, "_norm_const", off)
+        with pytest.raises(QuadratureFailure, match=r"^state 2: the exact squared norm is 1\.0000000\d+ times the closed form$"):
+            radial.gram_matrix(0, Lambda, 3)
 
 
 class TestPositiveLambdaHighDegree:
