@@ -85,10 +85,12 @@ class ShootingResult:
 
     ``iterations`` counts the eigen-solves on both meshes, for Lambda > 0
     including the one or two that try to start the 2N secant from the N-node
-    level (and the walk after them when that start fails); ``bracket`` is
+    level (and the walk after them when that start fails); the secant step
+    that meets ``_SECANT_RTOL`` is returned without a solve.  ``bracket`` is
     the explicit ``e_bracket`` or an interval that isolates ``e_numeric``
-    (the final 2N secant bracket for Lambda > 0, usually within rtol of the
-    N-node level; the midpoints to the neighboring levels for Lambda < 0);
+    (for Lambda > 0 the last 2N secant bracket whose ends were solved,
+    usually the started pair, rtol apart; the midpoints to the neighboring
+    levels for Lambda < 0);
     ``terminal_mismatch`` is |e(2N) - e(N)| / max(1, |e|).  Over the whole
     range the oracle accepts, |Lambda| > 1e-8, it bounds the true error
     |e - e_exact| / max(1, |e|) (or 1e-10, whichever is larger).
@@ -224,16 +226,19 @@ def _bound_level(Lambda: float, L: int, k: int, N: int, start: Optional[Tuple[fl
     walking up from e = 0, halving t = beta - 1/2 each step, until f < 0; a
     walk that reaches t = _TAIL_MARGIN finds no level.  The root is then
     polished by the Illinois variant of the secant method, which keeps the
-    sign change.
+    sign change.  The secant tests each step before it solves: a step that
+    moves e by at most _SECANT_RTOL max(1, |e|) is returned unsolved, since
+    nothing would read its f.  An iterate whose f is exactly 0 also ends it.
 
     ``start = (e_c, w)`` is a level expected within w of e_c (the coarse
     mesh's, for the fine solve).  f is then taken at e_c and at e_c + w or
     e_c - w, on the side where the sign of f(e_c) puts the root; if the pair
     changes sign inside the walk's range, the secant starts from it with e_c
-    as its previous iterate, so a level that has not moved stops after one
-    step.  Otherwise the walk from e = 0 runs as without a start.  Either
-    way ``solves`` counts every evaluation of f and ``bracket`` is the final
-    secant bracket.
+    as its previous iterate, so a level that has not moved is returned after
+    those two solves.  Otherwise the walk from e = 0 runs as without a start.
+    Either way ``solves`` counts every evaluation of f and ``bracket`` is the
+    last secant bracket whose ends were solved, which holds e up to the
+    rounding of the secant step.
     """
     solves = 0
 
@@ -274,15 +279,19 @@ def _bound_level(Lambda: float, L: int, k: int, N: int, start: Optional[Tuple[fl
     a, fa, b, fb = pair or walk()
     for _ in range(_MAX_SECANT):
         c_old, c = c, (a * fb - b * fa) / (fb - fa)
+        if abs(c - c_old) <= _SECANT_RTOL * max(1.0, abs(c)):  # settled: nothing would read f(c)
+            break
         fc = f(c, _tail_exponent(c, Lambda, L))
         if fc * fb < 0:
             a, fa = b, fb
         else:
             fa *= 0.5
         b, fb = c, fc
-        if fc == 0.0 or abs(c - c_old) <= _SECANT_RTOL * max(1.0, abs(c)):
-            return float(c), solves, (float(min(a, b)), float(max(a, b)))
-    raise MeshNotConverged(f"secant on E_k(beta(e)) - e did not settle in {_MAX_SECANT} steps at Lambda = {Lambda}")
+        if fc == 0.0:
+            break
+    else:
+        raise MeshNotConverged(f"secant on E_k(beta(e)) - e did not settle in {_MAX_SECANT} steps at Lambda = {Lambda}")
+    return float(c), solves, (float(min(a, b)), float(max(a, b)))
 
 
 def _level(Lambda: float, L: int, k: int, N: int, start: Optional[Tuple[float, float]] = None):

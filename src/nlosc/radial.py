@@ -11,13 +11,14 @@ weight (1-x)^a*(1+x)^b times two states' hypergeometric series in y^2, whose
 powers are Beta-function moments of that weight.  A norm is a closed form in
 floats (:func:`_log_norm_sq`).  Inner products and Gram matrices are exact:
 with Lambda = P/Q, the series coefficients and the moment ratios are integers,
-and the rational total is rounded once, its power of two joining the log
-prefactor (:func:`_rounded`).  A Gram matrix builds each state's modified
-moments from the two states before it by the three-term recurrence, O(n**2)
-exact steps in all; every row's moments below its degree must be exact zeros,
-and a diagonal entry, the exact squared norm over the closed form, must be 1
-to within the 1e-8 gate.  Constant prefactors are carried in log space to
-survive the huge exponents at small |Lambda|.
+and the rational total is rounded once, its power of two and the logs of the
+norm constants joining the log prefactor (:func:`_rounded`).  A Gram matrix
+builds each state's modified moments from the two states before it by the
+three-term recurrence, O(n**2) exact steps in all; every row's moments below
+its degree must be exact zeros, and a diagonal entry, the exact squared norm
+over the closed form, must be 1 to within the 1e-8 gate.  Constant
+prefactors are carried in log space to survive the huge exponents at small
+|Lambda|.
 """
 
 from __future__ import annotations
@@ -341,17 +342,19 @@ def _moments(Lambda: float, L: int, degree: int) -> tuple:
     return prefactor, [r // g for r in ratios], den // g
 
 
-def _rounded(total: int, den: int, prefactor: tuple):
-    """(value, error estimate) of exp(log_m0) * total / den, den > 0, for the
-    ``prefactor`` (log_m0, size) of :func:`_log_m0`: the one place a float is
-    formed.  The rational's binary exponent s = floor(log2 |total / den|) joins the
-    log, value = q * exp(log_m0 + s log 2), with q = (total / den) * 2**-s in [1, 2)
-    rounded once by ``int / int``, so an O(1) value never passes through
-    exp(+-700).  An exp beyond the float range raises :class:`QuadratureFailure`.
+def _rounded(total: int, den: int, prefactor: tuple, log_scale: float = 0.0):
+    """(value, error estimate) of exp(log_m0 + log_scale) * total / den, den > 0,
+    for the ``prefactor`` (log_m0, size) of :func:`_log_m0` and the log of the
+    states' norm constants: the one place a float is formed.  The rational's
+    binary exponent s = floor(log2 |total / den|) joins the log,
+    value = q * exp(log_m0 + log_scale + s log 2), with q = (total / den) * 2**-s
+    in [1, 2) rounded once by ``int / int``, so an O(1) value never passes
+    through exp(+-700), even where exp(log_m0) alone is past the float range.
+    An exp beyond the float range raises :class:`QuadratureFailure`.
     """
     if not total:
         return 0.0, 0.0
-    log_m0, size = prefactor
+    log_m0, size = prefactor[0] + log_scale, prefactor[1] + abs(log_scale)
     s = abs(total).bit_length() - den.bit_length()
     num, dn = (total, den << s) if s >= 0 else (total << -s, den)
     if abs(num) < dn:  # |total| / den lies in [2**(s-1), 2**(s+1))
@@ -451,14 +454,17 @@ def inner_product(state_a: RadialEigenstate, state_b: RadialEigenstate, tol: flo
         raise ValueError("inner product requires states sharing (L, Lambda)")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    c_a, c_b = state_a.norm_const, state_b.norm_const
+    if not (c_a and c_b):
+        return WeightedInnerProductResult(value=0.0, est_abs_error=0.0)
     L, Lambda = state_a.qn.L, state_a.Lambda
     n, n_hi = sorted((state_a.qn.n, state_b.qn.n))
     prefactor, ratios, r_den = _moments(Lambda, L, n + n_hi)
     (c_lo, d_lo), (c_hi, d_hi) = _folded_t_poly_exact(n, L, Lambda), _folded_t_poly_exact(n_hi, L, Lambda)
     row = _modified_moments(c_lo, ratios, range(n, n_hi + 1))
-    raw = _rounded(sum(map(operator.mul, c_hi[n:], row)), d_lo * d_hi * r_den, prefactor)
-    scale = state_a.norm_const * state_b.norm_const
-    return WeightedInnerProductResult(value=_gated(raw, scale, tol), est_abs_error=abs(scale) * raw[1])
+    log_scale = math.log(abs(c_a)) + math.log(abs(c_b))  # c_a c_b underflows where the squared norm overflows
+    raw = _rounded(sum(map(operator.mul, c_hi[n:], row)), d_lo * d_hi * r_den, prefactor, log_scale)
+    return WeightedInnerProductResult(value=_gated(raw, math.copysign(1.0, c_a * c_b), tol), est_abs_error=raw[1])
 
 
 def normalize(state: RadialEigenstate) -> RadialEigenstate:
@@ -476,9 +482,10 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
     three-term recurrence in O(n**2) exact steps.  Every row's lower moments,
     m < j, all that an entry i < j multiplies, must be exact zeros, so the
     off-diagonal is 0.0, or :class:`QuadratureFailure` is raised.  A diagonal
-    entry is the exact squared norm c_jj b_j[j] / (d_j**2 prod_(i<2j) phi_i),
-    rounded once and gated, over the closed form of :func:`_log_norm_sq`: two
-    derivations of one integral, which must agree to within the 1e-8 gate.
+    entry is the exact squared norm c_jj b_j[j] / (d_j**2 prod_(i<2j) phi_i)
+    times the squared norm constant of :func:`_log_norm_sq`'s closed form, its
+    log joining the exponent, rounded once and gated: two derivations of one
+    integral, which must agree to within the 1e-8 gate.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0 (the highest state index), got {n_max}")
@@ -496,8 +503,8 @@ def gram_matrix(L: int, Lambda: float, n_max: int) -> np.ndarray:
     for j, ((c, d), row) in enumerate(zip(folds, _scaled_rows([c for c, _ in folds], steps))):
         if any(row[:j]):
             raise QuadratureFailure(f"state {j} is not orthogonal to tau**{next(m for m in range(j) if row[m])}")
-        raw, norm = _rounded(c[j] * row[j], d * d * scale, prefactor), _norm_const(j, L, Lambda, prefactor)
-        entry = _gated(raw, norm * norm, _TOL)  # before the next row
+        log_norm = math.log(_norm_const(j, L, Lambda, prefactor))  # 2 log_norm is inner_product's log_norm + log_norm, exactly
+        entry = _gated(_rounded(c[j] * row[j], d * d * scale, prefactor, 2.0 * log_norm), 1.0, _TOL)  # before the next row
         if abs(entry - 1.0) > _TOL:
             raise QuadratureFailure(f"state {j}: the exact squared norm is {entry!r} times the closed form")
         diag.append(entry)

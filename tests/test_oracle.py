@@ -191,19 +191,26 @@ class TestTerminalMismatchAtSmallLambda:
         assert err / max(1.0, abs(res.e_numeric)) <= max(res.terminal_mismatch, 1e-10)
 
 
-def _solves_per_mesh(monkeypatch, Lambda, L, k):
-    """{N: eigen-solves on the N-node mesh} of one shoot_eigenvalue."""
-    counts = {}
+def _shoot_record(Lambda, L, k, rtol):
+    """(outcome, solves): e_numeric and terminal_mismatch as hex and whether
+    the bracket holds e_numeric, or the type and message raised; and
+    {N: eigen-solves on the N-node mesh}."""
+    solves = {}
     levels = oracle._levels
 
     def counting(Lambda, L, N, *args):
-        counts[N] = counts.get(N, 0) + 1
+        solves[N] = solves.get(N, 0) + 1
         return levels(Lambda, L, N, *args)
 
-    monkeypatch.setattr(oracle, "_levels", counting)
-    res = oracle.shoot_eigenvalue(Lambda, L, k)
-    assert res.iterations == sum(counts.values())
-    return counts
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_levels", counting)
+        try:
+            res = oracle.shoot_eigenvalue(Lambda, L, k, rtol=rtol)
+        except Exception as exc:
+            return (type(exc).__name__, str(exc)), solves
+    assert res.iterations == sum(solves.values())
+    lo, hi = res.bracket
+    return (res.e_numeric.hex(), res.terminal_mismatch.hex(), lo <= res.e_numeric <= hi), solves
 
 
 def _fine_outcome(Lambda, L, k, N, start=None):
@@ -218,11 +225,14 @@ class TestStartedFineSolve:
     # the 2N solve at Lambda > 0 starts from the N-node level instead of
     # walking up from e = 0
     @pytest.mark.parametrize("Lambda,L,k", [(0.1, 0, 2), (0.06, 0, 6), (0.45, 1, bound_state_count(0.45, 1).count - 1)])
-    def test_fine_mesh_takes_at_most_four_solves(self, monkeypatch, Lambda, L, k):
+    def test_fine_mesh_takes_two_solves(self, Lambda, L, k):
+        # the started pair; the secant's first step is within _SECANT_RTOL of
+        # the N-node level and is returned without a solve
         N = max(oracle._N_MIN, k + oracle._N_PAD)
-        counts = _solves_per_mesh(monkeypatch, Lambda, L, k)
+        outcome, counts = _shoot_record(Lambda, L, k, 1e-10)
+        assert outcome[0].startswith("0x")
         assert set(counts) == {N, 2 * N}
-        assert counts[2 * N] <= 4 < counts[N]
+        assert counts[2 * N] == 2 < counts[N]
 
     @pytest.mark.parametrize("Lambda,L,k", [(0.1, 1, 0), (0.2, 1, 1)])
     def test_a_moved_level_falls_back_to_the_walk(self, monkeypatch, Lambda, L, k):
@@ -260,6 +270,105 @@ class TestStartedFineSolve:
             assert abs(started - walked) <= 1e-11 * max(1.0, abs(walked))
         else:
             assert started == walked
+
+
+def _ref_bound_level(Lambda, L, k, N, start=None):
+    """oracle._bound_level with the secant that solved each iterate before it
+    tested the step, so the returned step's solve was read only by f == 0."""
+    solves = 0
+
+    def f(e, beta):
+        nonlocal solves
+        solves += 1
+        return oracle._levels(Lambda, L, N, beta)[k] - e
+
+    e_star = oracle._threshold(Lambda, L)
+
+    def walk():
+        t = oracle._tail_exponent(0.0, Lambda, L) - 0.5
+        a, fa = 0.0, f(0.0, 0.5 + t)
+        if fa <= 0:
+            raise MeshNotConverged(f"level k = {k} at Lambda = {Lambda}, L = {L} is not above e = 0 on {N} nodes")
+        while True:
+            t *= 0.5
+            if t < oracle._TAIL_MARGIN:
+                raise NotAdmissible(
+                    f"no bound state k = {k} at Lambda = {Lambda}, L = {L}: the level stays above e "
+                    f"up to the continuum threshold e* = {e_star!r}"
+                )
+            b = e_star - 2.0 * Lambda * t * t
+            fb = f(b, 0.5 + t)
+            if fb < 0:
+                return a, fa, b, fb
+            a, fa = b, fb
+
+    c, pair = math.inf, None
+    if start is not None:
+        e_c, w = start
+        f_c = f(e_c, oracle._tail_exponent(e_c, Lambda, L))
+        e_w = e_c + w if f_c > 0 else e_c - w
+        if 0.0 < e_w <= e_star - 2.0 * Lambda * oracle._TAIL_MARGIN**2:
+            f_w = f(e_w, oracle._tail_exponent(e_w, Lambda, L))
+            if f_c * f_w < 0:
+                c, pair = e_c, (e_c, f_c, e_w, f_w)
+    a, fa, b, fb = pair or walk()
+    for _ in range(oracle._MAX_SECANT):
+        c_old, c = c, (a * fb - b * fa) / (fb - fa)
+        fc = f(c, oracle._tail_exponent(c, Lambda, L))
+        if fc * fb < 0:
+            a, fa = b, fb
+        else:
+            fa *= 0.5
+        b, fb = c, fc
+        if fc == 0.0 or abs(c - c_old) <= oracle._SECANT_RTOL * max(1.0, abs(c)):
+            return float(c), solves, (float(min(a, b)), float(max(a, b)))
+    raise MeshNotConverged(f"secant on E_k(beta(e)) - e did not settle in {oracle._MAX_SECANT} steps at Lambda = {Lambda}")
+
+
+def _secant_draws(seed, count):
+    """Seeded (Lambda, L, k, rtol) at both signs: k <= 8, and at Lambda > 0
+    also the top state and k = count, where the walk finds no level; an rtol
+    of 1e-16 sends the 2N solve of a moved level back to the walk."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        Lambda = sign * float(10.0 ** rng.uniform(-3.0, math.log10(0.5)))
+        L = int(rng.integers(0, 4))
+        ks = [int(rng.integers(0, 9))]
+        n_count = bound_state_count(Lambda, L).count
+        if Lambda > 0 and n_count <= TOP_N_CAP:
+            ks += [n_count - 1, n_count] if n_count else [0]
+        draws += [(Lambda, L, k, 1e-16 if rng.random() < 0.2 else 1e-10) for k in ks]
+    return list(dict.fromkeys(draws))
+
+
+class TestSecantSkipsTheUnreadSolve:
+    # the secant tests its step before it solves; against the loop that
+    # solved first, every level and mismatch is the same bit for bit
+    DRAWS = _secant_draws(11, 40)
+
+    def test_the_draws_cover_every_outcome(self):
+        assert {math.copysign(1.0, lam) for lam, *_ in self.DRAWS} == {1.0, -1.0}
+        outcomes = {_shoot_record(*draw)[0][0] for draw in self.DRAWS}
+        assert {"NotAdmissible", "MeshNotConverged"} <= outcomes
+        assert any(out.startswith("0x") for out in outcomes)
+
+    @pytest.mark.parametrize("Lambda,L,k,rtol", DRAWS)
+    def test_same_outcome_as_solving_first(self, monkeypatch, Lambda, L, k, rtol):
+        new, solves = _shoot_record(Lambda, L, k, rtol)
+        monkeypatch.setattr(oracle, "_bound_level", _ref_bound_level)
+        ref, ref_solves = _shoot_record(Lambda, L, k, rtol)
+        assert new == ref
+        assert new[-1] is True or isinstance(new[-1], str)  # a level's bracket holds it
+        # a mesh's secant that settled by its step skips one solve; one that
+        # hit f == 0 exactly, or a walk that raised, skips none
+        assert solves.keys() == ref_solves.keys()
+        assert all(ref_solves[N] - solves[N] in (0, 1) for N in solves)
+        if Lambda < 0:
+            assert solves == ref_solves
+        elif new[0].startswith("0x"):
+            assert sum(solves.values()) < sum(ref_solves.values())
 
 
 class TestNodeCounting:

@@ -221,12 +221,21 @@ class TestInnerProductAndNorm:
         with pytest.raises(QuadratureFailure, match=r"^non-finite norm or inner product: exp\(714\.6"):
             radial.inner_product(st, st)
 
+    def test_normalized_state_past_the_float_range(self):
+        # the norm constants, 6.32e-156 each, join the exponent before its exp,
+        # so the unit norm of the state above is not refused
+        st = radial.normalize(radial.build_state(5, 170, -0.001))
+        res = radial.inner_product(st, st)
+        assert abs(res.value - 1.0) <= 1e-12
+        assert abs(res.value - 1.0) <= res.est_abs_error <= 1e-10
+
     @pytest.mark.parametrize("n,L,Lambda", [(0, 400, -0.001), (0, 300, 0.001)])
     def test_overflowing_prefactor_refused(self, n, L, Lambda):
-        # exp(log M_0) alone overflows a float
+        # exp(log M_0) alone overflows a float, and so does the squared norm,
+        # whose norm constant gram_matrix takes first, as normalize does
         with pytest.raises(QuadratureFailure, match="^non-finite norm or inner product: exp"):
             radial.normalize(radial.build_state(n, L, Lambda))
-        with pytest.raises(QuadratureFailure, match="overflows$"):
+        with pytest.raises(QuadratureFailure, match="has no normal norm constant$"):
             radial.gram_matrix(L, Lambda, 2)
 
     @pytest.mark.parametrize("a,b", [((0, 1, -1.0), (2, 1, -1.0)), ((1, 0, 0.05), (3, 0, 0.05))])
@@ -237,10 +246,19 @@ class TestInnerProductAndNorm:
         assert math.copysign(1.0, res.value) == 1.0
 
     def test_non_finite_product_of_norm_constants_refused(self):
-        # the raw integral is finite; the norm constants carry it past the float range
+        # the raw integral is finite; the norm constants carry its exponent past the float range
         st = replace(radial.normalize(radial.build_state(1, 0, -0.5)), norm_const=1e200)
-        with pytest.raises(QuadratureFailure, match="^non-finite norm or inner product inf"):
+        with pytest.raises(QuadratureFailure, match=r"^non-finite norm or inner product: exp\(919\.\d+\) times the moment sum overflows$"):
             radial.inner_product(st, st)
+
+    def test_sign_and_zero_of_the_norm_constants(self):
+        # the constants' logs join the exponent, their signs multiply the value
+        st = radial.normalize(radial.build_state(2, 1, -0.5))
+        flipped = replace(st, norm_const=-st.norm_const)
+        assert radial.inner_product(flipped, st).value == -radial.inner_product(st, st).value
+        assert radial.inner_product(flipped, flipped) == radial.inner_product(st, st)
+        res = radial.inner_product(replace(st, norm_const=0.0), st)
+        assert (res.value, res.est_abs_error) == (0.0, 0.0)
 
     @pytest.mark.parametrize("Lambda", [-5.0, -2.0, -1.0, -0.5])
     def test_estimate_covers_the_log_prefactor_at_L_170(self, Lambda):
@@ -289,7 +307,9 @@ class TestGramMatrix:
         "L,Lambda,n_max",
         [pytest.param(L, Lambda, 8, id=f"{L}-{Lambda}") for Lambda in (-2.5, -0.7, 0.02, 0.1) for L in range(4)]
         # beyond the n_max 17 of the Fraction-reference grids, on the modified-moment rows
-        + [(0, -0.01, 30), (2, -1.5, 24), (0, 0.01, 30), (2, 0.0123, 24)],
+        + [(0, -0.01, 30), (2, -1.5, 24), (0, 0.01, 30), (2, 0.0123, 24)]
+        # squared norms past the float range, e**714.7 at n = 5
+        + [(170, -1e-3, 5)],
     )
     def test_bit_identical_to_pairwise_reference(self, L, Lambda, n_max):
         # 0.1 truncates: 5 states at L = 0, 3 at L = 3
@@ -315,8 +335,8 @@ class TestGramMatrix:
         calls = []
         exact = radial._rounded
 
-        def forced(total, den, log_m0):
-            value, est = exact(total, den, log_m0)
+        def forced(*args):
+            value, est = exact(*args)
             calls.append(value)
             return value, (1.0 if len(calls) > forced_from else est)
 
