@@ -24,6 +24,7 @@ from .errors import (
     QuadratureFailure,
     RadialCollapse,
     StiffnessFailure,
+    UnboundedOrbit,
 )
 from .params import DimensionlessModel, Domain, ModelParams, dimensionless, domain, make_model, mass_at
 from .spectrum import (

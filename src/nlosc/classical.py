@@ -18,7 +18,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainExit, OutsideDomain, RadialCollapse, StiffnessFailure
+from .errors import DomainExit, OutsideDomain, RadialCollapse, StiffnessFailure, UnboundedOrbit
 from .kernels import STATUS_NONFINITE, STATUS_OK, integrate_adaptive, rhs_classical_1d, rhs_classical_planar
 from .params import ModelParams, check_finite, domain, mass_denominator
 
@@ -122,11 +122,14 @@ def constraint_amplitude(omega: float, params: ModelParams) -> float:
     return math.sqrt(a_sq)
 
 
-def _solve(rhs, u0, params, t_end, tol, n_samples, what, name, C=None):
+def _solve(rhs, u0, H0, params, t_end, tol, n_samples, what, name, C=None):
     """Sampled RK45 solve of both integrators: (t, U) with U[0] = u0.
 
-    ``C`` is the planar angular momentum, None in 1D.  The first coordinate,
-    called ``name`` in messages, must stay inside lam*name**2 + 1 > 0.
+    ``H0`` is the energy of u0 and ``C`` the planar angular momentum, None in
+    1D.  The first coordinate, called ``name`` in messages, must stay inside
+    lam*name**2 + 1 > 0.  For lam > 0 the potential rises to the plateau
+    m*alpha**2/(2*lam), and an orbit with H0 at or above it is unbounded: a
+    state that overflows there ran off to infinity.
     """
     for arg, value in (("t_end", t_end), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
@@ -135,6 +138,12 @@ def _solve(rhs, u0, params, t_end, tol, n_samples, what, name, C=None):
         raise ValueError(f"n_samples must be >= 2 (the initial state and at least one more), got {n_samples}")
     ts = np.linspace(0.0, t_end, n_samples)
     out, status, _ = integrate_adaptive(rhs, 0.0, u0, ts[1:], tol, tol, 10_000_000)
+    plateau = 0.5 * params.m * params.alpha**2 / params.lam if params.lam > 0 else math.inf
+    if status == STATUS_NONFINITE and H0 >= plateau:
+        raise UnboundedOrbit(
+            f"{what} ran off to infinity: the energy H = {H0:.6g} is not below the potential's plateau "
+            f"m*alpha**2/(2*lam) = {plateau:.6g}; lower the energy or shorten t_end"
+        )
     if status == STATUS_NONFINITE and C is not None and C != 0.0:
         raise RadialCollapse("radius collapsed toward r = 0")
     if status == STATUS_NONFINITE:
@@ -168,7 +177,7 @@ def integrate_1d(
     check_finite(x0=x0, v0=v0)
     mass_denominator(params.lam, x0, "x0")
     rhs = rhs_classical_1d(params.lam, params.alpha**2)
-    ts, U = _solve(rhs, (x0, v0), params, t_end, tol, n_samples, "1D integration", "x")
+    ts, U = _solve(rhs, (x0, v0), hamiltonian_1d(x0, v0, params), params, t_end, tol, n_samples, "1D integration", "x")
     xs, vs = U.T
     return Trajectory(t=ts, x=xs, v=vs, H=hamiltonian_1d(xs, vs, params))
 
@@ -188,7 +197,8 @@ def integrate_planar(
         raise OutsideDomain(f"initial radius must be positive, got {r0}")
     mass_denominator(params.lam, r0, "r0")
     rhs = rhs_classical_planar(params.lam, params.alpha**2, C)
-    ts, U = _solve(rhs, (r0, rdot0, 0.0), params, t_end, tol, n_samples, "planar integration", "r", C)
+    H0 = _hamiltonian_planar(r0, rdot0, C / (r0 * r0), params)
+    ts, U = _solve(rhs, (r0, rdot0, 0.0), H0, params, t_end, tol, n_samples, "planar integration", "r", C)
     rs, rds, thetas = U.T
     thetadots = C / (rs * rs)
     H = _hamiltonian_planar(rs, rds, thetadots, params)

@@ -53,5 +53,9 @@ class RadialCollapse(NloscError):
     """A planar trajectory collapsed to r = 0."""
 
 
+class UnboundedOrbit(NloscError):
+    """A trajectory at or above the lam > 0 potential's plateau ran off to infinity."""
+
+
 class NonFiniteValue(NloscError):
     """A NaN or infinity reached the serializer."""

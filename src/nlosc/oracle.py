@@ -25,15 +25,20 @@ basis: diagonal for Lambda < 0 and tridiagonal for Lambda > 0 (see
 q taken by the chain rule at the nodes; one eigendecomposition of the Jacobi
 matrix gives both the nodes and the node values of the p_i (Golub-Welsch).
 
-For Lambda < 0 the assembled S is diagonal to rounding (off-diagonal entries
-near 1e-16 of the diagonal at N = 16 and 32): phi is the prefactor of the
-exact solutions, whose g is a polynomial of degree k, so the Galerkin solve
-is exact at any N > k, and the N-to-2N check measures rounding, not
-truncation.  What the oracle checks independently there is that S, built
-from the equation's coefficients alone, is diagonal, and what its diagonal
-is.  For Lambda > 0 S mixes the basis (off-diagonal 0.3 of the diagonal at
-Lambda = 0.05, L = 1, beta = 7.3), and the solve is exact only at the level's
-own beta.
+Each level is found on N nodes and checked on 2N.  For Lambda < 0 the
+assembled S is diagonal to rounding (off-diagonal entries near 1e-16 of the
+diagonal at N = 16 and 32): phi is the prefactor of the exact solutions,
+whose g is a polynomial of degree k, so the Galerkin solve is exact at any
+N > k, and the N-to-2N check measures rounding, not truncation.  What the
+oracle checks independently there is that S, built from the equation's
+coefficients alone, is diagonal, and what its diagonal is.  For Lambda > 0 S
+mixes the basis (off-diagonal 0.3 of the diagonal at Lambda = 0.05, L = 1,
+beta = 7.3), and the solve is exact only at the level's own beta, again at
+any N > k, so the Gauss rule run twice would agree to about 1e-15.  There q
+is a polynomial of degree one at beta = beta(e), and the 2N check solves the
+tridiagonal matrix S = K + (e + k) I + (k - e) J that it gives in closed form
+(:func:`_closed_galerkin`): the Gauss rule's level on N nodes is compared
+with a second derivation of it, and a slip in either shows as a mismatch.
 
 Boundary condition.  At y = 0 the prefactor keeps the regular branch y**L.  At
 the Lambda < 0 endpoint the local exponents in the distance to the edge are
@@ -83,17 +88,21 @@ _MAX_SECANT = 60
 class ShootingResult:
     """The oracle's k-th eigenvalue and what it cost.
 
-    ``iterations`` counts the eigen-solves on both meshes, for Lambda > 0
-    including the one or two that try to start the 2N secant from the N-node
-    level (and the walk after them when that start fails); the secant step
-    that meets ``_SECANT_RTOL`` is returned without a solve.  ``bracket`` is
-    the explicit ``e_bracket`` or an interval that isolates ``e_numeric``
-    (for Lambda > 0 the last 2N secant bracket whose ends were solved,
-    usually the started pair, rtol apart; the midpoints to the neighboring
-    levels for Lambda < 0);
-    ``terminal_mismatch`` is |e(2N) - e(N)| / max(1, |e|).  Over the whole
-    range the oracle accepts, |Lambda| > 1e-8, it bounds the true error
-    |e - e_exact| / max(1, |e|) (or 1e-10, whichever is larger).
+    ``e_numeric`` is the Gauss rule's level: on 2N nodes for Lambda < 0,
+    checked against N nodes; on N nodes for Lambda > 0, checked against the
+    closed tridiagonal matrix on 2N.  ``iterations`` counts the eigen-solves
+    of both assemblies on both meshes, for Lambda > 0 including the one or
+    two that try to start the 2N secant from the N-node level (and the walk
+    after them when that start fails); the secant step that meets
+    ``_SECANT_RTOL`` is returned without a solve.  ``bracket`` is the
+    explicit ``e_bracket`` or an interval that holds ``e_numeric``: for
+    Lambda > 0 the last N-node secant bracket whose ends were solved, one end
+    of which may still be the walk's; for Lambda < 0 the midpoints to the
+    neighboring levels.  ``terminal_mismatch`` is
+    |e_check - e_numeric| / max(1, |e_numeric|), e_check the level of the
+    other mesh.  Over the whole range the oracle accepts, |Lambda| > 1e-8, it
+    bounds the true error |e - e_exact| / max(1, |e|) (or 1e-10, whichever is
+    larger).
     """
 
     e_numeric: float
@@ -121,22 +130,10 @@ def radial_residual(f: Callable[[float], Tuple[float, float, float]], y: float, 
     return abs(t1 + t2 + t3) / scale
 
 
-def _mesh(N: int, a: float, b: float):
-    """N-point Gauss rule of the weight (1-x)**a (1+x)**b on (-1, 1).
-
-    Returns the ascending nodes x, the N x N array P[i, j] = p_i(x_j)
-    sqrt(w_j), with p_i the orthonormal polynomials and w_j the Gauss
-    weights, and the Jacobi matrix J of the three-term recurrence
-    x p_i = J_(i,i-1) p_(i-1) + J_ii p_i + J_(i,i+1) p_(i+1).  One
-    eigendecomposition of J gives both (Golub & Welsch): the eigenvalues are
-    the nodes and the unit eigenvectors are the columns of P up to sign.
-    Each column is signed as p_(N-1) at its node, (-1)**(N-1-j) at the j-th
-    ascending node: the top row, not p_0 sqrt(w_j), which underflows to 0
-    where the weight does (N = 400 at b = 999.5), while |P[N-1, j]| stays
-    above 1e-5 up to N = 1024 and b = 1e8.  P is orthogonal to rounding,
-    where the recurrence run at the nodes loses digits as p_i grows far from
-    the weight's bulk.
-    """
+def _jacobi(N: int, a: float, b: float) -> np.ndarray:
+    """N x N Jacobi matrix J of the polynomials p_i orthonormal in the weight
+    (1-x)**a (1+x)**b on (-1, 1): the three-term recurrence
+    x p_i = J_(i,i-1) p_(i-1) + J_ii p_i + J_(i,i+1) p_(i+1)."""
     n = np.arange(1.0, N)
     s = 2.0 * n + a + b
     diag = np.empty(N)
@@ -147,6 +144,25 @@ def _mesh(N: int, a: float, b: float):
     J.flat[:: N + 1] = diag
     J.flat[1 :: N + 1] = off
     J.flat[N :: N + 1] = off
+    return J
+
+
+def _mesh(N: int, a: float, b: float):
+    """N-point Gauss rule of the weight (1-x)**a (1+x)**b on (-1, 1).
+
+    Returns the ascending nodes x, the N x N array P[i, j] = p_i(x_j)
+    sqrt(w_j), with p_i the orthonormal polynomials and w_j the Gauss
+    weights, and the Jacobi matrix J of :func:`_jacobi`.  One
+    eigendecomposition of J gives both (Golub & Welsch): the eigenvalues are
+    the nodes and the unit eigenvectors are the columns of P up to sign.
+    Each column is signed as p_(N-1) at its node, (-1)**(N-1-j) at the j-th
+    ascending node: the top row, not p_0 sqrt(w_j), which underflows to 0
+    where the weight does (N = 400 at b = 999.5), while |P[N-1, j]| stays
+    above 1e-5 up to N = 1024 and b = 1e8.  P is orthogonal to rounding,
+    where the recurrence run at the nodes loses digits as p_i grows far from
+    the weight's bulk.
+    """
+    J = _jacobi(N, a, b)
     x, P = np.linalg.eigh(J)
     odd = (N - 1 - np.arange(N)) % 2 == 1  # where p_(N-1) < 0
     P[:, (P[-1] < 0) != odd] *= -1.0
@@ -202,6 +218,30 @@ def _levels(Lambda: float, L: int, N: int, beta: float = 0.0) -> np.ndarray:
     return 0.5 * np.linalg.eigvalsh(_galerkin(Lambda, L, N, beta)[0])
 
 
+def _closed_galerkin(Lambda: float, L: int, N: int, e: float, beta: float) -> np.ndarray:
+    """The S of :func:`_galerkin` for Lambda > 0 at the energy e and its tail
+    exponent beta = beta(e), in closed form.
+
+    There q is the polynomial e(1 - x) + k(1 + x) of degree one,
+    k = Lambda(L(L+1) + (2L+3) beta), so the Gauss rule of q is
+    (e + k) I + (k - e) J on any mesh, and S = K + (e + k) I + (k - e) J is
+    tridiagonal: no nodes, no node values.  Written through e, the
+    coefficients hold none of the O(1/Lambda) terms that cancel in the form
+    through beta alone.
+    """
+    a, b = L + 0.5, 2.0 * beta - 2.0
+    J = _jacobi(N, a, b)
+    k = Lambda * (L * (L + 1.0) + (2.0 * L + 3.0) * beta)
+    S = _stiffness(Lambda, a, b, J) + (k - e) * J
+    S.flat[:: N + 1] += e + k
+    return S
+
+
+def _closed_levels(Lambda: float, L: int, N: int, e: float, beta: float) -> np.ndarray:
+    """Ascending eigenvalues e of :func:`_closed_galerkin`."""
+    return 0.5 * np.linalg.eigvalsh(_closed_galerkin(Lambda, L, N, e, beta))
+
+
 def _threshold(Lambda: float, L: int) -> float:
     """Continuum threshold e* for Lambda > 0, where the tail exponent reaches 1/2."""
     return 0.5 * (1.0 + 1.0 / Lambda + Lambda + L * (L + 1) * Lambda)
@@ -214,10 +254,13 @@ def _tail_exponent(e: float, Lambda: float, L: int) -> float:
     return 0.5 * (1.0 + math.sqrt(max(0.0, 2.0 * (_threshold(Lambda, L) - e) / Lambda)))
 
 
-def _bound_level(Lambda: float, L: int, k: int, N: int, start: Optional[Tuple[float, float]] = None):
+def _bound_level(
+    Lambda: float, L: int, k: int, N: int, start: Optional[Tuple[float, float]] = None, closed: bool = False
+):
     """k-th level for Lambda > 0: the root of f(e) = E_k(beta(e)) - e on
-    [0, e*), E_k the k-th Galerkin level with tail exponent beta.  Returns
-    (e, solves, bracket).
+    [0, e*), E_k the k-th Galerkin level with tail exponent beta, from the
+    Gauss rule (:func:`_levels`) or, if ``closed``, from the closed matrix
+    (:func:`_closed_levels`).  Returns (e, solves, bracket).
 
     f > 0 at e = 0, and f > 0 wherever beta(e) > beta_k, because a Galerkin
     level is never below the true one.  Just above e_k, f < 0; near e* the
@@ -235,7 +278,8 @@ def _bound_level(Lambda: float, L: int, k: int, N: int, start: Optional[Tuple[fl
     e_c - w, on the side where the sign of f(e_c) puts the root; if the pair
     changes sign inside the walk's range, the secant starts from it with e_c
     as its previous iterate, so a level that has not moved is returned after
-    those two solves.  Otherwise the walk from e = 0 runs as without a start.
+    those two solves, and one whose f(e_c) is exactly 0 after the first.
+    Otherwise the walk from e = 0 runs as without a start.
     Either way ``solves`` counts every evaluation of f and ``bracket`` is the
     last secant bracket whose ends were solved, which holds e up to the
     rounding of the secant step.
@@ -245,7 +289,7 @@ def _bound_level(Lambda: float, L: int, k: int, N: int, start: Optional[Tuple[fl
     def f(e, beta):
         nonlocal solves
         solves += 1
-        return _levels(Lambda, L, N, beta)[k] - e
+        return (_closed_levels(Lambda, L, N, e, beta) if closed else _levels(Lambda, L, N, beta))[k] - e
 
     e_star = _threshold(Lambda, L)
 
@@ -271,6 +315,8 @@ def _bound_level(Lambda: float, L: int, k: int, N: int, start: Optional[Tuple[fl
     if start is not None:
         e_c, w = start
         f_c = f(e_c, _tail_exponent(e_c, Lambda, L))
+        if f_c == 0.0:
+            return e_c, solves, (e_c, e_c)
         e_w = e_c + w if f_c > 0 else e_c - w
         if 0.0 < e_w <= e_star - 2.0 * Lambda * _TAIL_MARGIN**2:  # where the walk may look
             f_w = f(e_w, _tail_exponent(e_w, Lambda, L))
@@ -294,11 +340,10 @@ def _bound_level(Lambda: float, L: int, k: int, N: int, start: Optional[Tuple[fl
     return float(c), solves, (float(min(a, b)), float(max(a, b)))
 
 
-def _level(Lambda: float, L: int, k: int, N: int, start: Optional[Tuple[float, float]] = None):
-    """(e, solves, bracket) of the k-th level on the N-node mesh; ``start``
-    as in :func:`_bound_level` (unused for Lambda < 0)."""
+def _level(Lambda: float, L: int, k: int, N: int):
+    """(e, solves, bracket) of the k-th level on the N-node Gauss-rule mesh."""
     if Lambda > 0:
-        return _bound_level(Lambda, L, k, N, start)
+        return _bound_level(Lambda, L, k, N)
     e = _levels(Lambda, L, N)
     lo = 0.5 * (e[k - 1] + e[k]) if k else 1.5 * e[0] - 0.5 * e[1]
     return float(e[k]), 1, (float(lo), float(0.5 * (e[k] + e[k + 1])))
@@ -320,10 +365,12 @@ def shoot_eigenvalue(
 
     The level is solved on N = max(16, k + 8) nodes and again on 2N; ``rtol``
     bounds |e(2N) - e(N)| / max(1, |e|), and a larger change raises
-    :class:`MeshNotConverged`.  For Lambda > 0 the 2N secant starts from the
-    N-node level e_c and its neighbor at distance rtol max(1, |e_c|) (see
-    :func:`_bound_level`); when the level moved further than that, the 2N
-    solve walks up from e = 0 as the N-node one did.  An explicit
+    :class:`MeshNotConverged`.  For Lambda > 0 the N-node level e_c, from the
+    Gauss rule, is the result, and the 2N solve of the closed matrix checks
+    it: its secant starts from e_c and its neighbor at distance
+    rtol max(1, |e_c|) (see :func:`_bound_level`); when the level moved
+    further than that, the 2N solve walks up from e = 0 as the N-node one
+    did.  An explicit
     ``e_bracket`` that does not hold the level raises :class:`BracketInvalid`;
     for Lambda > 0, a k with no bound state raises :class:`NotAdmissible`.
     |Lambda| <= radial.LAMBDA_SWITCH raises :class:`LambdaTooSmall`: there
@@ -334,9 +381,14 @@ def shoot_eigenvalue(
         raise ValueError(f"rtol must be finite and positive, got {rtol}")
     _check_lambda(Lambda)
     N = max(_N_MIN, k + _N_PAD)
-    e_coarse, solves_coarse, _ = _level(Lambda, L, k, N)
-    e, solves, bracket = _level(Lambda, L, k, 2 * N, start=(e_coarse, rtol * max(1.0, abs(e_coarse))))
-    mismatch = abs(e - e_coarse) / max(1.0, abs(e))
+    e_coarse, solves_coarse, bracket = _level(Lambda, L, k, N)
+    if Lambda > 0:
+        e = e_coarse
+        e_check, solves, _ = _bound_level(Lambda, L, k, 2 * N, (e, rtol * max(1.0, abs(e))), closed=True)
+    else:
+        e_check = e_coarse
+        e, solves, bracket = _level(Lambda, L, k, 2 * N)
+    mismatch = abs(e - e_check) / max(1.0, abs(e))
     if not mismatch <= rtol:
         raise MeshNotConverged(
             f"level k = {k} at Lambda = {Lambda}, L = {L} moved by {mismatch:.3g} (relative) "

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import nlosc
 from nlosc import classical
-from nlosc.errors import DomainExit, OutsideDomain
+from nlosc.errors import DomainExit, OutsideDomain, RadialCollapse, UnboundedOrbit
+from nlosc.kernels import STATUS_NONFINITE
 from nlosc.params import make_model
 
 
@@ -216,3 +218,62 @@ class TestSpringConstant:
             V = classical.potential_1d(x, model)
             K = classical.spring_constant(x, A, 1.0, model)
             assert 0.5 * K * x * x == pytest.approx(V, rel=1e-13, abs=1e-15)
+
+
+# Escaping orbits: at lam > 0 the potential rises to the plateau m*alpha**2/(2*lam),
+# and an orbit whose energy H is at or above it runs off to infinity.  These two
+# overflow before t_end; they were reported as a radial collapse and as an exit
+# from a domain that lam > 0 does not have.
+ESCAPE_PLANAR = dict(lam=1.8046215720767231, m=1.4191300134710474, alpha=1.294253674081475,
+                     r0=0.8547700787995584, rdot0=0.03355196777177338, C=1.4971775453408056, t_end=190.2499042189749)
+ESCAPE_1D = dict(lam=2.0, m=1.0, alpha=0.5, x0=0.5, v0=1.0, t_end=250.0)
+
+
+def _escape_message(what, H, plateau):
+    return (
+        rf"^{what} ran off to infinity: the energy H = {H} is not below the potential's plateau "
+        rf"m\*alpha\*\*2/\(2\*lam\) = {plateau}; lower the energy or shorten t_end$"
+    )
+
+
+class TestUnboundedOrbit:
+    def test_exported(self):
+        assert nlosc.UnboundedOrbit is UnboundedOrbit and issubclass(UnboundedOrbit, nlosc.NloscError)
+
+    def test_planar_escape(self):
+        c = ESCAPE_PLANAR
+        p = make_model(c["m"], c["alpha"], c["lam"])
+        with pytest.raises(UnboundedOrbit, match=_escape_message("planar integration", "1.31383", "0.658635")):
+            classical.integrate_planar(c["r0"], c["rdot0"], c["C"], p, c["t_end"], n_samples=200)
+
+    def test_1d_escape(self):
+        c = ESCAPE_1D
+        p = make_model(c["m"], c["alpha"], c["lam"])
+        with pytest.raises(UnboundedOrbit, match=_escape_message("1D integration", "0.354167", "0.0625")):
+            classical.integrate_1d(c["x0"], c["v0"], p, c["t_end"], n_samples=200)
+
+    def test_escape_that_has_not_overflowed_is_returned(self):
+        # the same 1D orbit up to t = 5: far out, still finite, its energy conserved
+        c = ESCAPE_1D
+        p = make_model(c["m"], c["alpha"], c["lam"])
+        traj = classical.integrate_1d(c["x0"], c["v0"], p, 5.0, n_samples=50)
+        assert np.all(np.diff(traj.x) > 0) and traj.x[-1] > 4.0
+        assert np.max(np.abs(traj.H - traj.H[0])) <= 1e-8 * traj.H[0]
+
+    @pytest.mark.parametrize("C", [0.0, 0.3])
+    def test_overflow_at_or_above_the_plateau(self, monkeypatch, C):
+        # a non-finite state names the escape whatever C is once H >= m*alpha**2/(2*lam) = 0.5;
+        # below it (tests/test_array_first.py) the collapse and domain errors stand
+        def integrate_adaptive(f, t0, u0, t_eval, rtol, atol, max_steps):
+            return np.tile(np.array(u0, dtype=float), (len(t_eval), 1)), STATUS_NONFINITE, 1
+
+        monkeypatch.setattr(classical, "integrate_adaptive", integrate_adaptive)
+        p = make_model(1.0, 1.0, 1.0)
+        # x0 = 0.5, v0 = 1: H = 0.1 + 0.4 = 0.5 exactly, at the plateau
+        assert classical.hamiltonian_1d(0.5, 1.0, p) == 0.5
+        with pytest.raises(UnboundedOrbit, match="^1D integration ran off to infinity"):
+            classical.integrate_1d(0.5, 1.0, p, 1.0, n_samples=5)
+        with pytest.raises(UnboundedOrbit, match="^planar integration ran off to infinity"):
+            classical.integrate_planar(0.5, 1.0, C, p, 1.0, n_samples=5)
+        with pytest.raises(DomainExit if C == 0.0 else RadialCollapse):
+            classical.integrate_planar(0.5, 0.0, C, p, 1.0, n_samples=5)

@@ -200,6 +200,25 @@ class TestOtherCommands:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv,what",
+        [
+            (
+                "--mode planar --lambda 1.8046215720767231 --m 1.4191300134710474 --alpha 1.294253674081475 "
+                "--r0 0.8547700787995584 --rdot0 0.03355196777177338 --C 1.4971775453408056 --t-end 190.2499042189749",
+                "planar integration",
+            ),
+            ("--mode 1d --lambda 2 --m 1 --alpha 0.5 --x0 0.5 --v0 1 --t-end 250", "1D integration"),
+        ],
+        ids=["planar", "1d"],
+    )
+    def test_classical_escape_exit_1(self, capture, argv, what):
+        # H above the lam > 0 plateau m*alpha**2/(2*lam): these said RadialCollapse and DomainExit
+        code, out, err = capture(["classical", *argv.split()])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: UnboundedOrbit: {what} ran off to infinity: the energy H = ")
+        assert err.endswith("; lower the energy or shorten t_end\n") and err.count("\n") == 1
+
     def test_veff(self, capture):
         code, out, _ = capture(["veff", "--lambda", "1", "--L", "1", "--grid", "1:2:2"])
         assert code == 0

@@ -73,19 +73,14 @@ class TestShooting:
         with pytest.raises(MeshNotConverged, match=match):
             oracle.shoot_eigenvalue(-0.5, 0, 3, rtol=1e-16)
 
-    def test_iterations_count_the_eigen_solves(self, monkeypatch):
-        # Lambda < 0: one solve on N nodes and one on 2N
+    def test_iterations_count_the_eigen_solves(self):
+        # Lambda < 0: one solve on N nodes and one on 2N; Lambda > 0: the
+        # Gauss-rule search on 16 nodes and the closed check on 32
         assert oracle.shoot_eigenvalue(-0.5, 1, 1).iterations == 2
-        calls = []
-        levels = oracle._levels
-
-        def counting(*args):
-            calls.append(args)
-            return levels(*args)
-
-        monkeypatch.setattr(oracle, "_levels", counting)
-        res = oracle.shoot_eigenvalue(0.1, 0, 2)
-        assert res.iterations == len(calls) > 4
+        outcome, solves = _shoot_record(0.1, 0, 2, 1e-10)
+        assert outcome[0].startswith("0x")
+        assert set(solves) == {("_levels", 16), ("_closed_levels", 32)}
+        assert solves["_levels", 16] > 4
 
 
 class TestKnownDefectRegressions:
@@ -191,19 +186,29 @@ class TestTerminalMismatchAtSmallLambda:
         assert err / max(1.0, abs(res.e_numeric)) <= max(res.terminal_mismatch, 1e-10)
 
 
+def _counting(name, solves, calls=None):
+    """oracle.<name>, counting its calls in solves[name, N] (and recording
+    their arguments in calls, if given)."""
+    levels = getattr(oracle, name)
+
+    def counting(Lambda, L, N, *args):
+        solves[name, N] = solves.get((name, N), 0) + 1
+        if calls is not None:
+            calls.append((name, Lambda, L, N, *args))
+        return levels(Lambda, L, N, *args)
+
+    return counting
+
+
 def _shoot_record(Lambda, L, k, rtol):
     """(outcome, solves): e_numeric and terminal_mismatch as hex and whether
     the bracket holds e_numeric, or the type and message raised; and
-    {N: eigen-solves on the N-node mesh}."""
+    {(assembly, N): eigen-solves on the N-node mesh}, the assembly _levels
+    (the Gauss rule) or _closed_levels."""
     solves = {}
-    levels = oracle._levels
-
-    def counting(Lambda, L, N, *args):
-        solves[N] = solves.get(N, 0) + 1
-        return levels(Lambda, L, N, *args)
-
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(oracle, "_levels", counting)
+        for name in ("_levels", "_closed_levels"):
+            m.setattr(oracle, name, _counting(name, solves))
         try:
             res = oracle.shoot_eigenvalue(Lambda, L, k, rtol=rtol)
         except Exception as exc:
@@ -214,16 +219,17 @@ def _shoot_record(Lambda, L, k, rtol):
 
 
 def _fine_outcome(Lambda, L, k, N, start=None):
-    """The level of oracle._level, or the type of what it raised."""
+    """The level of the closed check, oracle._bound_level on _closed_levels,
+    or the type of what it raised."""
     try:
-        return oracle._level(Lambda, L, k, N, start)[0]
+        return oracle._bound_level(Lambda, L, k, N, start, closed=True)[0]
     except Exception as exc:
         return type(exc)
 
 
 class TestStartedFineSolve:
-    # the 2N solve at Lambda > 0 starts from the N-node level instead of
-    # walking up from e = 0
+    # the 2N check at Lambda > 0, on the closed matrix, starts from the
+    # N-node level instead of walking up from e = 0
     @pytest.mark.parametrize("Lambda,L,k", [(0.1, 0, 2), (0.06, 0, 6), (0.45, 1, bound_state_count(0.45, 1).count - 1)])
     def test_fine_mesh_takes_two_solves(self, Lambda, L, k):
         # the started pair; the secant's first step is within _SECANT_RTOL of
@@ -231,26 +237,22 @@ class TestStartedFineSolve:
         N = max(oracle._N_MIN, k + oracle._N_PAD)
         outcome, counts = _shoot_record(Lambda, L, k, 1e-10)
         assert outcome[0].startswith("0x")
-        assert set(counts) == {N, 2 * N}
-        assert counts[2 * N] == 2 < counts[N]
+        assert set(counts) == {("_levels", N), ("_closed_levels", 2 * N)}
+        assert counts["_closed_levels", 2 * N] == 2 < counts["_levels", N]
 
     @pytest.mark.parametrize("Lambda,L,k", [(0.1, 1, 0), (0.2, 1, 1)])
     def test_a_moved_level_falls_back_to_the_walk(self, monkeypatch, Lambda, L, k):
-        # the root moved by more than rtol (about 2e-14 against 1e-16), so the
-        # started pair has no sign change; the walk from e = 0 finds the
-        # 32-node level and the mismatch raises
-        calls = []
-        levels = oracle._levels
-
-        def counting(*args):
-            calls.append(args)
-            return levels(*args)
-
-        monkeypatch.setattr(oracle, "_levels", counting)
+        # the closed level is more than rtol from the Gauss rule's (about 2e-14
+        # against 1e-16), so the started pair has no sign change; the walk from
+        # e = 0 finds the closed 32-node level and the mismatch raises
+        calls, solves = [], {}
+        for name in ("_levels", "_closed_levels"):
+            monkeypatch.setattr(oracle, name, _counting(name, solves, calls))
         match = "^" + re.escape(f"level k = {k} at Lambda = {Lambda}, L = {L} moved by ") + r"\S+ \(relative\) from 16 to 32 nodes"
         with pytest.raises(MeshNotConverged, match=match):
             oracle.shoot_eigenvalue(Lambda, L, k, rtol=1e-16)
-        assert (Lambda, L, 32, oracle._tail_exponent(0.0, Lambda, L)) in calls
+        assert ("_closed_levels", Lambda, L, 32, 0.0, oracle._tail_exponent(0.0, Lambda, L)) in calls
+        assert set(solves) == {("_levels", 16), ("_closed_levels", 32)}
 
     @settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
     @given(_levels().filter(lambda case: case[0] > 0 and case[2] is not None))
@@ -266,13 +268,14 @@ class TestStartedFineSolve:
         start = (e_c, 1e-10 * max(1.0, abs(e_c)))
         started = _fine_outcome(Lambda, L, k, 2 * N, start)
         walked = _fine_outcome(Lambda, L, k, 2 * N)
+        assert isinstance(started, float) or started in (NotAdmissible, MeshNotConverged)
         if isinstance(walked, float) and isinstance(started, float):
             assert abs(started - walked) <= 1e-11 * max(1.0, abs(walked))
         else:
             assert started == walked
 
 
-def _ref_bound_level(Lambda, L, k, N, start=None):
+def _ref_bound_level(Lambda, L, k, N, start=None, closed=False):
     """oracle._bound_level with the secant that solved each iterate before it
     tested the step, so the returned step's solve was read only by f == 0."""
     solves = 0
@@ -280,7 +283,8 @@ def _ref_bound_level(Lambda, L, k, N, start=None):
     def f(e, beta):
         nonlocal solves
         solves += 1
-        return oracle._levels(Lambda, L, N, beta)[k] - e
+        levels = oracle._closed_levels(Lambda, L, N, e, beta) if closed else oracle._levels(Lambda, L, N, beta)
+        return levels[k] - e
 
     e_star = oracle._threshold(Lambda, L)
 
@@ -306,6 +310,8 @@ def _ref_bound_level(Lambda, L, k, N, start=None):
     if start is not None:
         e_c, w = start
         f_c = f(e_c, oracle._tail_exponent(e_c, Lambda, L))
+        if f_c == 0.0:
+            return e_c, solves, (e_c, e_c)
         e_w = e_c + w if f_c > 0 else e_c - w
         if 0.0 < e_w <= e_star - 2.0 * Lambda * oracle._TAIL_MARGIN**2:
             f_w = f(e_w, oracle._tail_exponent(e_w, Lambda, L))
@@ -579,6 +585,91 @@ class TestGalerkinPotentialTerm:
         c0 = Lambda * (1.5 * L * L + 2 * L * beta + 1.5 * L - 2 * beta * beta + 5 * beta) + 0.5 * (1 + 1 / Lambda)
         c1 = Lambda * (0.5 * L * L + 2 * L * beta + 0.5 * L + 2 * beta * beta + beta) - 0.5 * (1 + 1 / Lambda)
         assert np.max(np.abs(G - (c0 * np.eye(N) + c1 * J))) <= 1e-12 * max(abs(c0), abs(c1))
+
+
+class TestClosedGalerkin:
+    """At Lambda > 0 the 2N check solves S = K + (e + k) I + (k - e) J, the
+    closed form of the Gauss rule's matrix at beta = beta(e)."""
+
+    @pytest.mark.parametrize("Lambda", [0.3, 1e-3, 1e-6])
+    @pytest.mark.parametrize("N,a,b", MESH_GRID)
+    def test_equals_the_gauss_rule(self, N, a, b, Lambda):
+        # the e of the grid's beta = b/2 + 1, and the beta(e) the oracle takes of it
+        # (at Lambda = 1e-6 the e* - e of beta near 1/2 keeps about six digits)
+        L = int(a - 0.5)
+        e = oracle._threshold(Lambda, L) - 0.5 * Lambda * (b + 1.0) ** 2
+        beta = oracle._tail_exponent(e, Lambda, L)
+        assert beta == pytest.approx(0.5 * b + 1.0, rel=1e-4)
+        k = Lambda * (L * (L + 1) + (2 * L + 3) * beta)
+        S = oracle._closed_galerkin(Lambda, L, N, e, beta)
+        assert np.max(np.abs(S - oracle._galerkin(Lambda, L, N, beta)[0])) <= 1e-12 * max(abs(e + k), abs(k - e))
+        assert not np.triu(S, 2).any()
+
+    def test_a_wrong_closed_form_is_caught(self, monkeypatch):
+        # c0 = e + k off by 1e-8 (relative): the check's level moves away from the Gauss rule's
+        closed = oracle._closed_galerkin
+
+        def perturbed(Lambda, L, N, e, beta):
+            S = closed(Lambda, L, N, e, beta)
+            S.flat[:: N + 1] += 1e-8 * (e + Lambda * (L * (L + 1) + (2 * L + 3) * beta))
+            return S
+
+        monkeypatch.setattr(oracle, "_closed_galerkin", perturbed)
+        with pytest.raises(MeshNotConverged, match=r"^level k = 2 at Lambda = 0.1, L = 0 moved by \S+ \(relative\) from 16 to 32"):
+            oracle.shoot_eigenvalue(0.1, 0, 2)
+
+    def test_a_wrong_gauss_rule_is_caught(self, monkeypatch):
+        # S off by 1e-8 (relative) on both meshes: with the Gauss rule run twice
+        # the level read 4.300000043 and a mismatch of 8e-16
+        galerkin = oracle._galerkin
+
+        def perturbed(*args):
+            S, P = galerkin(*args)
+            return S * (1.0 + 1e-8), P
+
+        monkeypatch.setattr(oracle, "_galerkin", perturbed)
+        with pytest.raises(MeshNotConverged, match=r"^level k = 2 at Lambda = 0.1, L = 0 moved by \S+ \(relative\) from 16 to 32"):
+            oracle.shoot_eigenvalue(0.1, 0, 2)
+
+
+def _ref_ball_shoot(Lambda, L, k, rtol):
+    """shoot_eigenvalue at Lambda < 0 as the Gauss rule run on both meshes
+    gives it: the 2N level, the midpoints to its neighbors and the change
+    from N nodes, as hex, or the type and message raised."""
+    N = max(oracle._N_MIN, k + oracle._N_PAD)
+    e_coarse = float(oracle._levels(Lambda, L, N)[k])
+    levels = oracle._levels(Lambda, L, 2 * N)
+    e = float(levels[k])
+    lo = 0.5 * (levels[k - 1] + levels[k]) if k else 1.5 * levels[0] - 0.5 * levels[1]
+    mismatch = abs(e - e_coarse) / max(1.0, abs(e))
+    if not mismatch <= rtol:
+        return "MeshNotConverged", (
+            f"level k = {k} at Lambda = {Lambda}, L = {L} moved by {mismatch:.3g} (relative) "
+            f"from {N} to {2 * N} nodes, above rtol = {rtol}"
+        )
+    return e.hex(), 2, float(lo).hex(), float(0.5 * (levels[k] + levels[k + 1])).hex(), mismatch.hex()
+
+
+BALL_DRAWS = [(lam, L, k, 1e-10) for lam, L, k in SHOOT_DRAWS if lam < 0] + [
+    (-0.5, 0, 3, 1e-16),
+    (-3.0, 1, 12, 1e-10),
+    (-2.0, 0, 2, 1e-10),
+    (-1e-7, 0, 3, 1e-10),
+    (-5.012749062531772e-08, 0, 7, 1e-10),
+    (-1.5, 2, 30, 1e-10),
+]
+
+
+@pytest.mark.parametrize("Lambda,L,k,rtol", BALL_DRAWS)
+def test_negative_lambda_is_the_gauss_rule_on_both_meshes(Lambda, L, k, rtol):
+    # the closed matrix is diagonal at Lambda < 0, its levels the closed-form
+    # energies, so the check stays on the Gauss rule there, bit for bit
+    try:
+        res = oracle.shoot_eigenvalue(Lambda, L, k, rtol=rtol)
+        new = (res.e_numeric.hex(), res.iterations, *(v.hex() for v in res.bracket), res.terminal_mismatch.hex())
+    except MeshNotConverged as exc:
+        new = type(exc).__name__, str(exc)
+    assert new == _ref_ball_shoot(Lambda, L, k, rtol)
 
 
 class TestRadialResidual:
