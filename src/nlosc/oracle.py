@@ -27,18 +27,17 @@ matrix gives both the nodes and the node values of the p_i (Golub-Welsch).
 
 Each level is found on N nodes and checked on 2N.  For Lambda < 0 the
 assembled S is diagonal to rounding (off-diagonal entries near 1e-16 of the
-diagonal at N = 16 and 32): phi is the prefactor of the exact solutions,
-whose g is a polynomial of degree k, so the Galerkin solve is exact at any
-N > k, and the N-to-2N check measures rounding, not truncation.  What the
-oracle checks independently there is that S, built from the equation's
-coefficients alone, is diagonal, and what its diagonal is.  For Lambda > 0 S
-mixes the basis (off-diagonal 0.3 of the diagonal at Lambda = 0.05, L = 1,
-beta = 7.3), and the solve is exact only at the level's own beta, again at
-any N > k, so the Gauss rule run twice would agree to about 1e-15.  There q
-is a polynomial of degree one at beta = beta(e), and the 2N check solves the
-tridiagonal matrix S = K + (e + k) I + (k - e) J that it gives in closed form
-(:func:`_closed_galerkin`): the Gauss rule's level on N nodes is compared
-with a second derivation of it, and a slip in either shows as a mismatch.
+diagonal at N = 16 and 32): phi is the prefactor of the exact solutions, whose
+g is a polynomial of degree k, so the Galerkin solve is exact at any N > k and
+the check measures rounding, not truncation; what the oracle checks
+independently there is that S, built from the equation's coefficients alone,
+is diagonal, and what its diagonal is.  For Lambda > 0 S mixes the basis
+(off-diagonal 0.3 of the diagonal at Lambda = 0.05, L = 1, beta = 7.3), and
+the solve is exact only at the level's own beta, again at any N > k, so the
+Gauss rule run twice would agree to about 1e-15.  There q is of degree one at
+beta = beta(e), and the 2N check solves the tridiagonal S = K + (e + k) I +
+(k - e) J it gives in closed form (:func:`_closed_galerkin`): a second
+derivation of the Gauss rule's N-node level, so a slip in either shows.
 
 Boundary condition.  At y = 0 the prefactor keeps the regular branch y**L.  At
 the Lambda < 0 endpoint the local exponents in the distance to the edge are
@@ -63,7 +62,7 @@ import numpy as np
 
 from . import radial
 from .errors import BracketInvalid, MeshNotConverged, NotAdmissible, OutsideDomain, QuadratureFailure
-from .orthopoly import _check_degree, laguerre
+from .orthopoly import _check_degree, _exp_and_pieces, _per_point, laguerre_scaled
 from .params import check_finite, mass_denominator
 from .spectrum import QuantumNumbers, check_angular_momentum
 
@@ -91,18 +90,15 @@ class ShootingResult:
     ``e_numeric`` is the Gauss rule's level: on 2N nodes for Lambda < 0,
     checked against N nodes; on N nodes for Lambda > 0, checked against the
     closed tridiagonal matrix on 2N.  ``iterations`` counts the eigen-solves
-    of both assemblies on both meshes, for Lambda > 0 including the one or
-    two that try to start the 2N secant from the N-node level (and the walk
-    after them when that start fails); the secant step that meets
-    ``_SECANT_RTOL`` is returned without a solve.  ``bracket`` is the
-    explicit ``e_bracket`` or an interval that holds ``e_numeric``: for
-    Lambda > 0 the last N-node secant bracket whose ends were solved, one end
-    of which may still be the walk's; for Lambda < 0 the midpoints to the
-    neighboring levels.  ``terminal_mismatch`` is
-    |e_check - e_numeric| / max(1, |e_numeric|), e_check the level of the
-    other mesh.  Over the whole range the oracle accepts, |Lambda| > 1e-8, it
-    bounds the true error |e - e_exact| / max(1, |e|) (or 1e-10, whichever is
-    larger).
+    on both meshes (for Lambda > 0, every evaluation of :func:`_bound_level`'s
+    f).  ``bracket`` is the explicit ``e_bracket`` or an interval that holds
+    ``e_numeric``: for Lambda > 0 the 2N check's last solved bracket, widened
+    to hold ``e_numeric`` (rtol max(1, |e|) wide where the check's started
+    pair held the level); for Lambda < 0 the midpoints to the neighboring
+    levels.  ``terminal_mismatch`` is |e_check - e_numeric| / max(1, |e|),
+    e_check the other mesh's level; over the whole accepted range,
+    |Lambda| > 1e-8, it bounds the true error |e - e_exact| / max(1, |e|) (or
+    1e-10, whichever is larger).
     """
 
     e_numeric: float
@@ -254,13 +250,11 @@ def _tail_exponent(e: float, Lambda: float, L: int) -> float:
     return 0.5 * (1.0 + math.sqrt(max(0.0, 2.0 * (_threshold(Lambda, L) - e) / Lambda)))
 
 
-def _bound_level(
-    Lambda: float, L: int, k: int, N: int, start: Optional[Tuple[float, float]] = None, closed: bool = False
-):
+def _bound_level(Lambda: float, L: int, k: int, N: int, levels: Callable, start: Optional[Tuple[float, float]] = None):
     """k-th level for Lambda > 0: the root of f(e) = E_k(beta(e)) - e on
-    [0, e*), E_k the k-th Galerkin level with tail exponent beta, from the
-    Gauss rule (:func:`_levels`) or, if ``closed``, from the closed matrix
-    (:func:`_closed_levels`).  Returns (e, solves, bracket).
+    [0, e*), E_k the k-th of the ascending Galerkin ``levels(e, beta)`` on N
+    nodes at tail exponent beta: the Gauss rule's (:func:`_levels`) or the
+    closed matrix's (:func:`_closed_levels`).  Returns (e, solves, bracket).
 
     f > 0 at e = 0, and f > 0 wherever beta(e) > beta_k, because a Galerkin
     level is never below the true one.  Just above e_k, f < 0; near e* the
@@ -289,7 +283,7 @@ def _bound_level(
     def f(e, beta):
         nonlocal solves
         solves += 1
-        return (_closed_levels(Lambda, L, N, e, beta) if closed else _levels(Lambda, L, N, beta))[k] - e
+        return levels(e, beta)[k] - e
 
     e_star = _threshold(Lambda, L)
 
@@ -340,15 +334,6 @@ def _bound_level(
     return float(c), solves, (float(min(a, b)), float(max(a, b)))
 
 
-def _level(Lambda: float, L: int, k: int, N: int):
-    """(e, solves, bracket) of the k-th level on the N-node Gauss-rule mesh."""
-    if Lambda > 0:
-        return _bound_level(Lambda, L, k, N)
-    e = _levels(Lambda, L, N)
-    lo = 0.5 * (e[k - 1] + e[k]) if k else 1.5 * e[0] - 0.5 * e[1]
-    return float(e[k]), 1, (float(lo), float(0.5 * (e[k] + e[k + 1])))
-
-
 def _check_lambda(Lambda: float) -> None:
     check_finite(Lambda=Lambda)
     radial.check_lambda_switch(Lambda)
@@ -366,11 +351,10 @@ def shoot_eigenvalue(
     The level is solved on N = max(16, k + 8) nodes and again on 2N; ``rtol``
     bounds |e(2N) - e(N)| / max(1, |e|), and a larger change raises
     :class:`MeshNotConverged`.  For Lambda > 0 the N-node level e_c, from the
-    Gauss rule, is the result, and the 2N solve of the closed matrix checks
-    it: its secant starts from e_c and its neighbor at distance
-    rtol max(1, |e_c|) (see :func:`_bound_level`); when the level moved
-    further than that, the 2N solve walks up from e = 0 as the N-node one
-    did.  An explicit
+    Gauss rule, is the result; the 2N secant of the closed matrix checks it,
+    started from e_c and its neighbor at distance rtol max(1, |e_c|), or
+    walking up from e = 0 where the level moved further (:func:`_bound_level`,
+    one secant for both, given each mesh's level function).  An explicit
     ``e_bracket`` that does not hold the level raises :class:`BracketInvalid`;
     for Lambda > 0, a k with no bound state raises :class:`NotAdmissible`.
     |Lambda| <= radial.LAMBDA_SWITCH raises :class:`LambdaTooSmall`: there
@@ -381,13 +365,18 @@ def shoot_eigenvalue(
         raise ValueError(f"rtol must be finite and positive, got {rtol}")
     _check_lambda(Lambda)
     N = max(_N_MIN, k + _N_PAD)
-    e_coarse, solves_coarse, bracket = _level(Lambda, L, k, N)
     if Lambda > 0:
-        e = e_coarse
-        e_check, solves, _ = _bound_level(Lambda, L, k, 2 * N, (e, rtol * max(1.0, abs(e))), closed=True)
+        # the closures look _levels and _closed_levels up when called
+        e, solves, _ = _bound_level(Lambda, L, k, N, lambda e_i, beta: _levels(Lambda, L, N, beta))
+        e_check, solves_check, bracket = _bound_level(
+            Lambda, L, k, 2 * N, lambda e_i, beta: _closed_levels(Lambda, L, 2 * N, e_i, beta), (e, rtol * max(1.0, abs(e)))
+        )
+        bracket = (min(bracket[0], e), max(bracket[1], e))
     else:
-        e_check = e_coarse
-        e, solves, bracket = _level(Lambda, L, k, 2 * N)
+        e_check, levels = float(_levels(Lambda, L, N)[k]), _levels(Lambda, L, 2 * N)
+        e, solves, solves_check = float(levels[k]), 1, 1
+        lo = 0.5 * (levels[k - 1] + levels[k]) if k else 1.5 * levels[0] - 0.5 * levels[1]
+        bracket = (float(lo), float(0.5 * (levels[k] + levels[k + 1])))
     mismatch = abs(e - e_check) / max(1.0, abs(e))
     if not mismatch <= rtol:
         raise MeshNotConverged(
@@ -398,12 +387,7 @@ def shoot_eigenvalue(
         bracket = (float(e_bracket[0]), float(e_bracket[1]))
         if not bracket[0] <= e <= bracket[1]:
             raise BracketInvalid(f"level k = {k}, e = {e!r}, is not in the bracket [{bracket[0]}, {bracket[1]}]")
-    return ShootingResult(
-        e_numeric=e,
-        iterations=solves_coarse + solves,
-        bracket=bracket,
-        terminal_mismatch=mismatch,
-    )
+    return ShootingResult(e_numeric=e, iterations=solves + solves_check, bracket=bracket, terminal_mismatch=mismatch)
 
 
 def eigenfunction_nodes(Lambda: float, L: int, e: float) -> int:
@@ -449,6 +433,15 @@ def eigenfunction_nodes(Lambda: float, L: int, e: float) -> int:
     return int(np.sum(signs[1:] != signs[:-1]))
 
 
+def _ho_pieces(n: int, L: int, y: np.ndarray, count: int) -> tuple:
+    """y**L exp(-y**2/2) and the first ``count`` of L_n^(L+1/2)(s) and its s-derivatives,
+    s = y**2, d/ds L_n^(a) = -L_(n-1)^(a+1) (0 past degree n), with the power of two
+    past 2**960 in the exp as in :func:`radial._prefactor_and_pieces`."""
+    pieces = [((-1.0) ** j, laguerre_scaled(n - j, L + 0.5 + j, y * y)) for j in range(min(count, n + 1))]
+    A, values = _exp_and_pieces(-0.5 * y * y, _per_point(pieces, count, y))
+    return np.float_power(y, L) * A, values
+
+
 def ho_wavefunction(n: int, L: int) -> Callable:
     """Unnormalized harmonic-oscillator radial function y^L exp(-y^2/2) L_n^(L+1/2)(y^2).
 
@@ -461,7 +454,8 @@ def ho_wavefunction(n: int, L: int) -> Callable:
 
     def f(y):
         y = np.asarray(y, dtype=float)
-        r = np.float_power(y, L) * np.exp(-0.5 * y * y) * laguerre(n, L + 0.5, y * y)
+        A, (Q,) = _ho_pieces(n, L, y, 1)
+        r = A * Q
         return float(r) if r.ndim == 0 else r
 
     return f
@@ -493,9 +487,7 @@ def ho_wavefunction_with_derivatives(n: int, L: int) -> Callable:
             if y_bad <= 0:
                 raise OutsideDomain(f"derivatives need an interior point, got y = {y_bad}")
             raise OutsideDomain(f"derivatives need y*y > 0, got y = {y_bad}")
-        # d/ds L_n^(a) = -L_(n-1)^(a+1), with L_(-1) = L_(-2) = 0
-        Q, dQ, d2Q = ((-1.0) ** j * laguerre(n - j, L + 0.5 + j, s) if j <= n else np.zeros_like(s) for j in range(3))
-        A = np.float_power(y, L) * np.exp(-0.5 * s)
+        A, (Q, dQ, d2Q) = _ho_pieces(n, L, y, 3)
         la = L / y - y
         dla = -L / s - 1.0
         R = A * Q

@@ -13,9 +13,14 @@ hundred ulp of exact rational evaluation up to degree 40 at least.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import InvalidDegree, PoleInDenominator
+
+# a value past 2**_SPLIT_EXP is carried as m * 2**e, leaving 2**63 of the float range to its factors
+_SPLIT_EXP = 960
 
 
 def _check_degree(n: int) -> int:
@@ -27,18 +32,18 @@ def _check_degree(n: int) -> int:
 def _recurrence(n: int, x, step) -> tuple:
     """(m, e) with p_n = m * 2**e at the points x, from p_0 = 1 and p_(-1) = 0;
     ``step(k)`` gives (A_k, B_k, C_k, D_k) for degree k -> k+1.  A negative or
-    fractional n raises.  When a bound on max|p_k| passes 2**960, each point's
+    fractional n raises.  When a bound on max|p_k| passes 2**_SPLIT_EXP, each point's
     pair (p_(k-1), p_k) is scaled by a power of two, which is exact; e is the
     integer 0 until then, and m * 2**e is the unscaled value wherever finite."""
     x = np.asarray(x, dtype=float)
     prev, cur, e = np.zeros(x.shape), np.ones(x.shape), 0
     x_bound = float(np.fmax.reduce(np.abs(x), axis=None, initial=0.0))  # NaN points left out
-    bound_prev, bound = 0.0, 1.0
+    bound_prev, bound, limit = 0.0, 1.0, 2.0**_SPLIT_EXP
     for k in range(_check_degree(n)):
         A, B, C, D = step(k)
         prev, cur = cur, ((A * x + B) * cur - C * prev) / D
         bound_prev, bound = bound, ((abs(A) * x_bound + abs(B)) * bound + abs(C) * bound_prev) / abs(D)
-        if bound > 2.0**960:
+        if bound > limit:
             s = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1]
             prev, cur, e = np.ldexp(prev, -s), np.ldexp(cur, -s), e + s
             bound_prev = bound = 1.0
@@ -47,6 +52,22 @@ def _recurrence(n: int, x, step) -> tuple:
 
 def _value(m, e) -> np.ndarray:
     return np.ldexp(m, e) if np.any(e) else m
+
+
+def _per_point(pieces: list, count: int, x) -> list:
+    """The ``pieces`` (c, (m, e)), c * m * 2**e with (m, e) a :func:`_recurrence` split, split at each
+    point alone as (c * f, e + k), m = f * 2**k by np.frexp; then zeros at the points x up to ``count``."""
+    split = [(c * f, e + k) for c, (m, e) in pieces for f, k in [np.frexp(m)]]
+    return split + [np.frexp(np.zeros_like(x))] * (count - len(split))
+
+
+def _exp_and_pieces(log_a, pieces: list) -> tuple:
+    """exp(log_a + e log 2) and the :func:`_per_point` ``pieces`` over 2**e, e each
+    point's largest exponent where it passes _SPLIT_EXP and 0 elsewhere: at a point
+    within the bound, exp(log_a) and the unsplit pieces, bit for bit."""
+    e = functools.reduce(np.maximum, [k for _, k in pieces])
+    e = e * (e > _SPLIT_EXP)
+    return np.exp(log_a + e * np.log(2.0)), [np.ldexp(m, k - e) for m, k in pieces]
 
 
 def jacobi_scaled(n: int, a: float, b: float, x) -> tuple:
@@ -80,7 +101,12 @@ def jacobi(n: int, a: float, b: float, x) -> np.ndarray:
     return _value(*jacobi_scaled(n, a, b, x))
 
 
+def laguerre_scaled(n: int, a: float, x) -> tuple:
+    """L_n^(a) at the points x as (m, e), as :func:`jacobi_scaled` splits P_n."""
+    return _recurrence(n, x, lambda k: (-1.0, 2.0 * k + a + 1.0, k + a, k + 1.0))
+
+
 def laguerre(n: int, a: float, x) -> np.ndarray:
     """Generalized Laguerre L_n^(a) with L_n^(a)(0) = C(n+a, n) at the points x, an array of their shape."""
-    return _value(*_recurrence(n, x, lambda k: (-1.0, 2.0 * k + a + 1.0, k + a, k + 1.0)))
+    return _value(*laguerre_scaled(n, a, x))
 

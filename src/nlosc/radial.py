@@ -28,19 +28,14 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, replace
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from . import spectrum
-from .errors import (
-    LambdaTooSmall,
-    NotAdmissible,
-    OutsideDomain,
-    QuadratureFailure,
-)
-from .orthopoly import jacobi, jacobi_scaled
+from .errors import LambdaTooSmall, NotAdmissible, OutsideDomain, QuadratureFailure
+from .orthopoly import _exp_and_pieces, _per_point, jacobi_scaled
 from .params import ModelParams, domain, mass_at, mass_denominator
 from .spectrum import QuantumNumbers, energy_dimless, is_admissible
 
@@ -133,40 +128,24 @@ def _log_prefactor(state: RadialEigenstate, y: np.ndarray) -> np.ndarray:
     return state.L_power * np.log(y) + log_a if state.L_power else log_a
 
 
-def _jacobi_piece(state: RadialEigenstate, s: np.ndarray, split: bool = False):
-    """Q, dQ/ds and d2Q/ds2 of Q(s) = P_n^(L+1/2, -1/Lambda-1/2)(1 + 2*Lambda*s) in
-    turn, each computed when drawn: the j-th is P_(n-j) at both parameters plus j
-    (0 for j > n), times Lambda*(n+L+k) - 1 for k = 1..j (dx/ds = 2*Lambda), or
-    with ``split`` (m, e), the piece m * 2**e split at each point alone."""
+def _jacobi_pieces(state: RadialEigenstate, s: np.ndarray, count: int) -> list:
+    """The first ``count`` of Q, dQ/ds, d2Q/ds2 of Q(s) = P_n^(L+1/2, -1/Lambda-1/2)(1 + 2*Lambda*s), one
+    recurrence pass each, split at each point alone as (m, e), the piece m * 2**e: the j-th is P_(n-j)
+    at both parameters plus j (0 for j > n), times Lambda*(n+L+k) - 1 for k = 1..j (dx/ds = 2*Lambda)."""
     lam, n, L = state.Lambda, state.qn.n, state.L_power
-    x, c = 1.0 + 2.0 * lam * s, 1.0
-    for j in range(3):
-        if j > n:
-            yield np.frexp(np.zeros_like(x)) if split else np.zeros_like(x)
-        elif split:
-            m, e = jacobi_scaled(n - j, L + 0.5 + j, -1.0 / lam - 0.5 + j, x)
-            m, k = np.frexp(m)
-            yield c * m, e + k
-        else:
-            yield c * jacobi(n - j, L + 0.5 + j, -1.0 / lam - 0.5 + j, x)
+    x, c, pieces = 1.0 + 2.0 * lam * s, 1.0, []
+    for j in range(min(count, n + 1)):
+        pieces.append((c, jacobi_scaled(n - j, L + 0.5 + j, -1.0 / lam - 0.5 + j, x)))
         c *= lam * (n + L + 1 + j) - 1.0
+    return _per_point(pieces, count, x)
 
 
 def _prefactor_and_pieces(state: RadialEigenstate, flat: np.ndarray, count: int) -> tuple:
-    """exp(:func:`_log_prefactor`) and the first ``count`` :func:`_jacobi_piece`s; where
-    one overflows, the largest power of two of the pieces joins the log of the prefactor."""
-    s = flat * flat
-    log_a = _log_prefactor(state, flat)
-    with np.errstate(over="ignore", invalid="ignore"):  # P_n may overflow to inf
-        pieces = list(islice(_jacobi_piece(state, s), count))
-    far = np.flatnonzero(np.any(np.isinf(pieces), axis=0))
-    if far.size:
-        split = list(islice(_jacobi_piece(state, s[far], split=True), count))
-        e = np.max([k for _, k in split], axis=0)
-        for piece, (m, k) in zip(pieces, split):
-            piece[far] = np.ldexp(m, k - e)
-        log_a[far] += e * math.log(2.0)
-    return np.exp(log_a), pieces
+    """exp(:func:`_log_prefactor`) and the first ``count`` :func:`_jacobi_pieces`; where a
+    piece passes 2**960 the point's largest power of two of the pieces joins the log
+    (:func:`orthopoly._exp_and_pieces`), leaving 2**63 for the derivatives' la**2, sp**2."""
+    with np.errstate(over="ignore", invalid="ignore"):  # P_n may overflow to inf at a huge y
+        return _exp_and_pieces(_log_prefactor(state, flat), _jacobi_pieces(state, flat * flat, count))
 
 
 def eval_state(state: RadialEigenstate, y):
@@ -202,8 +181,7 @@ def eval_state_with_derivatives(state: RadialEigenstate, y):
             _check_inside(state, flat[bad[0] : bad[0] + 1])  # raises beyond the endpoint
             raise OutsideDomain(f"derivatives need an interior point, got the endpoint y = {y_bad}")
         raise OutsideDomain(f"derivatives need y*y > 0, got y = {y_bad}")  # -L / (y*y) would divide by zero
-    L = state.L_power
-    p = state.prefactor_exponent
+    L, p = state.L_power, state.prefactor_exponent
     A, (Q, dQ, d2Q) = _prefactor_and_pieces(state, flat, 3)
     sp = 2.0 * flat  # ds/dy
     la = L / flat + 2.0 * lam * p * flat / w  # A'/A
@@ -211,8 +189,7 @@ def eval_state_with_derivatives(state: RadialEigenstate, y):
     R = A * Q
     R1 = A * (la * Q + dQ * sp)
     R2 = A * ((la * la + dla) * Q + 2.0 * la * dQ * sp + d2Q * sp * sp + dQ * 2.0)
-    c = state.norm_const
-    out = (c * R, c * R1, c * R2)
+    out = tuple(state.norm_const * v for v in (R, R1, R2))
     return tuple(float(v[0]) for v in out) if ys.ndim == 0 else tuple(v.reshape(ys.shape) for v in out)
 
 

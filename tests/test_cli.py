@@ -133,6 +133,19 @@ class TestStatesCommand:
             log_pref = state.prefactor_exponent * math.log(0.005 * y * y + 1.0)
             assert r == pytest.approx(sign * state.norm_const * math.exp(log_pref + log_abs), rel=1e-12)
 
+    def test_harmonic_far_tail(self, capture):
+        # L_300 passes 2**960 from y = 39.22 on while exp(-y**2/2) underflows: the
+        # command once failed there with NonFiniteValue
+        mp = pytest.importorskip("mpmath")
+        code, out, err = capture(["states", "--lambda", "0", "--L", "0", "--n", "300", "--grid", "1:60:4"])
+        assert (code, err) == (0, "")
+        ys, rs, _ = np.array([list(map(float, line.split(","))) for line in out.strip().split("\n")[1:]]).T
+        with mp.workdps(50):
+            c = 1 / mp.sqrt(mp.gamma(mp.mpf(603) / 2) / (2 * mp.factorial(300)))
+            exact = [float(c * mp.exp(-mp.mpf(y) ** 2 / 2) * mp.laguerre(300, mp.mpf(1) / 2, mp.mpf(y) ** 2)) for y in ys]
+        assert np.all(np.isfinite(rs)) and rs[2] != 0.0 and rs[3] == exact[3] == 0.0
+        assert rs.tolist() == pytest.approx(exact, rel=1e-12)
+
     def test_squared_norm_past_the_float_range(self, capture):
         # the squared norm is e**714.7; its closed-form log gives the constant
         # 6.32e-156 (exit 1 while the squared norm was rounded to a float first)

@@ -100,13 +100,29 @@ def test_far_tail_derivatives_past_the_float_range():
     assert radial.u_transform_residual(state, [1000.0, 3000.0]) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "lam,L,n,y", [(1e-3, 170, 160, 96.45999066263525), (-1e-6, 0, 77, 503.90625), (1e-6, 0, 160, 72.1540480240481)]
+)
+def test_derivatives_where_a_piece_is_just_below_the_float_range(lam, L, n, y):
+    # a Jacobi piece between 2**960 and 2**1024 was finite, so its power of two stayed
+    # out of the log prefactor, and la * dQ or sp**2 * d2Q overflowed: R' and R'' were NaN
+    state = radial.normalize(radial.build_state(n, L, lam))
+    R, R1, R2 = radial.eval_state_with_derivatives(state, y)
+    assert np.isfinite([R, R1, R2]).all()
+    assert radial.eval_state(state, y) == R
+    if R:
+        assert radial.u_transform_residual(state, [y]) <= RESIDUAL_GATE
+    else:  # all three underflow
+        assert R1 == R2 == 0.0
+
+
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_jacobi_piece_and_its_derivatives_are_exact_to_1e_12(lam):
     # Q, dQ/ds and d2Q/ds2 by the parameter shift, against the exact series in s
     ys, worst = _points(lam), []
     for n, L in _states(lam):
         state = radial.build_state(n, L, lam)
-        got = tuple(radial._jacobi_piece(state, ys * ys))
+        got = tuple(np.ldexp(m, e) for m, e in radial._jacobi_pieces(state, ys * ys, 3))
         exact = jacobi_piece_derivatives_exact(state, ys)
         for j in range(3):
             if j > n:
@@ -132,6 +148,22 @@ def test_harmonic_closures_are_exact_to_1e_12(L):
         got = oracle.ho_wavefunction_with_derivatives(n, L)(ys)
         for k in range(3):
             assert _rel_err(got[k], exact[k]) <= ACCURACY, (n, k)
+
+
+@pytest.mark.parametrize("n,ys", [(300, (39.22, 40.0, 45.0, 50.0, 53.05, 57.0)), (200, (50.0, 53.05))])
+def test_harmonic_far_tail_against_mpmath(n, ys):
+    # L_n past 2**960 while exp(-y**2/2) underflows: the closures were NaN there,
+    # from y = 39.22 on at n = 300 and from 53.05 on at n = 200
+    mp = pytest.importorskip("mpmath")
+    ys = np.array(ys)
+    with mp.workdps(50):
+        exact = [float(mp.exp(-mp.mpf(y) ** 2 / 2) * mp.laguerre(n, mp.mpf(1) / 2, mp.mpf(y) ** 2)) for y in ys]
+    got = oracle.ho_wavefunction(n, 0)(ys)
+    assert got == pytest.approx(exact, rel=1e-12) and np.all(got != 0.0)
+    R, R1, R2 = oracle.ho_wavefunction_with_derivatives(n, 0)(ys)
+    assert np.isfinite([R1, R2]).all() and R == pytest.approx(got, rel=1e-14)
+    f = oracle.ho_wavefunction_with_derivatives(n, 0)
+    assert max(oracle.radial_residual(f, float(y), 2 * n + 1.5, 0.0, 0) for y in ys) <= 1e-12
 
 
 @pytest.mark.parametrize("L", range(5))

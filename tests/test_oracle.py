@@ -46,6 +46,15 @@ class TestShooting:
         assert lo <= res.e_numeric <= hi
         assert lo > energy_dimless(0, 0, Lambda) and hi < energy_dimless(2, 0, Lambda)
 
+    @pytest.mark.parametrize("Lambda,L,k", [(2e-8, 0, 1), (0.1, 0, 4), (0.06, 0, 6), (0.013, 3, 36)])
+    def test_positive_lambda_bracket_is_rtol_wide(self, Lambda, L, k):
+        # the 2N closed check's started pair; the N-node secant bracket it replaced
+        # kept the walk's far end: (3.49999992, 18750000.375) at (2e-8, 0, 1)
+        res = oracle.shoot_eigenvalue(Lambda, L, k)
+        lo, hi = res.bracket
+        assert lo <= res.e_numeric <= hi
+        assert hi - lo <= 1e-10 * max(1.0, res.e_numeric) + 2.0 * math.ulp(res.e_numeric)
+
     @pytest.mark.parametrize("rtol", [0.0, -1e-10, math.nan, math.inf])
     def test_rtol_must_be_finite_and_positive(self, rtol):
         with pytest.raises(ValueError, match=r"^rtol must be finite and positive, got"):
@@ -218,11 +227,21 @@ def _shoot_record(Lambda, L, k, rtol):
     return (res.e_numeric.hex(), res.terminal_mismatch.hex(), lo <= res.e_numeric <= hi), solves
 
 
+def _gauss(Lambda, L, N):
+    """The level function of the Gauss rule on N nodes, as shoot_eigenvalue passes it."""
+    return lambda e, beta: oracle._levels(Lambda, L, N, beta)
+
+
+def _closed(Lambda, L, N):
+    """The level function of the closed matrix on N nodes, as shoot_eigenvalue passes it."""
+    return lambda e, beta: oracle._closed_levels(Lambda, L, N, e, beta)
+
+
 def _fine_outcome(Lambda, L, k, N, start=None):
     """The level of the closed check, oracle._bound_level on _closed_levels,
     or the type of what it raised."""
     try:
-        return oracle._bound_level(Lambda, L, k, N, start, closed=True)[0]
+        return oracle._bound_level(Lambda, L, k, N, _closed(Lambda, L, N), start)[0]
     except Exception as exc:
         return type(exc)
 
@@ -262,7 +281,7 @@ class TestStartedFineSolve:
         Lambda, L, k = case
         N = max(oracle._N_MIN, k + oracle._N_PAD)
         try:
-            e_c = oracle._level(Lambda, L, k, N)[0]
+            e_c = oracle._bound_level(Lambda, L, k, N, _gauss(Lambda, L, N))[0]
         except NotAdmissible:
             return
         start = (e_c, 1e-10 * max(1.0, abs(e_c)))
@@ -275,7 +294,7 @@ class TestStartedFineSolve:
             assert started == walked
 
 
-def _ref_bound_level(Lambda, L, k, N, start=None, closed=False):
+def _ref_bound_level(Lambda, L, k, N, levels, start=None):
     """oracle._bound_level with the secant that solved each iterate before it
     tested the step, so the returned step's solve was read only by f == 0."""
     solves = 0
@@ -283,8 +302,7 @@ def _ref_bound_level(Lambda, L, k, N, start=None, closed=False):
     def f(e, beta):
         nonlocal solves
         solves += 1
-        levels = oracle._closed_levels(Lambda, L, N, e, beta) if closed else oracle._levels(Lambda, L, N, beta)
-        return levels[k] - e
+        return levels(e, beta)[k] - e
 
     e_star = oracle._threshold(Lambda, L)
 

@@ -31,14 +31,14 @@ class TestWeight:
 class TestBuildState:
     def test_ground_state_negative(self):
         st = radial.build_state(0, 0, -1.0)
-        Q, dQ, d2Q = radial._jacobi_piece(st, np.array([0.0, 0.5]))
+        Q, dQ, d2Q = (np.ldexp(m, e) for m, e in radial._jacobi_pieces(st, np.array([0.0, 0.5]), 3))
         assert (Q.tolist(), dQ.tolist(), d2Q.tolist()) == ([1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
         assert st.prefactor_exponent == pytest.approx(0.5, abs=0)
         assert st.e == 1.5
 
     def test_ground_state_positive_l2(self):
         st = radial.build_state(0, 2, 0.1)
-        Q, dQ, d2Q = radial._jacobi_piece(st, np.array([0.0, 4.0]))
+        Q, dQ, d2Q = (np.ldexp(m, e) for m, e in radial._jacobi_pieces(st, np.array([0.0, 4.0]), 3))
         assert (Q.tolist(), dQ.tolist(), d2Q.tolist()) == ([1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
         assert st.L_power == 2
         assert st.prefactor_exponent == pytest.approx(-5.0, rel=1e-15)
