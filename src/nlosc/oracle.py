@@ -62,15 +62,15 @@ import numpy as np
 
 from . import radial
 from .errors import BracketInvalid, MeshNotConverged, NotAdmissible, OutsideDomain, QuadratureFailure
-from .orthopoly import _check_degree, _exp_and_pieces, _per_point, laguerre_scaled
+from .orthopoly import _check_degree, _per_point, _values, laguerre_scaled
 from .params import check_finite, mass_denominator
 from .spectrum import QuantumNumbers, check_angular_momentum
 
 # The mesh has max(_N_MIN, k + _N_PAD) nodes and is checked against twice that.
 _N_MIN = 16
 _N_PAD = 8
-# eigenfunction_nodes doubles its mesh up to this many nodes (a level index of
-# about 1,000) and raises MeshNotConverged beyond
+# eigenfunction_nodes doubles its mesh up to this many nodes and shoot_eigenvalue takes
+# k up to _N_NODES_MAX - _N_PAD (dense matrices of twice that side); beyond, MeshNotConverged
 _N_NODES_MAX = 1024
 # Closest approach of the tail exponent beta to the normalizability limit 1/2
 # (Lambda > 0), where the Jacobi weight (1+x)**(2 beta - 2) stops being
@@ -350,7 +350,8 @@ def shoot_eigenvalue(
 
     The level is solved on N = max(16, k + 8) nodes and again on 2N; ``rtol``
     bounds |e(2N) - e(N)| / max(1, |e|), and a larger change raises
-    :class:`MeshNotConverged`.  For Lambda > 0 the N-node level e_c, from the
+    :class:`MeshNotConverged`, as does a k above 1,016 (N past _N_NODES_MAX = 1,024)
+    before any matrix is formed.  For Lambda > 0 the N-node level e_c, from the
     Gauss rule, is the result; the 2N secant of the closed matrix checks it,
     started from e_c and its neighbor at distance rtol max(1, |e_c|), or
     walking up from e = 0 where the level moved further (:func:`_bound_level`,
@@ -365,6 +366,8 @@ def shoot_eigenvalue(
         raise ValueError(f"rtol must be finite and positive, got {rtol}")
     _check_lambda(Lambda)
     N = max(_N_MIN, k + _N_PAD)
+    if N > _N_NODES_MAX:
+        raise MeshNotConverged(f"k = {k} needs {N} nodes, above {_N_NODES_MAX}: the largest k is {_N_NODES_MAX - _N_PAD}")
     if Lambda > 0:
         # the closures look _levels and _closed_levels up when called
         e, solves, _ = _bound_level(Lambda, L, k, N, lambda e_i, beta: _levels(Lambda, L, N, beta))
@@ -433,13 +436,13 @@ def eigenfunction_nodes(Lambda: float, L: int, e: float) -> int:
     return int(np.sum(signs[1:] != signs[:-1]))
 
 
-def _ho_pieces(n: int, L: int, y: np.ndarray, count: int) -> tuple:
-    """y**L exp(-y**2/2) and the first ``count`` of L_n^(L+1/2)(s) and its s-derivatives,
-    s = y**2, d/ds L_n^(a) = -L_(n-1)^(a+1) (0 past degree n), with the power of two
-    past 2**960 in the exp as in :func:`radial._prefactor_and_pieces`."""
+def _ho_values(n: int, L: int, y: np.ndarray, count: int) -> tuple:
+    """(R,), or (R, R', R'') for ``count`` = 3, of R = y**L exp(-y**2/2) L_n^(L+1/2)(y**2) by :func:`orthopoly._values`
+    on the log -y**2/2 and the Laguerre pieces, d/ds L_n^(a) = -L_(n-1)^(a+1) (0 past degree n); y**L, by
+    np.float_power, stays outside the exp, so a negative y keeps its sign."""
     pieces = [((-1.0) ** j, laguerre_scaled(n - j, L + 0.5 + j, y * y)) for j in range(min(count, n + 1))]
-    A, values = _exp_and_pieces(-0.5 * y * y, _per_point(pieces, count, y))
-    return np.float_power(y, L) * A, values
+    la, dla = (L / y - y, -L / (y * y) - 1.0) if count > 1 else (None, None)
+    return tuple(np.float_power(y, L) * v for v in _values(-0.5 * y * y, _per_point(pieces, count), la, dla, y))
 
 
 def ho_wavefunction(n: int, L: int) -> Callable:
@@ -454,8 +457,7 @@ def ho_wavefunction(n: int, L: int) -> Callable:
 
     def f(y):
         y = np.asarray(y, dtype=float)
-        A, (Q,) = _ho_pieces(n, L, y, 1)
-        r = A * Q
+        (r,) = _ho_values(n, L, y, 1)
         return float(r) if r.ndim == 0 else r
 
     return f
@@ -480,19 +482,13 @@ def ho_wavefunction_with_derivatives(n: int, L: int) -> Callable:
 
     def f(y):
         y = np.asarray(y, dtype=float)
-        s = y * y
-        bad = np.flatnonzero((y <= 0) | (s == 0.0))
+        bad = np.flatnonzero((y <= 0) | (y * y == 0.0))
         if bad.size:  # raise what a loop of scalar calls raises first
             y_bad = float(y.ravel()[bad[0]])
             if y_bad <= 0:
                 raise OutsideDomain(f"derivatives need an interior point, got y = {y_bad}")
             raise OutsideDomain(f"derivatives need y*y > 0, got y = {y_bad}")
-        A, (Q, dQ, d2Q) = _ho_pieces(n, L, y, 3)
-        la = L / y - y
-        dla = -L / s - 1.0
-        R = A * Q
-        R1 = A * (la * Q + 2.0 * y * dQ)
-        R2 = A * ((la * la + dla) * Q + 4.0 * y * la * dQ + 4.0 * s * d2Q + 2.0 * dQ)
+        R, R1, R2 = _ho_values(n, L, y, 3)
         return (float(R), float(R1), float(R2)) if y.ndim == 0 else (R, R1, R2)
 
     return f

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidDegree, PoleInDenominator
 
-# a value past 2**_SPLIT_EXP is carried as m * 2**e, leaving 2**63 of the float range to its factors
+# :func:`_recurrence` rescales before a value would pass 2**_SPLIT_EXP, carrying it as m * 2**e
 _SPLIT_EXP = 960
 
 
@@ -32,21 +32,22 @@ def _check_degree(n: int) -> int:
 def _recurrence(n: int, x, step) -> tuple:
     """(m, e) with p_n = m * 2**e at the points x, from p_0 = 1 and p_(-1) = 0;
     ``step(k)`` gives (A_k, B_k, C_k, D_k) for degree k -> k+1.  A negative or
-    fractional n raises.  When a bound on max|p_k| passes 2**_SPLIT_EXP, each point's
-    pair (p_(k-1), p_k) is scaled by a power of two, which is exact; e is the
-    integer 0 until then, and m * 2**e is the unscaled value wherever finite."""
+    fractional n raises.  Before a step whose bound on max|p_(k+1)| would pass 2**_SPLIT_EXP,
+    each point's pair (p_(k-1), p_k) is scaled by a power of two, which is exact, so no step
+    overflows; e is the integer 0 until then, and m * 2**e is the unscaled value wherever finite."""
     x = np.asarray(x, dtype=float)
     prev, cur, e = np.zeros(x.shape), np.ones(x.shape), 0
     x_bound = float(np.fmax.reduce(np.abs(x), axis=None, initial=0.0))  # NaN points left out
     bound_prev, bound, limit = 0.0, 1.0, 2.0**_SPLIT_EXP
     for k in range(_check_degree(n)):
         A, B, C, D = step(k)
-        prev, cur = cur, ((A * x + B) * cur - C * prev) / D
-        bound_prev, bound = bound, ((abs(A) * x_bound + abs(B)) * bound + abs(C) * bound_prev) / abs(D)
-        if bound > limit:
+        bound_next = ((abs(A) * x_bound + abs(B)) * bound + abs(C) * bound_prev) / abs(D)
+        if bound_next > limit:
             s = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1]
             prev, cur, e = np.ldexp(prev, -s), np.ldexp(cur, -s), e + s
-            bound_prev = bound = 1.0
+            bound, bound_next = 1.0, (abs(A) * x_bound + abs(B) + abs(C)) / abs(D)
+        prev, cur = cur, ((A * x + B) * cur - C * prev) / D
+        bound_prev, bound = bound, bound_next
     return cur, e
 
 
@@ -54,20 +55,25 @@ def _value(m, e) -> np.ndarray:
     return np.ldexp(m, e) if np.any(e) else m
 
 
-def _per_point(pieces: list, count: int, x) -> list:
+def _per_point(pieces: list, count: int) -> list:
     """The ``pieces`` (c, (m, e)), c * m * 2**e with (m, e) a :func:`_recurrence` split, split at each
-    point alone as (c * f, e + k), m = f * 2**k by np.frexp; then zeros at the points x up to ``count``."""
+    point alone as (c * f, e + k), m = f * 2**k by np.frexp; then zeros at the first one's exponents up to ``count``."""
     split = [(c * f, e + k) for c, (m, e) in pieces for f, k in [np.frexp(m)]]
-    return split + [np.frexp(np.zeros_like(x))] * (count - len(split))
+    return split + [(np.zeros_like(split[0][0]), split[0][1])] * (count - len(split))
 
 
-def _exp_and_pieces(log_a, pieces: list) -> tuple:
-    """exp(log_a + e log 2) and the :func:`_per_point` ``pieces`` over 2**e, e each
-    point's largest exponent where it passes _SPLIT_EXP and 0 elsewhere: at a point
-    within the bound, exp(log_a) and the unsplit pieces, bit for bit."""
-    e = functools.reduce(np.maximum, [k for _, k in pieces])
-    e = e * (e > _SPLIT_EXP)
-    return np.exp(log_a + e * np.log(2.0)), [np.ldexp(m, k - e) for m, k in pieces]
+def _values(log_a, pieces: list, la=None, dla=None, y=None) -> tuple:
+    """(R,) of R = exp(log_a) Q for the :func:`_per_point` ``pieces`` Q, dQ/ds, d2Q/ds2, s = y**2;
+    given la = A'/A and dla = (A'/A)' in y, A = exp(log_a) times any factor the caller puts on all
+    three, (R, R', R'') by the chain rule.  Each point's largest piece exponent e joins the log: one
+    exp(log_a + e log 2) times pieces of size at most 1, a normal float wherever R is one."""
+    top = functools.reduce(np.maximum, [k for _, k in pieces])
+    a = np.exp(log_a + top * np.log(2.0))
+    Q, *rest = [np.ldexp(m, k - top) for m, k in pieces]
+    if la is None:
+        return (a * Q,)
+    (dQ, d2Q), sp = rest, 2.0 * y  # sp = ds/dy
+    return a * Q, a * (la * Q + dQ * sp), a * ((la * la + dla) * Q + 2.0 * la * dQ * sp + d2Q * sp * sp + dQ * 2.0)
 
 
 def jacobi_scaled(n: int, a: float, b: float, x) -> tuple:

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import spectrum
 from .errors import LambdaTooSmall, NotAdmissible, OutsideDomain, QuadratureFailure
-from .orthopoly import _exp_and_pieces, _per_point, jacobi_scaled
+from .orthopoly import _per_point, _values, jacobi_scaled
 from .params import ModelParams, domain, mass_at, mass_denominator
 from .spectrum import QuantumNumbers, energy_dimless, is_admissible
 
@@ -137,30 +137,37 @@ def _jacobi_pieces(state: RadialEigenstate, s: np.ndarray, count: int) -> list:
     for j in range(min(count, n + 1)):
         pieces.append((c, jacobi_scaled(n - j, L + 0.5 + j, -1.0 / lam - 0.5 + j, x)))
         c *= lam * (n + L + 1 + j) - 1.0
-    return _per_point(pieces, count, x)
+    return _per_point(pieces, count)
 
 
-def _prefactor_and_pieces(state: RadialEigenstate, flat: np.ndarray, count: int) -> tuple:
-    """exp(:func:`_log_prefactor`) and the first ``count`` :func:`_jacobi_pieces`; where a
-    piece passes 2**960 the point's largest power of two of the pieces joins the log
-    (:func:`orthopoly._exp_and_pieces`), leaving 2**63 for the derivatives' la**2, sp**2."""
-    with np.errstate(over="ignore", invalid="ignore"):  # P_n may overflow to inf at a huge y
-        return _exp_and_pieces(_log_prefactor(state, flat), _jacobi_pieces(state, flat * flat, count))
+def _radial_values(state: RadialEigenstate, flat: np.ndarray, count: int) -> tuple:
+    """(R,), or (R, R', R'') for ``count`` = 3, at the points ``flat``: :func:`orthopoly._values` of
+    log|norm_const| plus :func:`_log_prefactor` and the :func:`_jacobi_pieces`."""
+    la = dla = None
+    c = state.norm_const
+    # log(0) = -inf at y = 0 and log1p(-1) = -inf at the Lambda < 0 endpoint; w*w may overflow at a huge y
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if count > 1:
+            lam, L, p = state.Lambda, state.L_power, state.prefactor_exponent
+            w = lam * flat * flat + 1.0
+            la = L / flat + 2.0 * lam * p * flat / w
+            dla = -L / (flat * flat) + 2.0 * lam * p * (1.0 - lam * flat * flat) / (w * w)
+        log_a = _log_prefactor(state, flat) + np.log(abs(c))
+        out = _values(log_a, _jacobi_pieces(state, flat * flat, count), la, dla, flat)
+    return out if c > 0 else tuple(np.sign(c) * v for v in out)
 
 
 def eval_state(state: RadialEigenstate, y):
     """Evaluate R(y), endpoints included; y a float or an array of any shape.
 
     A float gives a float.  An array gives, byte for byte, what a loop of float
-    calls gives, and raises what that loop raises first.
+    calls gives, and raises what that loop raises first.  R is a normal float
+    wherever its value is one (see :func:`orthopoly._values`).
     """
     ys = np.asarray(y, dtype=float)
     flat = ys.ravel()
     _check_inside(state, flat)
-    # log(0) = -inf at y = 0 and log1p(-1) = -inf at the Lambda < 0 endpoint
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        A, (Q,) = _prefactor_and_pieces(state, flat, 1)
-        r = state.norm_const * A * Q + 0.0  # + 0.0: a zero is +0.0, never -0.0
+    r = _radial_values(state, flat, 1)[0] + 0.0  # + 0.0: a zero is +0.0, never -0.0
     return float(r[0]) if ys.ndim == 0 else r.reshape(ys.shape)
 
 
@@ -169,10 +176,8 @@ def eval_state_with_derivatives(state: RadialEigenstate, y):
     (giving a tuple of floats) or an array of any shape, as in :func:`eval_state`."""
     ys = np.asarray(y, dtype=float)
     flat = ys.ravel()
-    lam = state.Lambda
-    s = flat * flat
-    w = lam * flat * flat + 1.0
-    bad = np.flatnonzero(~(flat > 0) | (w <= 0) | (s == 0))  # NaN is not > 0
+    w = state.Lambda * flat * flat + 1.0
+    bad = np.flatnonzero(~(flat > 0) | (w <= 0) | (flat * flat == 0))  # NaN is not > 0
     if bad.size:  # raise what a loop of scalar calls raises first
         y_bad = float(flat[bad[0]])
         if not y_bad > 0:
@@ -181,15 +186,7 @@ def eval_state_with_derivatives(state: RadialEigenstate, y):
             _check_inside(state, flat[bad[0] : bad[0] + 1])  # raises beyond the endpoint
             raise OutsideDomain(f"derivatives need an interior point, got the endpoint y = {y_bad}")
         raise OutsideDomain(f"derivatives need y*y > 0, got y = {y_bad}")  # -L / (y*y) would divide by zero
-    L, p = state.L_power, state.prefactor_exponent
-    A, (Q, dQ, d2Q) = _prefactor_and_pieces(state, flat, 3)
-    sp = 2.0 * flat  # ds/dy
-    la = L / flat + 2.0 * lam * p * flat / w  # A'/A
-    dla = -L / s + 2.0 * lam * p * (1.0 - lam * flat * flat) / (w * w)
-    R = A * Q
-    R1 = A * (la * Q + dQ * sp)
-    R2 = A * ((la * la + dla) * Q + 2.0 * la * dQ * sp + d2Q * sp * sp + dQ * 2.0)
-    out = tuple(state.norm_const * v for v in (R, R1, R2))
+    out = _radial_values(state, flat, 3)
     return tuple(float(v[0]) for v in out) if ys.ndim == 0 else tuple(v.reshape(ys.shape) for v in out)
 
 

@@ -171,6 +171,33 @@ def ho_exact(n, L, ys):
     return np.array(rows).T
 
 
+def laguerre_sign_log(n, L, ys):
+    """(sign, log |value|) of L_n^(L+1/2)(y**2) at each float y, from the exact
+    rational, for values whose prefactor exp(-y**2/2) is past the float range."""
+    coeffs, den = laguerre_exact(n, 2 * L + 1)
+    out = []
+    for p, q in (float(y).as_integer_ratio() for y in ys):
+        num = _horner(coeffs, p * p, q * q)
+        out.append((1 if num > 0 else -1, math.log(abs(num)) - math.log(den) - n * math.log(q * q)))
+    return out
+
+
+def state_mpmath(state, ys):
+    """R of the state at each float y by mpmath at 50 digits, the Jacobi piece
+    P_n^(L+1/2, -1/Lambda-1/2)(1 + 2*Lambda*y**2) by mpmath.jacobi, with Lambda
+    and y taken exactly."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        lam, n, L = mp.mpf(state.Lambda), state.qn.n, state.L_power
+        a, b = L + mp.mpf(1) / 2, -1 / lam - mp.mpf(1) / 2
+        out = []
+        for y in map(mp.mpf, ys):
+            w = 1 + lam * y * y
+            out.append(float(state.norm_const * y**L * w ** (-1 / (2 * lam)) * mp.jacobi(n, a, b, 2 * w - 1)))
+        return np.array(out)
+
+
 def norm_const_mpmath(n, L, Lambda):
     """The unit norm constant of state (n, L) at Lambda by mpmath at 50 digits:
     1/sqrt(M_0 s_n), M_0 = int y**(2L+2) (Lambda*y**2 + 1)**(-1/Lambda - 1/2) dy

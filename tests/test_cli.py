@@ -8,7 +8,7 @@ import pytest
 from nlosc import oracle, radial
 from nlosc.cli import run, serialize
 from nlosc.errors import NonFiniteValue
-from polynomial_references import ho_exact, jacobi_piece_sign_log, norm_const_mpmath, state_exact
+from polynomial_references import ho_exact, jacobi_piece_sign_log, norm_const_mpmath, state_exact, state_mpmath
 
 
 @pytest.fixture
@@ -132,6 +132,28 @@ class TestStatesCommand:
         for y, r, (sign, log_abs) in zip(ys, rs, jacobi_piece_sign_log(state, ys)):
             log_pref = state.prefactor_exponent * math.log(0.005 * y * y + 1.0)
             assert r == pytest.approx(sign * state.norm_const * math.exp(log_pref + log_abs), rel=1e-12)
+
+    def test_default_grid_where_the_prefactor_is_subnormal(self, capture):
+        # exp(log_a) is subnormal at y = 27.81 while R is a normal float: the row
+        # printed 7.4378367352738975e-301, 3.9% above the true R
+        code, out, err = capture(["states", "--lambda=-0.001", "--L", "0", "--n", "10"])
+        assert (code, err) == (0, "")
+        rows = {float(line.split(",")[0]): float(line.split(",")[1]) for line in out.strip().split("\n")[1:]}
+        y = 27.810180427737002
+        state = radial.normalize(radial.build_state(10, 0, -0.001))
+        ((sign, log_abs),) = jacobi_piece_sign_log(state, [y])
+        log_pref = state.prefactor_exponent * math.log1p(-0.001 * y * y)
+        assert rows[y] == pytest.approx(sign * math.exp(math.log(state.norm_const) + log_pref + log_abs), rel=1e-12, abs=0)
+        pytest.importorskip("mpmath")
+        assert rows[y] == pytest.approx(state_mpmath(state, [y])[0], rel=1e-12, abs=0)
+
+    def test_a_recurrence_step_past_the_float_range(self, capture):
+        # one step of P_40 from below 2**960 overflowed at y = 5e99 and 1e100 (exit 1 with
+        # NonFiniteValue); it is rescaled before the step, and the true R underflows there
+        code, out, err = capture(["states", "--lambda", "0.005", "--L", "0", "--n", "40", "--grid", "1:1e100:3"])
+        assert (code, err) == (0, "")
+        rs = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+        assert len(rs) == 3 and rs[0] != 0.0 and rs[1:] == [0.0, 0.0]
 
     def test_harmonic_far_tail(self, capture):
         # L_300 passes 2**960 from y = 39.22 on while exp(-y**2/2) underflows: the

@@ -82,6 +82,20 @@ class TestShooting:
         with pytest.raises(MeshNotConverged, match=match):
             oracle.shoot_eigenvalue(-0.5, 0, 3, rtol=1e-16)
 
+    @pytest.mark.parametrize("Lambda", [-0.5, 0.001])
+    def test_a_k_past_the_node_cap_raises_before_any_matrix(self, monkeypatch, Lambda):
+        # N = k + 8 had no bound: k = 10**5 would have asked for dense matrices of side 2*10**5.
+        # The cap is lowered here so that the refused k stays small.
+        monkeypatch.setattr(oracle, "_N_NODES_MAX", 40)
+        assert oracle.shoot_eigenvalue(Lambda, 0, 32).e_numeric == pytest.approx(energy_dimless(32, 0, Lambda), rel=1e-9)
+
+        def _no_mesh(*args):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(oracle, "_jacobi", _no_mesh)
+        with pytest.raises(MeshNotConverged, match=r"^k = 33 needs 41 nodes, above 40: the largest k is 32$"):
+            oracle.shoot_eigenvalue(Lambda, 0, 33)
+
     def test_iterations_count_the_eigen_solves(self):
         # Lambda < 0: one solve on N nodes and one on 2N; Lambda > 0: the
         # Gauss-rule search on 16 nodes and the closed check on 32

@@ -113,6 +113,17 @@ class TestEvalState:
         assert r1 == pytest.approx(fd1, rel=1e-8)
         assert r2 == pytest.approx(fd2, rel=1e-5)
 
+    def test_sign_and_zero_of_the_norm_constant(self):
+        # log|norm_const| joins the log prefactor; its sign multiplies the values
+        st = radial.normalize(radial.build_state(2, 1, -0.5))
+        y = np.array([0.0, 0.3, 0.9, 1.2, 2.0**0.5])
+        flipped, zero = replace(st, norm_const=-st.norm_const), replace(st, norm_const=0.0)
+        assert radial.eval_state(flipped, y).tolist() == (-radial.eval_state(st, y)).tolist()
+        got, ref = radial.eval_state_with_derivatives(flipped, y[1:4]), radial.eval_state_with_derivatives(st, y[1:4])
+        assert [v.tolist() for v in got] == [(-v).tolist() for v in ref]
+        assert radial.eval_state(zero, y).tolist() == [0.0] * 5
+        assert all(v.tolist() == [0.0] * 3 for v in radial.eval_state_with_derivatives(zero, y[1:4]))
+
 
 class TestOdeResidual:
     @pytest.mark.parametrize("Lambda", [-2.0, -1.0, -0.5, 0.05, 0.1])
