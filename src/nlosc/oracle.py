@@ -62,7 +62,7 @@ import numpy as np
 
 from . import radial
 from .errors import BracketInvalid, MeshNotConverged, NotAdmissible, OutsideDomain, QuadratureFailure
-from .orthopoly import _check_degree, _per_point, _values, laguerre_scaled
+from .orthopoly import _check_degree, _state_values
 from .params import check_finite, mass_denominator
 from .spectrum import QuantumNumbers, check_angular_momentum
 
@@ -436,28 +436,21 @@ def eigenfunction_nodes(Lambda: float, L: int, e: float) -> int:
     return int(np.sum(signs[1:] != signs[:-1]))
 
 
-def _ho_values(n: int, L: int, y: np.ndarray, count: int) -> tuple:
-    """(R,), or (R, R', R'') for ``count`` = 3, of R = y**L exp(-y**2/2) L_n^(L+1/2)(y**2) by :func:`orthopoly._values`
-    on the log -y**2/2 and the Laguerre pieces, d/ds L_n^(a) = -L_(n-1)^(a+1) (0 past degree n); y**L, by
-    np.float_power, stays outside the exp, so a negative y keeps its sign."""
-    pieces = [((-1.0) ** j, laguerre_scaled(n - j, L + 0.5 + j, y * y)) for j in range(min(count, n + 1))]
-    la, dla = (L / y - y, -L / (y * y) - 1.0) if count > 1 else (None, None)
-    return tuple(np.float_power(y, L) * v for v in _values(-0.5 * y * y, _per_point(pieces, count), la, dla, y))
-
-
 def ho_wavefunction(n: int, L: int) -> Callable:
     """Unnormalized harmonic-oscillator radial function y^L exp(-y^2/2) L_n^(L+1/2)(y^2).
 
-    The returned function takes a float (giving a float) or an array of any
-    shape; a float goes through the same ``np.float_power`` and ``np.exp``
-    as an array, so an array is bit-identical to a loop of floats.
+    It is the radial state's evaluator at Lambda = 0 (:func:`orthopoly._state_values`):
+    L log|y| joins the exp and the sign of y**L multiplies after it, so R is a normal
+    float wherever its value is one, at any y.  The returned function takes a float
+    (giving a float) or an array of any shape; a float goes through the same numpy
+    ``log`` and ``exp`` as an array, so an array is bit-identical to a loop of floats.
     """
     check_angular_momentum(L)
     _check_degree(n)
 
     def f(y):
         y = np.asarray(y, dtype=float)
-        (r,) = _ho_values(n, L, y, 1)
+        (r,) = _state_values(n, L, 0.0, 1.0, y, 1)
         return float(r) if r.ndim == 0 else r
 
     return f
@@ -482,13 +475,8 @@ def ho_wavefunction_with_derivatives(n: int, L: int) -> Callable:
 
     def f(y):
         y = np.asarray(y, dtype=float)
-        bad = np.flatnonzero((y <= 0) | (y * y == 0.0))
-        if bad.size:  # raise what a loop of scalar calls raises first
-            y_bad = float(y.ravel()[bad[0]])
-            if y_bad <= 0:
-                raise OutsideDomain(f"derivatives need an interior point, got y = {y_bad}")
-            raise OutsideDomain(f"derivatives need y*y > 0, got y = {y_bad}")
-        R, R1, R2 = _ho_values(n, L, y, 3)
+        radial._check_interior(0.0, y.ravel())
+        R, R1, R2 = _state_values(n, L, 0.0, 1.0, y, 3)
         return (float(R), float(R1), float(R2)) if y.ndim == 0 else (R, R1, R2)
 
     return f

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import spectrum
 from .errors import LambdaTooSmall, NotAdmissible, OutsideDomain, QuadratureFailure
-from .orthopoly import _per_point, _values, jacobi_scaled
+from .orthopoly import _state_values
 from .params import ModelParams, domain, mass_at, mass_denominator
 from .spectrum import QuantumNumbers, energy_dimless, is_admissible
 
@@ -106,11 +106,11 @@ def build_state(n: int, L: int, Lambda: float) -> RadialEigenstate:
     )
 
 
-def _check_inside(state: RadialEigenstate, y: np.ndarray) -> None:
+def _check_inside(Lambda: float, y: np.ndarray) -> None:
     """Raise what a loop of scalar checks raises first on a 1-D float array:
     y < 0 or NaN, or y beyond the finite endpoint by more than _ENDPOINT_SLACK."""
-    w = state.Lambda * y * y + 1.0
-    y_end = domain(state.Lambda).upper
+    w = Lambda * y * y + 1.0
+    y_end = domain(Lambda).upper
     bad = np.flatnonzero(~(y >= 0) | ((w <= 0) & (y > y_end * (1.0 + _ENDPOINT_SLACK))))
     if bad.size:
         y_bad = float(y[bad[0]])
@@ -119,42 +119,19 @@ def _check_inside(state: RadialEigenstate, y: np.ndarray) -> None:
         raise OutsideDomain(f"y = {y_bad} beyond endpoint {y_end}")
 
 
-def _log_prefactor(state: RadialEigenstate, y: np.ndarray) -> np.ndarray:
-    """log of y**L * (Lambda*y**2 + 1)**p, L*log(y) + p*log1p(Lambda*y**2) by numpy
-    (L*log(y) left out for L = 0); log1p keeps out the |p| ulp, 5.6e-17/|Lambda|,
-    of a rounded Lambda*y**2 + 1.  Clamped at -1, its exp is 0 at the Lambda < 0
-    endpoint, at y = 0 for L > 0 too, and 1 at y = 0 for L = 0."""
-    log_a = state.prefactor_exponent * np.log1p(np.maximum(state.Lambda * y * y, -1.0))
-    return state.L_power * np.log(y) + log_a if state.L_power else log_a
-
-
-def _jacobi_pieces(state: RadialEigenstate, s: np.ndarray, count: int) -> list:
-    """The first ``count`` of Q, dQ/ds, d2Q/ds2 of Q(s) = P_n^(L+1/2, -1/Lambda-1/2)(1 + 2*Lambda*s), one
-    recurrence pass each, split at each point alone as (m, e), the piece m * 2**e: the j-th is P_(n-j)
-    at both parameters plus j (0 for j > n), times Lambda*(n+L+k) - 1 for k = 1..j (dx/ds = 2*Lambda)."""
-    lam, n, L = state.Lambda, state.qn.n, state.L_power
-    x, c, pieces = 1.0 + 2.0 * lam * s, 1.0, []
-    for j in range(min(count, n + 1)):
-        pieces.append((c, jacobi_scaled(n - j, L + 0.5 + j, -1.0 / lam - 0.5 + j, x)))
-        c *= lam * (n + L + 1 + j) - 1.0
-    return _per_point(pieces, count)
-
-
-def _radial_values(state: RadialEigenstate, flat: np.ndarray, count: int) -> tuple:
-    """(R,), or (R, R', R'') for ``count`` = 3, at the points ``flat``: :func:`orthopoly._values` of
-    log|norm_const| plus :func:`_log_prefactor` and the :func:`_jacobi_pieces`."""
-    la = dla = None
-    c = state.norm_const
-    # log(0) = -inf at y = 0 and log1p(-1) = -inf at the Lambda < 0 endpoint; w*w may overflow at a huge y
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if count > 1:
-            lam, L, p = state.Lambda, state.L_power, state.prefactor_exponent
-            w = lam * flat * flat + 1.0
-            la = L / flat + 2.0 * lam * p * flat / w
-            dla = -L / (flat * flat) + 2.0 * lam * p * (1.0 - lam * flat * flat) / (w * w)
-        log_a = _log_prefactor(state, flat) + np.log(abs(c))
-        out = _values(log_a, _jacobi_pieces(state, flat * flat, count), la, dla, flat)
-    return out if c > 0 else tuple(np.sign(c) * v for v in out)
+def _check_interior(Lambda: float, y: np.ndarray) -> None:
+    """Raise what a loop of scalar derivative calls raises first on a 1-D float array: y <= 0 or NaN,
+    the Lambda < 0 endpoint or beyond (never at Lambda = 0), or y*y = 0, where -L/(y*y) would divide by zero."""
+    w = Lambda * y * y + 1.0
+    bad = np.flatnonzero(~(y > 0) | (w <= 0) | (y * y == 0))  # NaN is not > 0
+    if bad.size:
+        y_bad = float(y[bad[0]])
+        if not y_bad > 0:
+            raise OutsideDomain(f"derivatives need an interior point, got y = {y_bad}")
+        if w[bad[0]] <= 0:
+            _check_inside(Lambda, y[bad[0] : bad[0] + 1])  # raises beyond the endpoint
+            raise OutsideDomain(f"derivatives need an interior point, got the endpoint y = {y_bad}")
+        raise OutsideDomain(f"derivatives need y*y > 0, got y = {y_bad}")
 
 
 def eval_state(state: RadialEigenstate, y):
@@ -162,12 +139,12 @@ def eval_state(state: RadialEigenstate, y):
 
     A float gives a float.  An array gives, byte for byte, what a loop of float
     calls gives, and raises what that loop raises first.  R is a normal float
-    wherever its value is one (see :func:`orthopoly._values`).
+    wherever its value is one (see :func:`orthopoly._state_values`).
     """
     ys = np.asarray(y, dtype=float)
     flat = ys.ravel()
-    _check_inside(state, flat)
-    r = _radial_values(state, flat, 1)[0] + 0.0  # + 0.0: a zero is +0.0, never -0.0
+    _check_inside(state.Lambda, flat)
+    r = _state_values(state.qn.n, state.L_power, state.Lambda, state.norm_const, flat, 1)[0] + 0.0  # + 0.0: a zero is +0.0, never -0.0
     return float(r[0]) if ys.ndim == 0 else r.reshape(ys.shape)
 
 
@@ -176,17 +153,8 @@ def eval_state_with_derivatives(state: RadialEigenstate, y):
     (giving a tuple of floats) or an array of any shape, as in :func:`eval_state`."""
     ys = np.asarray(y, dtype=float)
     flat = ys.ravel()
-    w = state.Lambda * flat * flat + 1.0
-    bad = np.flatnonzero(~(flat > 0) | (w <= 0) | (flat * flat == 0))  # NaN is not > 0
-    if bad.size:  # raise what a loop of scalar calls raises first
-        y_bad = float(flat[bad[0]])
-        if not y_bad > 0:
-            raise OutsideDomain(f"derivatives need an interior point, got y = {y_bad}")
-        if w[bad[0]] <= 0:
-            _check_inside(state, flat[bad[0] : bad[0] + 1])  # raises beyond the endpoint
-            raise OutsideDomain(f"derivatives need an interior point, got the endpoint y = {y_bad}")
-        raise OutsideDomain(f"derivatives need y*y > 0, got y = {y_bad}")  # -L / (y*y) would divide by zero
-    out = _radial_values(state, flat, 3)
+    _check_interior(state.Lambda, flat)
+    out = _state_values(state.qn.n, state.L_power, state.Lambda, state.norm_const, flat, 3)
     return tuple(float(v[0]) for v in out) if ys.ndim == 0 else tuple(v.reshape(ys.shape) for v in out)
 
 

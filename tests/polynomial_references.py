@@ -7,9 +7,13 @@ each value rounded once by a single division: the Jacobi piece of a state from
 the integer coefficients of ``radial._folded_t_poly_exact``, and the Laguerre
 polynomial from its explicit sum.  A transcendental prefactor
 (a power of Lambda*y**2 + 1, or exp(-y**2/2)) is the one float factor left.
-The unit norm constant of a state comes from mpmath at 50 digits.
+The unit norm constant of a state comes from mpmath at 50 digits.  Far-tail
+values, past the float range in their pieces, come from the log of R in the
+standard library's ``decimal`` at 40 digits (``state_sign_log``), so CI, which
+installs no mpmath, checks them.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -93,15 +97,25 @@ def jacobi_piece_exact(state, ys):
     return [_at(coeffs, den, 2 * p * p, Q * q * q) for p, q in (float(y).as_integer_ratio() for y in ys)]
 
 
-def jacobi_piece_sign_log(state, ys):
-    """(sign, log |value|) of the state's Jacobi piece at each float y, from the
-    exact rational, for values past the float range."""
-    coeffs, den = radial._folded_t_poly_exact(state.qn.n, state.qn.L, state.Lambda)
-    Q = state.Lambda.as_integer_ratio()[1]
+def state_sign_log(state, ys):
+    """(sign, log |R|) of the state at each float y > 0, for values past the float range: the log a
+    Decimal at 40 digits, with Lambda = P/Q and y = p/q taken exactly, summed from Decimal.ln() of
+    the exact Horner integers of the Jacobi piece, L log y, -log(1 + Lambda y**2) / (2 Lambda)
+    and log|norm_const|.  No float log of a huge integer is subtracted."""
+    n, L = state.qn.n, state.L_power
+    coeffs, den = radial._folded_t_poly_exact(n, L, state.Lambda)
+    P, Q = state.Lambda.as_integer_ratio()
     out = []
-    for p, q in (float(y).as_integer_ratio() for y in ys):
-        num = _horner(coeffs, 2 * p * p, Q * q * q)
-        out.append((1 if num > 0 else -1, math.log(abs(num)) - math.log(den) - state.qn.n * math.log(Q * q * q)))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        ln = lambda i: decimal.Decimal(i).ln()  # noqa: E731
+        log_c, power = decimal.Decimal(abs(state.norm_const)).ln(), decimal.Decimal(-Q) / (2 * P)  # -1/(2 Lambda)
+        for p, q in (float(y).as_integer_ratio() for y in ys):
+            num = _horner(coeffs, 2 * p * p, Q * q * q)
+            log_piece = ln(abs(num)) - ln(den) - n * ln(Q * q * q)
+            log_pref = L * (ln(p) - ln(q)) + power * (ln(Q * q * q + P * p * p) - ln(Q * q * q))
+            sign = (1 if num > 0 else -1) * (1 if state.norm_const > 0 else -1)
+            out.append((sign, log_piece + log_pref + log_c))
     return out
 
 

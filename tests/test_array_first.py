@@ -10,11 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from nlosc import classical, oracle, radial
+from nlosc import classical, oracle, orthopoly, radial
 from nlosc.classical import ClassicalStatePlanar
 from nlosc.errors import DomainExit, OutsideDomain, RadialCollapse, StiffnessFailure
 from nlosc.kernels import STATUS_NONFINITE, STATUS_OK, STATUS_UNDERFLOW
-from nlosc.orthopoly import jacobi, laguerre
+from nlosc.orthopoly import laguerre
 from nlosc.params import domain, make_model, mass_denominator
 
 LAMS = [-0.7, 0.4]
@@ -218,12 +218,12 @@ class TestSolveHelper:
 # the per-point float formulas, kept as the references for the array paths; their
 # prefactors are math.exp and math.log, where the package calls numpy's
 def _jacobi_piece(state, s):
-    """(Q, dQ/ds, d2Q/ds2) of P_n^(L+1/2, -1/Lambda-1/2)(1 + 2*Lambda*s) at one float s;
-    the j-th derivative is P_(n-j) at parameters shifted by j, times a factor
-    Lambda*(n+L+k) - 1 for each k = 1..j."""
+    """(Q, dQ/ds, d2Q/ds2) of P_n^(L+1/2, -1/Lambda-1/2)(1 + 2*Lambda*s) at one float s, by the
+    package's recurrence step in s; the j-th derivative is P_(n-j) at a = L+1/2+j and
+    beta = Lambda*(j-1/2) - 1 (b = beta/Lambda), times a factor Lambda*(n+L+k) - 1 for each k = 1..j."""
     lam, n, L = state.Lambda, state.qn.n, state.L_power
-    x = 1.0 + 2.0 * lam * s
-    P, P1, P2 = (float(jacobi(n - j, L + 0.5 + j, -1.0 / lam - 0.5 + j, x)) if j <= n else 0.0 for j in range(3))
+    step = lambda j: orthopoly._step(L + 0.5 + j, lam, lam * (j - 0.5) - 1.0)  # noqa: E731
+    P, P1, P2 = (float(orthopoly._value(*orthopoly._recurrence(n - j, s, step(j)))) if j <= n else 0.0 for j in range(3))
     c1 = lam * (n + L + 1) - 1.0
     return P, c1 * P1, c1 * (lam * (n + L + 2) - 1.0) * P2
 
@@ -387,12 +387,14 @@ class TestNaN:
         "eval_state_with_derivatives": lambda y: radial.eval_state_with_derivatives(TestNaN.STATE, y),
         "u_transform_residual": lambda y: radial.u_transform_residual(TestNaN.STATE, np.atleast_1d(y)),
         "weight": lambda y: radial.weight(y, -0.5),
+        "ho_wavefunction_with_derivatives": lambda y: oracle.ho_wavefunction_with_derivatives(2, 1)(y),
     }
     MESSAGES = {
         "eval_state": "y must be nonnegative, got nan",
         "eval_state_with_derivatives": "derivatives need an interior point, got y = nan",
         "u_transform_residual": "derivatives need an interior point, got y = nan",
         "weight": "weight needs y > 0, got nan",
+        "ho_wavefunction_with_derivatives": "derivatives need an interior point, got y = nan",
     }
 
     @pytest.mark.parametrize("name", CALLS)
@@ -409,12 +411,15 @@ class TestNaN:
 @pytest.mark.parametrize("L", range(7))
 class TestHarmonicArrays:
     def test_wavefunction(self, L):
-        # float_power is libm pow, as Python's ** on floats; the exp is numpy's, not math.exp
+        # the package takes y**L into numpy's exp as L log|y|, beside -y**2/2, and the sign after it;
+        # the reference is libm pow times math.exp, so the bound carries both terms of that exponent
         f = oracle.ho_wavefunction(2, L)
         y = np.concatenate([_grid(1.0, 20 + L, signed=True), [0.0, np.nan]])
         ref = _loop(lambda yi: yi**L * math.exp(-0.5 * yi * yi) * float(laguerre(2, L + 0.5, yi * yi)), y)
         assert f(y).tobytes() == _loop(f, y).tobytes()
-        _assert_within_exp_log_ulps(f(y), ref, np.nan_to_num(0.5 * y * y))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = 0.5 * y * y + L * np.abs(np.log(np.abs(y)))
+        _assert_within_exp_log_ulps(f(y), ref, np.where(np.isfinite(terms), terms, 0.0))
         assert type(f(0.5)) is float
 
     def test_wavefunction_with_derivatives(self, L):

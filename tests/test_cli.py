@@ -8,7 +8,7 @@ import pytest
 from nlosc import oracle, radial
 from nlosc.cli import run, serialize
 from nlosc.errors import NonFiniteValue
-from polynomial_references import ho_exact, jacobi_piece_sign_log, norm_const_mpmath, state_exact, state_mpmath
+from polynomial_references import ho_exact, norm_const_mpmath, state_exact, state_mpmath, state_sign_log
 
 
 @pytest.fixture
@@ -129,9 +129,8 @@ class TestStatesCommand:
         assert (code, err) == (0, "")
         ys, rs, _ = np.array([list(map(float, line.split(","))) for line in out.strip().split("\n")[1:]]).T
         state = radial.normalize(radial.build_state(77, 0, 0.005))
-        for y, r, (sign, log_abs) in zip(ys, rs, jacobi_piece_sign_log(state, ys)):
-            log_pref = state.prefactor_exponent * math.log(0.005 * y * y + 1.0)
-            assert r == pytest.approx(sign * state.norm_const * math.exp(log_pref + log_abs), rel=1e-12)
+        for r, (sign, log_R) in zip(rs, state_sign_log(state, ys)):
+            assert r == pytest.approx(sign * float(log_R.exp()), rel=1e-12, abs=0)
 
     def test_default_grid_where_the_prefactor_is_subnormal(self, capture):
         # exp(log_a) is subnormal at y = 27.81 while R is a normal float: the row
@@ -141,9 +140,8 @@ class TestStatesCommand:
         rows = {float(line.split(",")[0]): float(line.split(",")[1]) for line in out.strip().split("\n")[1:]}
         y = 27.810180427737002
         state = radial.normalize(radial.build_state(10, 0, -0.001))
-        ((sign, log_abs),) = jacobi_piece_sign_log(state, [y])
-        log_pref = state.prefactor_exponent * math.log1p(-0.001 * y * y)
-        assert rows[y] == pytest.approx(sign * math.exp(math.log(state.norm_const) + log_pref + log_abs), rel=1e-12, abs=0)
+        ((sign, log_R),) = state_sign_log(state, [y])
+        assert rows[y] == pytest.approx(sign * float(log_R.exp()), rel=1e-12, abs=0)
         pytest.importorskip("mpmath")
         assert rows[y] == pytest.approx(state_mpmath(state, [y])[0], rel=1e-12, abs=0)
 
@@ -166,7 +164,7 @@ class TestStatesCommand:
             c = 1 / mp.sqrt(mp.gamma(mp.mpf(603) / 2) / (2 * mp.factorial(300)))
             exact = [float(c * mp.exp(-mp.mpf(y) ** 2 / 2) * mp.laguerre(300, mp.mpf(1) / 2, mp.mpf(y) ** 2)) for y in ys]
         assert np.all(np.isfinite(rs)) and rs[2] != 0.0 and rs[3] == exact[3] == 0.0
-        assert rs.tolist() == pytest.approx(exact, rel=1e-12)
+        assert rs.tolist() == pytest.approx(exact, rel=1e-12, abs=0)
 
     def test_squared_norm_past_the_float_range(self, capture):
         # the squared norm is e**714.7; its closed-form log gives the constant

@@ -18,17 +18,17 @@ import math
 import numpy as np
 import pytest
 
-from nlosc import oracle, radial
+from nlosc import oracle, orthopoly, radial
 from nlosc.params import domain
 from nlosc.spectrum import bound_state_count, is_admissible
 from nlosc.orthopoly import jacobi, jacobi_scaled
 from polynomial_references import (
     ho_exact,
     jacobi_piece_derivatives_exact,
-    jacobi_piece_sign_log,
     laguerre_sign_log,
     state_exact,
     state_mpmath,
+    state_sign_log,
 )
 
 LAMBDAS = [-3.0, -0.5, -0.1, -0.01, 0.005, 0.013, 0.1]
@@ -89,10 +89,11 @@ def test_far_tail_past_the_float_range():
     assert np.ldexp(m[:3], e[:3]).tobytes() == plain[:3].tobytes() == jacobi(77, 0.5, -200.5, x[:3]).tobytes()
     assert jacobi_scaled(77, 0.5, -200.5, x[:3])[1] == 0
     R = radial.eval_state(state, ys)
-    for k, (sign, log_abs) in enumerate(jacobi_piece_sign_log(state, ys)):
+    for k, (sign, log_R) in enumerate(state_sign_log(state, ys)):
+        log_pref = math.log(state.norm_const) + state.prefactor_exponent * math.log(state.Lambda * ys[k] ** 2 + 1.0)
+        log_abs = float(log_R) - log_pref  # the Jacobi piece's
         assert np.sign(m[k]) == sign and abs(math.log(abs(m[k])) + e[k] * math.log(2.0) - log_abs) <= 1e-12 + 1e-14 * abs(log_abs)
-        log_pref = state.prefactor_exponent * math.log(state.Lambda * ys[k] ** 2 + 1.0)
-        assert R[k] == pytest.approx(sign * state.norm_const * math.exp(log_pref + log_abs), rel=1e-12)
+        assert R[k] == pytest.approx(sign * float(log_R.exp()), rel=1e-12, abs=0)
     assert R.tobytes() == np.array([radial.eval_state(state, float(y)) for y in ys]).tobytes()
 
 
@@ -103,7 +104,7 @@ def test_far_tail_derivatives_past_the_float_range():
     ys = np.array([875.0, 1000.0, 2000.0, 3000.0])
     R, R1, R2 = radial.eval_state_with_derivatives(state, ys)
     assert np.isfinite([R, R1, R2]).all() and np.all(R != 0)
-    assert R == pytest.approx(radial.eval_state(state, ys), rel=1e-12)
+    assert R == pytest.approx(radial.eval_state(state, ys), rel=1e-12, abs=0)
     assert radial.u_transform_residual(state, [1000.0, 3000.0]) < 1e-9
 
 
@@ -127,10 +128,6 @@ def test_derivatives_where_a_piece_is_just_below_the_float_range(lam, L, n, y):
 # geometric from 0.01 to min(3000, y_end), and at Lambda > 0 ten more, y = 1e10..1e100
 TAIL_LAMBDAS = [-0.7, -0.3, -0.03, -1e-3, -1e-4, -1e-6, 1e-6, 1e-4, 1e-3, 0.005, 0.0123, 0.1]
 TAIL_STATES = [(n, L) for L in (0, 1, 3, 170) for n in (0, 1, 2, 5, 10, 40, 77, 160, 300)]
-# Below |Lambda| = 5e-3 the bulk misses 50-digit mpmath by more than 1e-12 * max(1, n/40),
-# tails or no tails: the recurrence runs on the rounded x = 1 + 2*Lambda*y**2 and
-# b = -1/Lambda - 1/2 (1.6e-12 at Lambda = -1e-3 and 2.5e-9 at 1e-6, over n/40)
-SMALL_LAMBDA_BULK = pytest.mark.xfail(reason="bulk error about eps/|Lambda| from the rounded Jacobi variable")
 
 
 def _tail_grid(lam):
@@ -147,9 +144,10 @@ def _tail_states(lam):
 
 def _split_log(state, ys):
     """log|R| from the split Jacobi piece and the log prefactor, never formed as a float."""
-    ((f, k),) = radial._jacobi_pieces(state, ys * ys, 1)
+    ((f, k),) = orthopoly._pieces(state.qn.n, state.L_power, state.Lambda, ys * ys, 1)
     with np.errstate(divide="ignore"):
-        return radial._log_prefactor(state, ys) + math.log(state.norm_const) + np.log(np.abs(f)) + k * math.log(2.0)
+        log_pref = orthopoly._log_prefactor(state.L_power, state.Lambda, ys)
+        return log_pref + math.log(state.norm_const) + np.log(np.abs(f)) + k * math.log(2.0)
 
 
 @pytest.mark.parametrize("lam", TAIL_LAMBDAS)
@@ -172,13 +170,13 @@ def test_far_tail_grid_has_no_nan_and_no_false_zero(lam):
         assert derivatives[0][normal] == pytest.approx(R_inner, rel=1e-12, abs=0), state.qn
 
 
-@pytest.mark.parametrize(
-    "lam", [pytest.param(lam, marks=SMALL_LAMBDA_BULK) if abs(lam) < 5e-3 else lam for lam in TAIL_LAMBDAS]
-)
+@pytest.mark.parametrize("lam", TAIL_LAMBDAS)
 def test_far_tail_grid_against_mpmath(lam):
     # every 16th point of the grid, where mpmath's R is a normal float, relative to the
     # envelope: the largest |R| between the point and the nearer end of the grid, which is
-    # |R| itself in the decaying tails and about max|R| among the nodes
+    # |R| itself in the decaying tails and about max|R| among the nodes.  Small |Lambda| is where
+    # a recurrence on the rounded x = 1 + 2*Lambda*y**2 and b = -1/Lambda - 1/2 misses this bound
+    # (2.5e-9 over n/40 at 1e-6); the pieces run in s = y**2
     pytest.importorskip("mpmath")
     ys = _tail_grid(lam)[::16]
     worst = []
@@ -199,9 +197,8 @@ def test_far_tail_points_that_were_wrong():
     y = 38.99207197701388
     R = radial.eval_state(state, y)
     assert R > 0 and R == pytest.approx(radial.eval_state_with_derivatives(state, y)[0], rel=1e-12, abs=0)
-    ((sign, log_abs),) = jacobi_piece_sign_log(state, [y])
-    log_pref = 170 * math.log(y) + state.prefactor_exponent * math.log1p(state.Lambda * y * y)
-    assert R == pytest.approx(sign * math.exp(math.log(state.norm_const) + log_pref + log_abs), rel=1e-12, abs=0)
+    ((sign, log_R),) = state_sign_log(state, [y])
+    assert R == pytest.approx(sign * float(log_R.exp()), rel=1e-12, abs=0)
     # NaN from a recurrence step that overflowed from below 2**960; the true R underflows
     state = radial.normalize(radial.build_state(40, 0, 0.005))
     assert radial.eval_state(state, 1e60) == 0.0 and _split_log(state, np.array([1e60]))[0] < -745.0
@@ -228,7 +225,8 @@ def test_jacobi_piece_and_its_derivatives_are_exact_to_1e_12(lam):
     ys, worst = _points(lam), []
     for n, L in _states(lam):
         state = radial.build_state(n, L, lam)
-        got = tuple(np.ldexp(m, e) for m, e in radial._jacobi_pieces(state, ys * ys, 3))
+        pieces = orthopoly._pieces(state.qn.n, state.L_power, state.Lambda, ys * ys, 3)
+        got = tuple(np.ldexp(m, e) for m, e in pieces)
         exact = jacobi_piece_derivatives_exact(state, ys)
         for j in range(3):
             if j > n:

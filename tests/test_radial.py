@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nlosc import radial
+from nlosc import orthopoly, radial
 from nlosc.errors import LambdaTooSmall, NotAdmissible, OutsideDomain, QuadratureFailure
 from nlosc.oracle import radial_residual
 from nlosc.params import make_model
@@ -31,14 +31,16 @@ class TestWeight:
 class TestBuildState:
     def test_ground_state_negative(self):
         st = radial.build_state(0, 0, -1.0)
-        Q, dQ, d2Q = (np.ldexp(m, e) for m, e in radial._jacobi_pieces(st, np.array([0.0, 0.5]), 3))
+        pieces = orthopoly._pieces(st.qn.n, st.L_power, st.Lambda, np.array([0.0, 0.5]), 3)
+        Q, dQ, d2Q = (np.ldexp(m, e) for m, e in pieces)
         assert (Q.tolist(), dQ.tolist(), d2Q.tolist()) == ([1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
         assert st.prefactor_exponent == pytest.approx(0.5, abs=0)
         assert st.e == 1.5
 
     def test_ground_state_positive_l2(self):
         st = radial.build_state(0, 2, 0.1)
-        Q, dQ, d2Q = (np.ldexp(m, e) for m, e in radial._jacobi_pieces(st, np.array([0.0, 4.0]), 3))
+        pieces = orthopoly._pieces(st.qn.n, st.L_power, st.Lambda, np.array([0.0, 4.0]), 3)
+        Q, dQ, d2Q = (np.ldexp(m, e) for m, e in pieces)
         assert (Q.tolist(), dQ.tolist(), d2Q.tolist()) == ([1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
         assert st.L_power == 2
         assert st.prefactor_exponent == pytest.approx(-5.0, rel=1e-15)
